@@ -92,15 +92,34 @@ def probe_first_move(robogram: Robogram, n: int) -> FirstMoveProbe:
     return FirstMoveProbe(evaluate(robogram, canonical_view(n)))
 
 
-def _canonical_factor(position: Position, robot: RobotId) -> Fraction:
-    """Frame factor 1/(v - u) that shows the opposite pile at 1 in the local
-    view.  Falls back to 1 (an arbitrary nonzero factor) when the opposite
-    pile is scattered or on top of this robot, keeping the demon total."""
-    v = position.pile_location(robot.side.other)
-    u = position[robot]
+def _frame_factor(u: Fraction, v: Fraction | None) -> Fraction:
+    """1/(v - u), or 1 (an arbitrary nonzero factor) when there is no v or
+    it equals u."""
     if v is not None and v != u:
         return Fraction(1) / (v - u)
     return Fraction(1)
+
+
+def _canonical_factors(position: Position, sides: tuple[Side, ...]) -> dict[RobotId, Fraction]:
+    """Frame factors of one round: robots on `sides` get the factor 1/(v - u)
+    that shows the opposite pile (stacked at v) at 1 in their local view,
+    every other robot gets 0.  The factor falls back to 1 when the opposite
+    pile is scattered or on top of the robot, keeping the demon total.
+
+    Each pile's location is read once per round, and a stacked pile's factor
+    is computed once for all its robots, so a round costs O(m), not O(m^2).
+    """
+    universe = position.universe
+    factors = dict.fromkeys(universe.robots, Fraction(0))
+    for side in sides:
+        v = position.pile_location(side.other)
+        u = position.pile_location(side)
+        robots = universe.side_robots(side)
+        if u is not None:
+            factors.update(dict.fromkeys(robots, _frame_factor(u, v)))
+        else:
+            factors.update((r, _frame_factor(position[r], v)) for r in robots)
+    return factors
 
 
 def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
@@ -108,7 +127,7 @@ def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
     universe.require_inhabited()
 
     def policy(position: Position) -> dict[RobotId, Fraction]:
-        return {r: _canonical_factor(position, r) for r in universe.robots}
+        return _canonical_factors(position, (Side.LEFT, Side.RIGHT))
 
     return make_fsync(policy, name="adversary-swap-fsync")
 
@@ -120,25 +139,27 @@ def make_alternating_demon(universe: RobotUniverse) -> Demon:
 
     def step(round_index: int, position: Position) -> DemonicAction:
         side = Side.LEFT if round_index % 2 == 0 else Side.RIGHT
-        frames = {
-            r: _canonical_factor(position, r) if r.side is side else Fraction(0)
-            for r in universe.robots
-        }
-        return DemonicAction(universe, frames)
+        return DemonicAction(universe, _canonical_factors(position, (side,)))
 
     return Demon("adversary-alternating", step)
 
 
 def build_adversary_demon(
-    robogram: Robogram, n: int, a: ScalarLike, b: ScalarLike
+    robogram: Robogram,
+    n: int,
+    a: ScalarLike,
+    b: ScalarLike,
+    probe: FirstMoveProbe | None = None,
 ) -> Demon:
     """Pick the branch the robogram's first move calls for, for a run whose
-    piles start at the distinct locations a and b."""
+    piles start at the distinct locations a and b.  A caller that already
+    holds the robogram's `probe` passes it in so it is not run again."""
     if as_scalar(a) == as_scalar(b):
         raise DegenerateInitial("initial piles must occupy two distinct locations")
     universe = RobotUniverse(n)
     universe.require_inhabited()
-    probe = probe_first_move(robogram, n)
+    if probe is None:
+        probe = probe_first_move(robogram, n)
     if probe.branch == SWAP_FSYNC:
         return make_swap_fsync_demon(universe)
     return make_alternating_demon(universe)
@@ -208,7 +229,7 @@ def run_impossibility(
     universe.require_inhabited()
     p0 = Position.from_piles(universe, 0, 1)
     probe = probe_first_move(robogram, n)
-    demon = build_adversary_demon(robogram, n, 0, 1)
+    demon = build_adversary_demon(robogram, n, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
     rng = random.Random(default_seed() if seed is None else seed)

@@ -15,7 +15,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .adversary import run_impossibility
+from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
 from .core import (
     Position,
     RobotUniverse,
@@ -80,8 +80,6 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
             raise UsageError("random-kfair budget k must be >= 0")
         return make_random_kfair(universe, k, 1, seed)
     if sel == "adversary":
-        from .adversary import DegenerateInitial, build_adversary_demon
-
         a = p0.pile_location(Side.LEFT)
         b = p0.pile_location(Side.RIGHT)
         if a is None or b is None:
@@ -131,11 +129,12 @@ def _run_scenario(scenario: dict) -> Trace:
     for key in ("robogram", "demon", "n", "horizon"):
         if scenario.get(key) is None:
             raise UsageError(f"missing required setting {key!r}")
+    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
     n = scenario["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise UsageError("n must be an integer >= 1")
     horizon = scenario["horizon"]
-    if not isinstance(horizon, int) or horizon < 0:
+    if type(horizon) is not int or horizon < 0:
         raise UsageError("horizon must be an integer >= 0")
     universe = RobotUniverse(n)
     robogram = _resolve_robogram(scenario["robogram"])
@@ -144,9 +143,23 @@ def _run_scenario(scenario: dict) -> Trace:
     return execute_prefix(robogram, demon, p0, horizon)
 
 
+def _write_trace_file(trace: Trace, path: str) -> None:
+    try:
+        write_trace_file(trace, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write trace: {exc}") from exc
+
+
+def _seed_from_env() -> int:
+    try:
+        return default_seed()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _run_scenario_to_file(scenario: dict) -> str:
     trace = _run_scenario(scenario)
-    write_trace_file(trace, scenario["out"])
+    _write_trace_file(trace, scenario["out"])
     return scenario["out"]
 
 
@@ -182,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = scenarios[0]
     trace = _run_scenario(scenario)
     if scenario.get("out"):
-        write_trace_file(trace, scenario["out"])
+        _write_trace_file(trace, scenario["out"])
     else:
         write_trace(trace, sys.stdout)
     return 0
@@ -194,9 +207,9 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.horizon is None or args.horizon < 0:
         raise UsageError("horizon must be an integer >= 0")
     robogram = _resolve_robogram(args.robogram)
-    report = run_impossibility(robogram, args.n, args.horizon)
+    report = run_impossibility(robogram, args.n, args.horizon, _seed_from_env())
     if args.out:
-        write_trace_file(report.trace, args.out)
+        _write_trace_file(report.trace, args.out)
     print(json.dumps(report.to_json_dict()))
     return 0 if report.certified else 1
 
@@ -261,7 +274,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
     if args.samples is None or args.samples < 1:
         raise UsageError("samples must be >= 1")
     robogram = _resolve_robogram(args.robogram)
-    seed = default_seed() if args.seed is None else args.seed
+    seed = _seed_from_env() if args.seed is None else args.seed
     rng = random.Random(seed)
     for i in range(args.samples):
         universe = RobotUniverse(rng.randint(1, 4))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -88,14 +88,25 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class RobotId:
-    """A robot name: which pile it belongs to and its index within the pile."""
+    """A robot name: which pile it belongs to and its index within the pile.
+
+    Ids key every per-robot dict, so the hash is computed once here rather
+    than on each lookup (which would call `Enum.__hash__` every time).  It is
+    hashed from ints only, so the stored value is the same in every process
+    and stays valid when an id is pickled.
+    """
 
     side: Side
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("robot index must be >= 0")
+        object.__setattr__(self, "_hash", hash((self.index, self.side is Side.RIGHT)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
@@ -136,6 +147,12 @@ class RobotUniverse:
         left = tuple(RobotId(Side.LEFT, i) for i in range(self.pile_size))
         right = tuple(RobotId(Side.RIGHT, i) for i in range(self.pile_size))
         return left + right
+
+    @cached_property
+    def robots_by_name(self) -> dict[str, RobotId]:
+        """The universe's own ids keyed by their "L<i>"/"R<i>" names, so
+        parsers can hand back these objects instead of fresh equal ones."""
+        return {str(r): r for r in self.robots}
 
     def side_robots(self, side: Side) -> tuple[RobotId, ...]:
         return tuple(r for r in self.robots if r.side is side)
@@ -186,10 +203,13 @@ class Position:
         return Position(self.universe, {r: fn(x) for r, x in self._loc.items()})
 
     def pile_location(self, side: Side) -> Fraction | None:
-        """The single location shared by the whole pile, or None if scattered."""
-        locs = {self._loc[r] for r in self.universe.side_robots(side)}
-        if len(locs) == 1:
-            return next(iter(locs))
+        """The single location shared by the whole pile, or None if scattered.
+
+        Compares with `==` instead of collecting a set: hashing a Fraction
+        costs a modular inverse of its denominator."""
+        locs = [self._loc[r] for r in self.universe.side_robots(side)]
+        if locs and all(x == locs[0] for x in locs):
+            return locs[0]
         return None
 
     def __eq__(self, other: object) -> bool:

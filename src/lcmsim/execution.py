@@ -179,8 +179,18 @@ def write_trace_file(trace: Trace, path: str) -> None:
 def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> dict:
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
+    # Checked first: a short map under a header with a huge n must not make
+    # the universe build its ids.
+    if len(raw) != universe.m:
+        raise TraceFormatError(f"{what} does not cover the universe exactly")
+    # Known names map to the universe's own ids (no regex, no new objects);
+    # anything else goes through parse_robot_id for its error message.
+    ids = universe.robots_by_name
     try:
-        out = {parse_robot_id(key): parse_scalar(value) for key, value in raw.items()}
+        out = {
+            ids.get(key) or parse_robot_id(key): parse_scalar(value)
+            for key, value in raw.items()
+        }
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
     if set(out) != set(universe.robots):
@@ -204,8 +214,9 @@ def read_trace(lines: Iterable[str]) -> Trace:
     for field_name in ("robogram", "demon", "n", "p0"):
         if field_name not in header:
             raise TraceFormatError(f"header is missing {field_name!r}")
-    if not isinstance(header["n"], int) or header["n"] < 0:
-        raise TraceFormatError("header n must be a natural number")
+    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
+    if type(header["n"]) is not int or header["n"] < 1:
+        raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
     p0 = Position(universe, _parse_scalar_map(universe, header["p0"], "p0"))
 
@@ -222,6 +233,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
         for field_name in ("round", "frames", "post"):
             if field_name not in row:
                 raise TraceFormatError(f"line {lineno + 1} is missing {field_name!r}")
+        if type(row["round"]) is not int:
+            raise TraceFormatError(f"line {lineno + 1}: round must be an integer")
         if row["round"] != len(rounds):
             raise TraceFormatError(
                 f"line {lineno + 1}: round index {row['round']} out of order"
@@ -234,8 +247,11 @@ def read_trace(lines: Iterable[str]) -> Trace:
 
 
 def read_trace_file(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as fp:
-        return read_trace(fp)
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return read_trace(fp)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace is not UTF-8: {exc}") from exc
 
 
 def replay(trace: Trace, robogram: Robogram) -> None:

@@ -3,12 +3,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmsim.adversary import (
     ALTERNATING,
     SWAP_FSYNC,
     DegenerateInitial,
     _balanced_bivalent,
+    _canonical_factors,
     build_adversary_demon,
     canonical_view,
     make_alternating_demon,
@@ -36,6 +39,42 @@ from lcmsim.robograms import (
     to_min,
     to_other_occupied,
 )
+
+
+def _canonical_factor_by_definition(position, robot):
+    """Per-robot definition: 1/(v - u) when the opposite pile is stacked at
+    v != u, else 1."""
+    opposite = {position[r] for r in position.universe.side_robots(robot.side.other)}
+    u = position[robot]
+    if len(opposite) == 1 and next(iter(opposite)) != u:
+        return 1 / (next(iter(opposite)) - u)
+    return Fraction(1)
+
+
+@st.composite
+def _pile_positions(draw):
+    """Piles either stacked or scattered over a few shared locations, so that
+    scattered piles and robots on top of the opposite pile are common."""
+    u = RobotUniverse(draw(st.integers(1, 4)))
+    spots = st.sampled_from((Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)))
+    locations = {}
+    for side in Side:
+        robots = u.side_robots(side)
+        if draw(st.booleans()):
+            locations.update(dict.fromkeys(robots, draw(spots)))
+        else:
+            locations.update((r, draw(spots)) for r in robots)
+    return Position(u, locations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pile_positions(), st.sampled_from(((), (Side.LEFT,), (Side.RIGHT,), tuple(Side))))
+def test_canonical_factors_match_the_per_robot_definition(position, sides):
+    expected = {
+        r: _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
+        for r in position.universe.robots
+    }
+    assert _canonical_factors(position, sides) == expected
 
 
 def test_canonical_view_shape():

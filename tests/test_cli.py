@@ -295,6 +295,70 @@ def test_check_kfair_rejects_zero_round_trace(tmp_path, capsys):
     assert code == 2
 
 
+def _one_line(err):
+    return len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["n", "horizon"])
+def test_simulate_config_rejects_json_booleans_for_integers(tmp_path, capsys, key):
+    scenario = {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1}
+    scenario[key] = True
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, "simulate", "--config", str(config))
+    assert code == 2 and not out
+    assert _one_line(err) and f"{key} must be an integer" in err
+
+
+def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
+    out_path = tmp_path / "t.jsonl"
+    _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "fsync",
+        "--n", "1", "--horizon", "2", "--out", str(out_path),
+    )
+    text = out_path.read_text()
+    for mangled, needle in (
+        (text.replace('"n": 1', '"n": true'), "header n"),
+        (text.replace('"round": 0', '"round": false'), "round must be an integer"),
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(mangled)
+        code, out, err = _run(capsys, "check", str(bad), "--property", "kfair:1")
+        assert code == 2 and not out
+        assert _one_line(err) and needle in err
+
+
+def test_check_rejects_non_utf8_trace(tmp_path, capsys):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes('{"robogram": "caf\u00e9"}\n'.encode("latin-1"))
+    code, out, err = _run(capsys, "check", str(bad), "--property", "kfair:1")
+    assert code == 2 and not out
+    assert _one_line(err) and "not UTF-8" in err
+
+
+def test_bad_lcm_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LCM_SEED", "seven")
+    for argv in (
+        ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "2"),
+        ("invariance", "--robogram", "stay", "--samples", "2"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and not out
+        assert _one_line(err) and "LCM_SEED" in err
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "t.jsonl")
+    for argv in (
+        ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "2", "--out", missing),
+        ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1",
+         "--horizon", "2", "--out", missing),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2
+        assert _one_line(err) and "cannot write trace" in err
+
+
 def test_invariance_passes_for_spectrum_robograms(capsys):
     code, out, _ = _run(
         capsys, "invariance", "--robogram", "center-of-mass", "--samples", "300",

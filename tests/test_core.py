@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lcmsim.core import (
     EmptyUniverse,
@@ -62,6 +65,19 @@ def test_as_scalar_refuses_inexact_types():
         as_scalar(True)
     with pytest.raises(TypeError):
         as_scalar(None)
+
+
+_robot_ids = st.builds(RobotId, st.sampled_from(Side), st.integers(0, 20))
+
+
+@given(_robot_ids, _robot_ids)
+def test_robot_id_hash_agrees_with_equality(a, b):
+    assert (a == b) == (a.side is b.side and a.index == b.index)
+    if a == b:
+        assert hash(a) == hash(b)
+    for twin in (parse_robot_id(str(a)), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a) and str(twin) == str(a)
+    assert repr(a) == f"RobotId(side={a.side!r}, index={a.index})"
 
 
 def test_robot_id_round_trip_and_validation():

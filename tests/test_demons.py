@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmsim.core import Position, RobotId, RobotUniverse, Side
 from lcmsim.demons import (
@@ -209,6 +211,24 @@ def test_check_kfair_matches_brute_force_oracle():
         actions = _random_actions(rng, u, rng.randint(1, 12))
         k = rng.randint(0, 3)
         assert check_kfair(actions, k) == _kfair_oracle(actions, k)
+
+
+@st.composite
+def _actions_from_column_patterns(draw):
+    """Up to 4 robots a pile, each following one of at most 3 activation
+    columns, so that robots sharing a column are the common case."""
+    u = RobotUniverse(draw(st.integers(1, 4)))
+    horizon = draw(st.integers(1, 12))
+    column = st.lists(st.booleans(), min_size=horizon, max_size=horizon)
+    patterns = draw(st.lists(column, min_size=1, max_size=3))
+    owner = {r: draw(st.sampled_from(patterns)) for r in u.robots}
+    return [_action(u, {r for r in u.robots if owner[r][i]}) for i in range(horizon)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_actions_from_column_patterns(), st.sampled_from((0, 1, 2, 3)))
+def test_check_kfair_matches_oracle_on_shared_columns(actions, k):
+    assert check_kfair(actions, k) == _kfair_oracle(actions, k)
 
 
 def test_check_kfair_monotone_in_budget():

@@ -178,6 +178,29 @@ def test_trace_file_round_trip(tmp_path):
     assert first["post"]["R1"] == "1/2"
 
 
+def test_read_trace_reuses_the_universe_robot_ids():
+    u = RobotUniverse(3)
+    trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 3)
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    again = read_trace(buffer.getvalue().splitlines())
+    own = {id(r) for r in again.universe.robots}
+    keyed = [again.p0._loc] + [m for rd in again.rounds for m in (rd.action.frames, rd.post._loc)]
+    for mapping in keyed:
+        assert {id(key) for key in mapping} == own
+    assert all(rd.post.universe is again.universe for rd in again.rounds)
+
+
+def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch):
+    def refuse(universe):
+        raise AssertionError("robot ids built for a map that cannot cover them")
+
+    monkeypatch.setattr(RobotUniverse, "robots", property(refuse))
+    header = {"robogram": "stay", "demon": "fsync", "n": 10**9, "p0": {"L0": "0/1"}}
+    with pytest.raises(TraceFormatError, match="does not cover"):
+        read_trace([json.dumps(header)])
+
+
 def test_read_trace_skips_blank_lines():
     u = RobotUniverse(1)
     trace = execute_prefix(stay, _fsync1(), Position.from_piles(u, 0, 1), 2)
@@ -212,6 +235,10 @@ def _valid_lines():
         lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": 1')],
         lambda lines: lines[:1] + [lines[1].replace('"frames": ', '"f": ')],
         lambda lines: lines[:1] + [lines[1].replace('"L0": "1/1"', '"L0": "1/1", "R7": "1/1"')],
+        lambda lines: [lines[0].replace('"n": 1', '"n": true')] + lines[1:],
+        lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": false')],
+        lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": 0.0')],
+        lambda lines: [json.dumps({"robogram": "stay", "demon": "fsync", "n": 0, "p0": {}})],
     ],
 )
 def test_read_trace_rejects_malformed_input(mangle):
