@@ -81,15 +81,23 @@ class FirstMoveProbe:
         return {"delta": format_scalar(self.delta), "branch": self.branch}
 
 
-def canonical_view(n: int) -> Position:
+def _as_universe(universe: RobotUniverse | int) -> RobotUniverse:
+    """The run's own universe, or a new one for a bare pile size.  Sharing
+    one universe keeps every id map of a run keyed by the same objects."""
+    if isinstance(universe, RobotUniverse):
+        return universe
+    return RobotUniverse(universe)
+
+
+def canonical_view(universe: RobotUniverse | int) -> Position:
     """n robots on the observer's pile at 0 and n on the other pile at 1."""
-    universe = RobotUniverse(n)
+    universe = _as_universe(universe)
     universe.require_inhabited()
     return Position.from_piles(universe, 0, 1)
 
 
-def probe_first_move(robogram: Robogram, n: int) -> FirstMoveProbe:
-    return FirstMoveProbe(evaluate(robogram, canonical_view(n)))
+def probe_first_move(robogram: Robogram, universe: RobotUniverse | int) -> FirstMoveProbe:
+    return FirstMoveProbe(evaluate(robogram, canonical_view(universe)))
 
 
 def _frame_factor(u: Fraction, v: Fraction | None) -> Fraction:
@@ -146,7 +154,7 @@ def make_alternating_demon(universe: RobotUniverse) -> Demon:
 
 def build_adversary_demon(
     robogram: Robogram,
-    n: int,
+    universe: RobotUniverse | int,
     a: ScalarLike,
     b: ScalarLike,
     probe: FirstMoveProbe | None = None,
@@ -156,10 +164,10 @@ def build_adversary_demon(
     holds the robogram's `probe` passes it in so it is not run again."""
     if as_scalar(a) == as_scalar(b):
         raise DegenerateInitial("initial piles must occupy two distinct locations")
-    universe = RobotUniverse(n)
+    universe = _as_universe(universe)
     universe.require_inhabited()
     if probe is None:
-        probe = probe_first_move(robogram, n)
+        probe = probe_first_move(robogram, universe)
     if probe.branch == SWAP_FSYNC:
         return make_swap_fsync_demon(universe)
     return make_alternating_demon(universe)
@@ -228,12 +236,12 @@ def run_impossibility(
     universe = RobotUniverse(n)
     universe.require_inhabited()
     p0 = Position.from_piles(universe, 0, 1)
-    probe = probe_first_move(robogram, n)
-    demon = build_adversary_demon(robogram, n, 0, 1, probe)
+    probe = probe_first_move(robogram, universe)
+    demon = build_adversary_demon(robogram, universe, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
     rng = random.Random(default_seed() if seed is None else seed)
-    view = canonical_view(n)
+    view = canonical_view(universe)
     invariance_ok = all(
         check_invariance(robogram, view, random_permutation(universe, rng))
         for _ in range(INVARIANCE_PRECHECK_SAMPLES)

@@ -85,7 +85,7 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
         if a is None or b is None:
             raise UsageError("the adversary demon needs an initial position with each pile stacked")
         try:
-            return build_adversary_demon(robogram, universe.pile_size, a, b)
+            return build_adversary_demon(robogram, universe, a, b)
         except DegenerateInitial as exc:
             raise UsageError(str(exc)) from exc
     raise UsageError(
@@ -150,6 +150,22 @@ def _write_trace_file(trace: Trace, path: str) -> None:
         raise UsageError(f"cannot write trace: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an unwritable trace path before the run rather than after it.
+    Opening for append truncates nothing, and a file the probe created is
+    removed again, so a run that fails later leaves no empty trace behind."""
+    import os  # only this probe needs it
+
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write trace: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _seed_from_env() -> int:
     try:
         return default_seed()
@@ -183,6 +199,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise UsageError("every scenario in a batch config needs its own 'out' path")
         if len({s["out"] for s in scenarios}) != len(scenarios):
             raise UsageError("batch scenarios must write to distinct 'out' paths")
+        for s in scenarios:
+            _check_writable(s["out"])
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for path in pool.map(_run_scenario_to_file, scenarios):
@@ -193,6 +211,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
 
     scenario = scenarios[0]
+    if scenario.get("out"):
+        _check_writable(scenario["out"])
     trace = _run_scenario(scenario)
     if scenario.get("out"):
         _write_trace_file(trace, scenario["out"])
@@ -207,6 +227,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.horizon is None or args.horizon < 0:
         raise UsageError("horizon must be an integer >= 0")
     robogram = _resolve_robogram(args.robogram)
+    if args.out:
+        _check_writable(args.out)
     report = run_impossibility(robogram, args.n, args.horizon, _seed_from_env())
     if args.out:
         _write_trace_file(report.trace, args.out)

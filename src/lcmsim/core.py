@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
+    "MAX_SCALAR_DIGITS",
     "EmptyUniverse",
     "Permutation",
     "Position",
@@ -32,6 +33,7 @@ __all__ = [
     "parse_scalar",
     "permute_position",
     "spectrum",
+    "value_set",
 ]
 
 Scalar = Fraction
@@ -45,23 +47,63 @@ class EmptyUniverse(ValueError):
     """An operation that needs at least one robot per pile got none."""
 
 
+# Longest numerator or denominator `parse_scalar` accepts, in decimal digits.
+# CPython refuses int <-> str conversions past 4300 digits by default (a guard
+# against quadratic-time inputs); denominators grow by a constant number of
+# digits per round, so a trace outgrows that limit at horizon 9k-14k.  Scalars
+# are converted piecewise instead, which leaves the interpreter-wide limit
+# alone, up to this explicit bound: about 100k rounds of `convex:1/3`.
+MAX_SCALAR_DIGITS = 100_000
+
+
+def _int_from_digits(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int <-> str limit
+        half = len(digits) // 2
+        return _int_from_digits(digits[:-half]) * 10**half + _int_from_digits(digits[-half:])
+
+
+def _digits_of(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError:  # longer than the interpreter's int <-> str limit
+        if x < 0:
+            return "-" + _digits_of(-x)
+        half = x.bit_length() * 3 // 20  # about half the decimal digits
+        high, low = divmod(x, 10**half)
+        return _digits_of(high) + _digits_of(low).zfill(half)
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer).  Decimal notation is rejected:
-    values cross every interface in exact form."""
+    values cross every interface in exact form.  Numerator and denominator
+    may each have up to MAX_SCALAR_DIGITS digits."""
     s = text.strip()
     if not _SCALAR_RE.match(s):
         raise ValueError(f"invalid scalar {text!r}: expected 'num' or 'num/den'")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ValueError(f"invalid scalar {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, _, den = s.partition("/")
+    digits = num.lstrip("+-")
+    if max(len(digits), len(den)) > MAX_SCALAR_DIGITS:
+        raise ValueError(f"invalid scalar: more than {MAX_SCALAR_DIGITS} digits")
+    numerator = _int_from_digits(digits)
+    if num[0] == "-":
+        numerator = -numerator
+    if not den:
+        return Fraction(numerator)
+    denominator = _int_from_digits(den)
+    if denominator == 0:
+        raise ValueError(f"invalid scalar {text!r}: zero denominator")
+    return Fraction(numerator, denominator)
 
 
 def format_scalar(q: Fraction) -> str:
-    """Canonical "num/den" string; integers render with denominator 1."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical "num/den" string; integers render with denominator 1.
+    Converts numbers of any size, whatever the int <-> str limit."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{_digits_of(q.numerator)}/{_digits_of(q.denominator)}"
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -107,6 +149,15 @@ class RobotId:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # Ids of one universe are compared with themselves almost always, so
+        # identity answers before the fields are read.
+        if self is other:
+            return True
+        if not isinstance(other, RobotId):
+            return NotImplemented
+        return self.index == other.index and self.side is other.side
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
@@ -304,14 +355,35 @@ class Similarity:
         # y = k*(x - t)  <=>  x = (1/k) * (y - (-k*t))
         return Similarity(Fraction(1) / self.factor, -self.factor * self.center)
 
-    def map_position(self, p: Position) -> Position:
-        return p.map_locations(self.apply)
+    def map_position(self, view: Position | Counter[Fraction]) -> Position | Counter[Fraction]:
+        """The view in this frame: a Position location by location, or a
+        spectrum by its distinct locations only.  A similarity is injective,
+        so the counts and the key order carry over unchanged."""
+        if isinstance(view, Position):
+            return view.map_locations(self.apply)
+        mapped: Counter[Fraction] = Counter()
+        for x, count in view.items():
+            mapped[self.apply(x)] = count
+        return mapped
 
 
 def spectrum(p: Position) -> Counter[Fraction]:
     """Multiset of occupied locations with multiplicities (the global view a
-    strong multiplicity detector provides)."""
-    return Counter(p.locations())
+    strong multiplicity detector provides), keys in first-occurrence order.
+
+    Robots on one point usually share one location object, so locations are
+    counted by identity first and each distinct object is hashed once."""
+    locations = p.locations()
+    objects = {id(x): x for x in locations}
+    counts: Counter[Fraction] = Counter()
+    for key, count in Counter(map(id, locations)).items():
+        counts[objects[key]] += count
+    return counts
+
+
+def value_set(values: Iterable[Fraction]) -> set[Fraction]:
+    """set(values), hashing each distinct object once rather than each value."""
+    return set({id(x): x for x in values}.values())
 
 
 def permute_position(p: Position, sigma: Permutation) -> Position:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .core import (
     EmptyUniverse,
@@ -28,9 +28,10 @@ from .core import (
     format_scalar,
     parse_robot_id,
     parse_scalar,
+    spectrum,
 )
 from .demons import Demon, DemonicAction
-from .robograms import Robogram, evaluate
+from .robograms import SPECTRUM_BASED, Robogram, evaluate
 
 __all__ = [
     "ExecutionError",
@@ -105,22 +106,28 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
 
     Robots sharing a frame factor and a location see the same local view, so
     their destination is computed once (sound because robograms are
-    deterministic).
+    deterministic).  The memo is keyed by numerators and denominators: a
+    Fraction's own hash costs a modular inverse of its denominator.  A
+    spectrum robogram's view is the round's spectrum, built once, with only
+    its distinct locations carried through each frame; a raw robogram sees
+    the whole position.
     """
-    memo: dict[tuple[Fraction, Fraction], Fraction] = {}
+    world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
+    frames = action.frames
+    memo: dict[tuple[int, int, int, int], Fraction] = {}
     new = {}
-    for r in position.universe.robots:
-        f = action.factor(r)
-        here = position[r]
-        if f == 0:
+    for r, here in position.items():
+        f = frames[r]
+        if not f:
             new[r] = here
             continue
-        key = (f, here)
-        if key not in memo:
-            frame = Similarity(f, here)
-            destination = evaluate(robogram, frame.map_position(position))
-            memo[key] = frame.inverse().apply(destination)
-        new[r] = memo[key]
+        key = (f.numerator, f.denominator, here.numerator, here.denominator)
+        destination = memo.get(key)
+        if destination is None:
+            local = evaluate(robogram, Similarity(f, here).map_position(world))
+            # the inverse frame, y -> y/f + here
+            destination = memo[key] = here + local / f
+        new[r] = destination
     return Position(position.universe, new)
 
 
@@ -146,12 +153,22 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     return Trace(robogram.name, demon.name, p0, tuple(rounds))
 
 
+def _scalars_to_json(universe: RobotUniverse, values: Sequence[Fraction]) -> dict[str, str]:
+    """One row's id -> "num/den" map, `values` in robot order.  Robots on
+    one point share one location object, so each distinct object is
+    formatted once."""
+    distinct = {id(x): x for x in values}
+    text = {key: format_scalar(x) for key, x in distinct.items()}
+    # robots_by_name lists the names in robot order
+    return dict(zip(universe.robots_by_name, [text[id(x)] for x in values]))
+
+
 def _position_to_json(p: Position) -> dict[str, str]:
-    return {str(r): format_scalar(x) for r, x in p.items()}
+    return _scalars_to_json(p.universe, p.locations())
 
 
 def _action_to_json(a: DemonicAction) -> dict[str, str]:
-    return {str(r): format_scalar(a.factor(r)) for r in a.universe.robots}
+    return _scalars_to_json(a.universe, [a.frames[r] for r in a.universe.robots])
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
@@ -187,10 +204,9 @@ def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> dict:
     # anything else goes through parse_robot_id for its error message.
     ids = universe.robots_by_name
     try:
-        out = {
-            ids.get(key) or parse_robot_id(key): parse_scalar(value)
-            for key, value in raw.items()
-        }
+        # A row repeats a few value strings many times: parse each once.
+        values = {text: parse_scalar(text) for text in dict.fromkeys(raw.values())}
+        out = {ids.get(key) or parse_robot_id(key): values[text] for key, text in raw.items()}
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
     if set(out) != set(universe.robots):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Position, Side, format_scalar
+from .core import Position, Side, format_scalar, value_set
 from .demons import Verdict
 from .execution import Trace
 
@@ -71,7 +71,7 @@ class GatherVerdict:
 def gathered_location(p: Position) -> Fraction | None:
     """The single point all robots stand on, or None if they do not."""
     p.universe.require_inhabited()
-    locations = set(p.locations())
+    locations = value_set(p.locations())
     if len(locations) == 1:
         return next(iter(locations))
     return None
@@ -80,8 +80,8 @@ def gathered_location(p: Position) -> Fraction | None:
 def split(p: Position) -> bool:
     """True iff no left-pile robot shares a location with any right-pile robot.
     Collisions within one pile are allowed."""
-    left = {p[r] for r in p.universe.side_robots(Side.LEFT)}
-    right = {p[r] for r in p.universe.side_robots(Side.RIGHT)}
+    left = value_set(p[r] for r in p.universe.side_robots(Side.LEFT))
+    right = value_set(p[r] for r in p.universe.side_robots(Side.RIGHT))
     return left.isdisjoint(right)
 
 

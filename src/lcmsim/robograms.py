@@ -60,19 +60,20 @@ class NonRepresentableDestination(ArithmeticError):
 @dataclass(frozen=True)
 class Robogram:
     """A named destination computation.  `kind` records whether permutation
-    invariance holds by construction (spectrum) or must be checked (raw)."""
+    invariance holds by construction (spectrum) or must be checked (raw), and
+    what `algo` takes: the location multiset or the whole position."""
 
     name: str
     kind: str
-    algo: Callable[[Position], Fraction] = field(repr=False)
-
-    def __call__(self, p: Position) -> Fraction:
-        return evaluate(self, p)
+    algo: Callable[..., Fraction] = field(repr=False)
 
 
-def evaluate(robogram: Robogram, p: Position) -> Fraction:
-    """Destination for the observer of `p`, in the observer's frame."""
-    out = robogram.algo(p)
+def evaluate(robogram: Robogram, view: Position | Counter[Fraction]) -> Fraction:
+    """Destination for the observer of `view`, in the observer's frame.  A
+    spectrum robogram also accepts a Position and reads only its spectrum."""
+    if robogram.kind == SPECTRUM_BASED and isinstance(view, Position):
+        view = spectrum(view)
+    out = robogram.algo(view)
     if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
         raise NonRepresentableDestination(
             f"robogram {robogram.name!r} produced {out!r}; destinations must be exact rationals"
@@ -88,7 +89,7 @@ def check_invariance(robogram: Robogram, p: Position, sigma: Permutation) -> boo
 def spectrum_robogram(name: str, fn: Callable[[Counter[Fraction]], Fraction]) -> Robogram:
     """Build a robogram from a function of the location multiset alone.
     Permutation invariance holds by construction."""
-    return Robogram(name, SPECTRUM_BASED, lambda p: fn(spectrum(p)))
+    return Robogram(name, SPECTRUM_BASED, fn)
 
 
 def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:

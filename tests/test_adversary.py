@@ -227,6 +227,24 @@ def test_report_json_shape():
     assert payload["certified"] is True
 
 
+def test_run_impossibility_keys_every_map_by_one_set_of_ids():
+    # One universe per run: the demon's actions, the positions and the
+    # universe all hold the very same RobotId objects.
+    for robogram in (center_of_mass, to_max):
+        report = run_impossibility(robogram, 3, 6)
+        universe = report.trace.universe
+        for rd in report.trace.rounds:
+            assert rd.action.universe is universe and rd.post.universe is universe
+            for robot, key in zip(universe.robots, rd.action.frames):
+                assert key is robot
+            for robot, (key, _) in zip(universe.robots, rd.post.items()):
+                assert key is robot
+    u = RobotUniverse(2)
+    assert canonical_view(u).universe is u
+    demon = build_adversary_demon(center_of_mass, u, 0, 1)
+    assert demon.action(0, Position.from_piles(u, 0, 1)).universe is u
+
+
 def test_run_impossibility_zero_horizon():
     report = run_impossibility(stay, 1, 0)
     assert report.certified

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from lcmsim import cli
 from lcmsim.cli import main
+from lcmsim.core import MAX_SCALAR_DIGITS
 from lcmsim.execution import read_trace_file
 
 
@@ -269,6 +271,15 @@ def test_check_rejects_bad_inputs(tmp_path, capsys):
     code, *_ = _run(capsys, "check", str(foreign), "--property", "will-gather")
     assert code == 2
 
+    # a scalar past the documented digit bound is a malformed trace
+    huge = tmp_path / "huge.jsonl"
+    header = {"robogram": "stay", "demon": "fsync", "n": 1,
+              "p0": {"L0": "0/1", "R0": "1" * (MAX_SCALAR_DIGITS + 1)}}
+    huge.write_text(json.dumps(header) + "\n")
+    code, out, err = _run(capsys, "check", str(huge), "--property", "always-split")
+    assert code == 2 and out == ""
+    assert _one_line(err) and f"more than {MAX_SCALAR_DIGITS} digits" in err
+
 
 def test_check_detects_corrupt_trace(tmp_path, capsys):
     out_path = tmp_path / "t.jsonl"
@@ -347,7 +358,12 @@ def test_bad_lcm_seed_exits_2(capsys, monkeypatch):
         assert _one_line(err) and "LCM_SEED" in err
 
 
-def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_impossibility", never)
+    monkeypatch.setattr(cli, "execute_prefix", never)
     missing = str(tmp_path / "no-such-dir" / "t.jsonl")
     for argv in (
         ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "2", "--out", missing),
@@ -357,6 +373,24 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 2
         assert _one_line(err) and "cannot write trace" in err
+
+
+def test_out_probe_leaves_no_file_behind(tmp_path, capsys):
+    # The writability probe runs before the run; a run that then fails must
+    # not leave an empty trace file, and an existing file is not truncated.
+    fresh = tmp_path / "fresh.jsonl"
+    code, _, _ = _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "nope", "--n", "1",
+        "--horizon", "2", "--out", str(fresh),
+    )
+    assert code == 2 and not fresh.exists()
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("old\n")
+    code, _, _ = _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "nope", "--n", "1",
+        "--horizon", "2", "--out", str(kept),
+    )
+    assert code == 2 and kept.read_text() == "old\n"
 
 
 def test_invariance_passes_for_spectrum_robograms(capsys):

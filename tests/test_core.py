@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lcmsim.core import (
+    MAX_SCALAR_DIGITS,
     EmptyUniverse,
     Permutation,
     Position,
@@ -32,10 +34,17 @@ def test_parse_scalar_accepts_exact_forms():
     assert parse_scalar("7") == Fraction(7)
     assert parse_scalar("+2/6") == Fraction(1, 3)
     assert parse_scalar(" 5/10 ") == Fraction(1, 2)
+    at_bound = "9" * MAX_SCALAR_DIGITS
+    assert parse_scalar(f"-{at_bound}/1") == -(10**MAX_SCALAR_DIGITS - 1)
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.5", "1e3", "", "/", "3/", "/4", "1/0", "one", "1 / 2", "1/-2", "nan"]
+    "bad",
+    ["0.5", "1e3", "", "/", "3/", "/4", "1/0", "one", "1 / 2", "1/-2", "nan"]
+    + [
+        pytest.param("1" * (MAX_SCALAR_DIGITS + 1), id="numerator-past-digit-bound"),
+        pytest.param("1/1" + "0" * MAX_SCALAR_DIGITS, id="denominator-past-digit-bound"),
+    ],
 )
 def test_parse_scalar_rejects_everything_else(bad):
     with pytest.raises(ValueError):
@@ -54,6 +63,24 @@ def test_scalar_round_trip_random():
     for _ in range(500):
         q = random_scalar(rng, max_abs=10**6, max_den=10**6)
         assert parse_scalar(format_scalar(q)) == q
+
+
+def test_scalar_io_past_the_int_str_limit():
+    # 3**9500 has 4533 digits, past CPython's default 4300-digit int <-> str
+    # limit; formatting and parsing convert it without touching that limit.
+    limit = sys.get_int_max_str_digits()
+    q = Fraction(1, 3**9500)
+    assert parse_scalar(format_scalar(q)) == q
+    q = Fraction(-(7**6000), 3**9500)
+    text = format_scalar(q)
+    assert parse_scalar(text) == q
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == expected
 
 
 def test_as_scalar_refuses_inexact_types():

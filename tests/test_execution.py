@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsim.core import EmptyUniverse, Position, RobotUniverse
+from lcmsim.core import EmptyUniverse, Position, RobotUniverse, parse_scalar
 from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair, make_scripted
 from lcmsim.execution import (
     ExecutionError,
@@ -189,6 +189,27 @@ def test_read_trace_reuses_the_universe_robot_ids():
     for mapping in keyed:
         assert {id(key) for key in mapping} == own
     assert all(rd.post.universe is again.universe for rd in again.rounds)
+
+
+def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
+    # A row is parsed once per distinct string; each robot must still get
+    # the value its own string denotes.
+    strings = {"L0": "2/4", "L1": "1/2", "L2": "-0/3", "R0": "2/4", "R1": "-0/3", "R2": "7"}
+    header = {"robogram": "stay", "demon": "fsync", "n": 3, "p0": strings}
+    row = {"round": 0, "frames": strings, "post": strings}
+    trace = read_trace([json.dumps(header), json.dumps(row)])
+    u = trace.universe
+    expected = {r: parse_scalar(strings[str(r)]) for r in u.robots}
+    assert trace.p0 == Position(u, expected)
+    assert trace.rounds[0].post == Position(u, expected)
+    assert trace.rounds[0].action == DemonicAction(u, expected)
+    assert trace.p0[u.robots[0]] == Fraction(1, 2) and trace.p0[u.robots[2]] == 0
+    # written back, every value is in lowest terms
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    assert json.loads(buffer.getvalue().splitlines()[0])["p0"] == {
+        "L0": "1/2", "L1": "1/2", "L2": "0/1", "R0": "1/2", "R1": "0/1", "R2": "7/1",
+    }
 
 
 def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch):
