@@ -3,162 +3,24 @@
 The package builds bounded executions of oblivious robot protocols under
 hostile schedulers and checks fairness, splitting and gathering on the
 resulting traces.  All coordinates are exact rationals end to end.
+
+The package exports every library module's `__all__`; the command line
+lives in `lcmsim.cli` and is not imported here.
 """
 
-from .adversary import (
-    DegenerateInitial,
-    FirstMoveProbe,
-    ImpossibilityReport,
-    build_adversary_demon,
-    canonical_view,
-    make_alternating_demon,
-    make_swap_fsync_demon,
-    probe_first_move,
-    run_impossibility,
-)
-from .core import (
-    MAX_SCALAR_DIGITS,
-    EmptyUniverse,
-    Permutation,
-    Position,
-    RobotId,
-    RobotUniverse,
-    Scalar,
-    Side,
-    Similarity,
-    as_scalar,
-    format_scalar,
-    parse_robot_id,
-    parse_scalar,
-    permute_position,
-    spectrum,
-)
-from .demons import (
-    Demon,
-    DemonicAction,
-    Verdict,
-    ZeroFactorFromPolicy,
-    check_between,
-    check_kfair,
-    make_fsync,
-    make_random_kfair,
-    make_round_robin,
-    make_scripted,
-)
-from .execution import (
-    ExecutionError,
-    ReplayMismatchError,
-    Trace,
-    TraceFormatError,
-    TraceRound,
-    execute_prefix,
-    read_trace,
-    read_trace_file,
-    replay,
-    round_step,
-    write_trace,
-    write_trace_file,
-)
-from .properties import (
-    GatherVerdict,
-    check_always_split,
-    check_will_gather,
-    gathered_location,
-    split,
-)
-from .robograms import (
-    NonRepresentableDestination,
-    Robogram,
-    broken_id_leak,
-    center_of_mass,
-    check_invariance,
-    convex,
-    evaluate,
-    raw_robogram,
-    resolve_robogram,
-    spectrum_robogram,
-    stay,
-    to_max,
-    to_min,
-    to_other_occupied,
-)
-from .sampling import (
-    default_seed,
-    random_nonzero_scalar,
-    random_permutation,
-    random_position,
-    random_scalar,
-)
+from . import adversary, core, demons, execution, properties, robograms, sampling
+from .adversary import *  # noqa: F403
+from .core import *  # noqa: F403
+from .demons import *  # noqa: F403
+from .execution import *  # noqa: F403
+from .properties import *  # noqa: F403
+from .robograms import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
-__all__ = [
-    "MAX_SCALAR_DIGITS",
-    "DegenerateInitial",
-    "Demon",
-    "DemonicAction",
-    "EmptyUniverse",
-    "ExecutionError",
-    "FirstMoveProbe",
-    "GatherVerdict",
-    "ImpossibilityReport",
-    "NonRepresentableDestination",
-    "Permutation",
-    "Position",
-    "ReplayMismatchError",
-    "Robogram",
-    "RobotId",
-    "RobotUniverse",
-    "Scalar",
-    "Side",
-    "Similarity",
-    "Trace",
-    "TraceFormatError",
-    "TraceRound",
-    "Verdict",
-    "ZeroFactorFromPolicy",
-    "as_scalar",
-    "broken_id_leak",
-    "build_adversary_demon",
-    "canonical_view",
-    "center_of_mass",
-    "check_always_split",
-    "check_between",
-    "check_invariance",
-    "check_kfair",
-    "check_will_gather",
-    "convex",
-    "default_seed",
-    "evaluate",
-    "execute_prefix",
-    "format_scalar",
-    "gathered_location",
-    "make_alternating_demon",
-    "make_fsync",
-    "make_random_kfair",
-    "make_round_robin",
-    "make_scripted",
-    "make_swap_fsync_demon",
-    "parse_robot_id",
-    "parse_scalar",
-    "permute_position",
-    "probe_first_move",
-    "random_nonzero_scalar",
-    "random_permutation",
-    "random_position",
-    "random_scalar",
-    "raw_robogram",
-    "read_trace",
-    "read_trace_file",
-    "replay",
-    "resolve_robogram",
-    "round_step",
-    "run_impossibility",
-    "spectrum",
-    "spectrum_robogram",
-    "split",
-    "stay",
-    "to_max",
-    "to_min",
-    "to_other_occupied",
-    "write_trace",
-    "write_trace_file",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (adversary, core, demons, execution, properties, robograms, sampling)
+        for name in module.__all__
+    }
+)

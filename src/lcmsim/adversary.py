@@ -22,6 +22,7 @@ construction and certifies the trace with the bounded checkers.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from .core import (
     Side,
     as_scalar,
     format_scalar,
-    spectrum,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair, make_fsync
 from .execution import Trace, execute_prefix
@@ -224,8 +224,23 @@ class ImpossibilityReport:
 
 
 def _balanced_bivalent(position: Position, n: int) -> bool:
-    counts = spectrum(position)
-    return len(counts) == 2 and all(c == n for c in counts.values())
+    """Exactly two occupied points with n robots each.  Robots on one point
+    usually share one location object, so locations are grouped by identity
+    and the few distinct objects are compared with `==`, never hashed."""
+    locations = position.locations()
+    objects = {id(x): x for x in locations}
+    points: list[list] = []  # [location, robot count]
+    for key, count in Counter(map(id, locations)).items():
+        x = objects[key]
+        for point in points:
+            if point[0] == x:
+                point[1] += count
+                break
+        else:
+            if len(points) == 2:
+                return False
+            points.append([x, count])
+    return len(points) == 2 and all(count == n for _, count in points)
 
 
 def run_impossibility(

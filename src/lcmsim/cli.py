@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
 from .core import (
@@ -202,6 +201,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for s in scenarios:
             _check_writable(s["out"])
         if args.jobs > 1:
+            # Imported here: it pulls in multiprocessing, which no other
+            # command needs, and every invocation pays for module imports.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for path in pool.map(_run_scenario_to_file, scenarios):
                     print(path)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "Side",
     "Similarity",
     "as_scalar",
+    "as_scalar_map",
     "format_scalar",
     "parse_robot_id",
     "parse_scalar",
@@ -119,6 +121,17 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def as_scalar_map(values: Mapping[RobotId, ScalarLike]) -> dict[RobotId, Fraction]:
+    """A copy of `values` with every value coerced by `as_scalar`.  Copying
+    a dict reuses its keys' stored hashes, so only the entries whose value is
+    not yet a Fraction hash their id again."""
+    out = dict(values)
+    loose = [r for r, v in out.items() if not isinstance(v, Fraction)]
+    for r in loose:
+        out[r] = as_scalar(out[r])
+    return out
+
+
 class Side(Enum):
     LEFT = "L"
     RIGHT = "R"
@@ -200,6 +213,16 @@ class RobotUniverse:
         return left + right
 
     @cached_property
+    def robot_set(self) -> frozenset[RobotId]:
+        return frozenset(self.robots)
+
+    def is_total(self, mapping: Mapping[RobotId, object]) -> bool:
+        """True iff `mapping`'s keys are exactly the universe's robots.  A map
+        keyed by the universe's own ids in robot order, the usual case, is
+        recognised by identity without hashing an id."""
+        return tuple(mapping) == self.robots or mapping.keys() == self.robot_set
+
+    @cached_property
     def robots_by_name(self) -> dict[str, RobotId]:
         """The universe's own ids keyed by their "L<i>"/"R<i>" names, so
         parsers can hand back these objects instead of fresh equal ones."""
@@ -219,10 +242,10 @@ class Position:
     __slots__ = ("universe", "_loc")
 
     def __init__(self, universe: RobotUniverse, locations: Mapping[RobotId, ScalarLike]):
-        loc = {r: as_scalar(v) for r, v in locations.items()}
-        if set(loc) != set(universe.robots):
+        loc = as_scalar_map(locations)
+        if not universe.is_total(loc):
             missing = sorted(str(r) for r in universe.robots if r not in loc)
-            extra = sorted(str(r) for r in loc if r not in set(universe.robots))
+            extra = sorted(str(r) for r in loc if r not in universe.robot_set)
             raise ValueError(
                 f"position must assign exactly the universe's robots"
                 f" (missing {missing}, extra {extra})"
@@ -283,7 +306,7 @@ class Permutation:
     __slots__ = ("universe", "_fwd", "_inv")
 
     def __init__(self, universe: RobotUniverse, mapping: Mapping[RobotId, RobotId]):
-        robots = set(universe.robots)
+        robots = universe.robot_set
         fwd = dict(mapping)
         if set(fwd) != robots:
             raise ValueError("permutation must be defined on every robot")
@@ -361,9 +384,19 @@ class Similarity:
         so the counts and the key order carry over unchanged."""
         if isinstance(view, Position):
             return view.map_locations(self.apply)
+        # Each image p*(x - c)/q is built from integers and normalized once,
+        # instead of as a subtraction and a product that each normalize.  The
+        # difference is taken over lcm(xd, cd), as Fraction subtraction does:
+        # with plain cross-multiplication the operands of the one gcd grow by
+        # the full size of cd, which is slower on large denominators.
+        p, q = self.factor.numerator, self.factor.denominator
+        cn, cd = self.center.numerator, self.center.denominator
         mapped: Counter[Fraction] = Counter()
         for x, count in view.items():
-            mapped[self.apply(x)] = count
+            xd = x.denominator
+            g = gcd(xd, cd)
+            s = xd // g
+            mapped[Fraction(p * (x.numerator * (cd // g) - cn * s), q * s * cd)] = count
         return mapped
 
 

@@ -29,6 +29,7 @@ from .core import (
     RobotUniverse,
     ScalarLike,
     as_scalar,
+    as_scalar_map,
     format_scalar,
 )
 
@@ -68,8 +69,8 @@ class DemonicAction:
     frames: Mapping[RobotId, Fraction]
 
     def __post_init__(self) -> None:
-        coerced = {r: as_scalar(v) for r, v in self.frames.items()}
-        if set(coerced) != set(self.universe.robots):
+        coerced = as_scalar_map(self.frames)
+        if not self.universe.is_total(coerced):
             raise ValueError("demonic action must assign a factor to every robot")
         object.__setattr__(self, "frames", coerced)
 
@@ -213,31 +214,39 @@ def make_random_kfair(
         raise ValueError("factor must be nonzero")
     universe.require_inhabited()
     robots = universe.robots
+    m = len(robots)
+    zero = Fraction(0)
     rng = random.Random(seed)
-    # waited[g][h]: activations of h since g's last activation (or the start)
-    waited = {g: {h: 0 for h in robots if h != g} for g in robots}
+    # waited[g][h]: activations of robot h since robot g's last activation
+    # (or the start), robots by their index in `robots`; waited[g][g] stays 0
+    waited = [[0] * m for _ in range(m)]
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        chosen = {r for r in robots if rng.random() < 0.5}
+        # One draw per robot in robot order, then one choice if none was
+        # drawn: the seed's action sequence depends on this exact order.
+        # Choosing from range(m) draws as choosing from `robots` would.
+        active = [rng.random() < 0.5 for _ in range(m)]
+        chosen = [i for i in range(m) if active[i]]
         if not chosen:
-            chosen = {rng.choice(robots)}
-        grew = True
-        while grew:
-            grew = False
-            for g in robots:
-                if g in chosen:
-                    continue
-                if any(waited[g][h] >= k for h in chosen):
-                    chosen.add(g)
-                    grew = True
-        for g in robots:
-            if g in chosen:
-                for h in waited[g]:
-                    waited[g][h] = 0
+            i = rng.choice(range(m))
+            active[i] = True
+            chosen = [i]
+        # Force in every robot whose budget against an active robot is spent.
+        # Adding robots only adds reasons to add more, so the closure is the
+        # same whatever the order; each robot is scanned for once, as it joins.
+        for h in chosen:  # grows while it is scanned
+            for g in range(m):
+                if not active[g] and waited[g][h] >= k:
+                    active[g] = True
+                    chosen.append(g)
+        for g in range(m):
+            if active[g]:
+                waited[g] = [0] * m
             else:
+                row = waited[g]
                 for h in chosen:
-                    waited[g][h] += 1
-        frames = {r: f if r in chosen else Fraction(0) for r in robots}
+                    row[h] += 1
+        frames = {r: f if a else zero for r, a in zip(robots, active)}
         return DemonicAction(universe, frames)
 
     return Demon(f"random-kfair:{k}:{seed}", step)

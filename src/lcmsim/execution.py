@@ -209,7 +209,7 @@ def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> dict:
         out = {ids.get(key) or parse_robot_id(key): values[text] for key, text in raw.items()}
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
-    if set(out) != set(universe.robots):
+    if not universe.is_total(out):
         raise TraceFormatError(f"{what} does not cover the universe exactly")
     return out
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .core import (
@@ -99,8 +100,11 @@ def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:
 
 
 def _mean(view: Counter[Fraction]) -> Fraction:
-    total = sum(view.values())
-    return sum((loc * count for loc, count in view.items()), Fraction(0)) / total
+    # Numerators are summed over the lcm of the denominators and the result
+    # is normalized once, instead of one Fraction product and sum per location.
+    den = lcm(*(x.denominator for x in view))
+    num = sum(x.numerator * (den // x.denominator) * count for x, count in view.items())
+    return Fraction(num, den * sum(view.values()))
 
 
 def _other_occupied(view: Counter[Fraction]) -> Fraction:

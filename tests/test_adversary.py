@@ -263,6 +263,42 @@ def test_balanced_bivalent_predicate():
     assert not _balanced_bivalent(lopsided, 2)
 
 
+def test_balanced_bivalent_counts_robots_per_point_not_per_pile():
+    u = RobotUniverse(4)
+    left, right = u.side_robots(Side.LEFT), u.side_robots(Side.RIGHT)
+    # 3 + 5: two points, unbalanced
+    unbalanced = Position(u, {r: 1 if r in right or r is left[0] else 0 for r in u.robots})
+    assert not _balanced_bivalent(unbalanced, 4)
+    # 4 + 4 with robots from both piles on each point, each point's value
+    # held by several equal objects
+    on_zero = set(left[:2] + right[2:])
+    mixed = Position(
+        u, {r: Fraction(0) if r in on_zero else Fraction(3, 2) for r in u.robots}
+    )
+    assert _balanced_bivalent(mixed, 4)
+    assert not _balanced_bivalent(mixed, 3)
+    three_points = Position(u, {r: r.index % 3 for r in u.robots})
+    assert not _balanced_bivalent(three_points, 4)
+
+
+_BIVALENCE_POOL = (Fraction(0), Fraction(1), Fraction(-2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_balanced_bivalent_agrees_with_the_spectrum(data):
+    n = data.draw(st.integers(1, 4))
+    u = RobotUniverse(n)
+    values = [data.draw(st.sampled_from(_BIVALENCE_POOL)) for _ in u.robots]
+    # equal values held by one object or by several
+    values = [x if data.draw(st.booleans()) else Fraction(x.numerator, x.denominator)
+              for x in values]
+    position = Position(u, dict(zip(u.robots, values)))
+    counts = spectrum(position)
+    expected = len(counts) == 2 and all(c == n for c in counts.values())
+    assert _balanced_bivalent(position, n) == expected
+
+
 def test_run_impossibility_rejects_empty_universe():
     with pytest.raises(EmptyUniverse):
         run_impossibility(stay, 0, 5)

@@ -457,6 +457,19 @@ def test_console_script_entry_point():
     assert len(proc.stdout.strip().splitlines()) == 11
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # Only `simulate --config ... --jobs N>1` needs concurrent.futures (and
+    # the multiprocessing it pulls in); every other invocation skips them.
+    code = (
+        "import sys, lcmsim.cli\n"
+        "lcmsim.cli.build_parser()\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_invocation_matches_script():
     proc = subprocess.run(
         [sys.executable, "-m", "lcmsim.cli", "adversary", "--robogram", "to-max",

@@ -152,6 +152,23 @@ def test_position_totality():
         )
 
 
+def test_position_totality_ignores_key_order_and_id_identity():
+    u = RobotUniverse(2)
+    values = dict(zip(u.robots, (0, "1/2", Fraction(3), -1)))
+    expected = Position(u, values)
+    reordered = Position(u, dict(reversed(values.items())))
+    fresh_ids = Position(u, {RobotId(r.side, r.index): v for r, v in values.items()})
+    assert reordered == expected == fresh_ids
+    assert reordered.items() == expected.items()
+    assert all(type(x) is Fraction for x in fresh_ids.locations())
+    foreign = {r: v for r, v in values.items() if str(r) != "R1"}
+    foreign[RobotId(Side.RIGHT, 2)] = 0
+    with pytest.raises(ValueError, match=r"missing \['R1'\], extra \['R2'\]"):
+        Position(u, foreign)
+    assert u.robot_set == frozenset(u.robots)
+    assert u.is_total(values) and not u.is_total(foreign)
+
+
 def test_position_from_piles_and_pile_location():
     u = RobotUniverse(2)
     p = Position.from_piles(u, "1/3", 2)

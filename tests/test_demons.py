@@ -76,6 +76,17 @@ def test_demonic_action_totality_and_queries():
         DemonicAction(u, {l0: 0.5, r0: 1})
 
 
+def test_demonic_action_totality_ignores_key_order_and_id_identity():
+    u = RobotUniverse(2)
+    l0, l1, r0, r1 = u.robots
+    a = DemonicAction(u, {r1: 1, l0: "1/2", r0: 0, l1: 0})
+    b = DemonicAction(u, {RobotId(r.side, r.index): a.factor(r) for r in u.robots})
+    assert a == b
+    assert a.active_robots() == (l0, r1)
+    with pytest.raises(ValueError, match="every robot"):
+        DemonicAction(u, {l0: 1, l1: 1, r0: 1, RobotId(Side.RIGHT, 2): 1})
+
+
 def test_all_zero_action_is_legal():
     u = RobotUniverse(1)
     a = _action(u, set())

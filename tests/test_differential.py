@@ -1,4 +1,4 @@
-"""The round engine against a frozen reference.
+"""The round engine and its layers against frozen references.
 
 `reference_round_step` is the recurrence as it stood before the engine
 learnt to work per distinct value: every active robot's view is the whole
@@ -6,10 +6,16 @@ position mapped robot by robot, and the memo is keyed by Fractions.  The
 engine must agree with it exactly, or raise the same error, on positions
 with shared and scattered locations, with equal locations held by one object
 or by several, and on spectrum and raw robograms alike.
+
+The layers rewritten in integer form are checked the same way: a mapped
+spectrum against `Similarity.apply` location by location, the mean against
+a plain Fraction sum, and the random k-fair demon against
+`reference_random_kfair`, the set-based demon as it stood before.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsim.core import Position, RobotUniverse, Similarity, spectrum, value_set
-from lcmsim.demons import DemonicAction
+from lcmsim.demons import Demon, DemonicAction, make_random_kfair
 from lcmsim.execution import round_step
 from lcmsim.robograms import (
+    _mean,
     broken_id_leak,
     center_of_mass,
     convex,
@@ -146,3 +153,153 @@ def test_a_mapped_spectrum_is_the_spectrum_of_the_mapped_position(position, fact
     frame = Similarity(factor, position.locations()[0])
     mapped = frame.map_position(spectrum(position))
     assert list(mapped.items()) == list(spectrum(frame.map_position(position)).items())
+
+
+# --- look: a spectrum mapped in integer form ---------------------------------
+
+# 2585 bits is the largest denominator of an `adversary convex:1/3 --n 8
+# --horizon 1000` run; the draws reach past it.
+_BIG = 2**2700
+
+
+@st.composite
+def _big_view(draw):
+    """Distinct locations whose denominators share a common part (so the
+    gcd steps do work) and reach past 2000 bits, with counts >= 1."""
+    base = draw(st.sampled_from((1, 6, 3**1300, 2**2100 - 1))) * draw(st.integers(1, 2**64))
+    size = draw(st.integers(1, 8))
+    values = draw(
+        st.lists(
+            st.builds(
+                lambda num, den: Fraction(num, base * den),
+                st.integers(-_BIG, _BIG),
+                st.integers(1, 2**600),
+            ),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    counts = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    return Counter(dict(zip(values, counts))), base
+
+
+_nonzero = st.builds(
+    Fraction,
+    st.integers(-_BIG, _BIG).filter(bool),
+    st.integers(1, _BIG),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_view(), _nonzero, st.data())
+def test_a_spectrum_maps_as_each_location_would(case, factor, data):
+    view, base = case
+    # the center is a location of the view (the observer's own point), or
+    # any value outside it, sometimes sharing the view's denominator
+    center = data.draw(
+        st.one_of(
+            st.sampled_from(list(view)),
+            st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+            st.builds(lambda num: Fraction(num, base), st.integers(-_BIG, _BIG)),
+        )
+    )
+    frame = Similarity(factor, center)
+    mapped = frame.map_position(view)
+    expected = Counter({frame.apply(x): c for x, c in view.items()})
+    assert type(mapped) is Counter
+    assert list(mapped.items()) == list(expected.items())
+    # each key is stored in lowest terms, as arithmetic on Fractions leaves it
+    assert [(x.numerator, x.denominator) for x in mapped] == [
+        (x.numerator, x.denominator) for x in expected
+    ]
+
+
+# --- compute: the mean normalized once ---------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_view())
+def test_mean_is_the_fraction_sum_over_the_count(case):
+    view, _ = case
+    expected = sum((x * c for x, c in view.items()), Fraction(0)) / sum(view.values())
+    got = _mean(view)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+# --- demon: the random k-fair scheduler -------------------------------------
+
+
+def reference_random_kfair(universe, k, factor, seed, fallbacks=None):
+    """The random k-fair demon as it stood before: sets of robots, closed by
+    repeated passes.  Appends to `fallbacks` each round whose draws activated
+    nobody."""
+    robots = universe.robots
+    rng = random.Random(seed)
+    waited = {g: {h: 0 for h in robots if h != g} for g in robots}
+
+    def step(round_index, position):
+        chosen = {r for r in robots if rng.random() < 0.5}
+        if not chosen:
+            if fallbacks is not None:
+                fallbacks.append(round_index)
+            chosen = {rng.choice(robots)}
+        grew = True
+        while grew:
+            grew = False
+            for g in robots:
+                if g in chosen:
+                    continue
+                if any(waited[g][h] >= k for h in chosen):
+                    chosen.add(g)
+                    grew = True
+        for g in robots:
+            if g in chosen:
+                for h in waited[g]:
+                    waited[g][h] = 0
+            else:
+                for h in chosen:
+                    waited[g][h] += 1
+        frames = {r: factor if r in chosen else Fraction(0) for r in robots}
+        return DemonicAction(universe, frames)
+
+    return Demon(f"random-kfair:{k}:{seed}", step)
+
+
+ROUNDS = 60
+
+
+def _assert_same_actions(n, k, seed, factor=Fraction(1)):
+    universe = RobotUniverse(n)
+    position = Position.from_piles(universe, 0, 1)
+    fallbacks: list[int] = []
+    ours = make_random_kfair(universe, k, factor, seed)
+    theirs = reference_random_kfair(universe, k, factor, seed, fallbacks)
+    assert ours.name == theirs.name
+    for i in range(ROUNDS):
+        assert ours.action(i, position) == theirs.action(i, position), (n, k, seed, i)
+    return fallbacks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from((Fraction(1), Fraction(-3, 2), Fraction(7, 2**70))),
+)
+def test_random_kfair_matches_the_reference(n, k, seed, factor):
+    _assert_same_actions(n, k, seed, factor)
+
+
+def test_random_kfair_matches_the_reference_on_rounds_that_draw_nobody():
+    # With one or two robots per pile a round draws nobody often (1/4 and
+    # 1/16), so this sweep runs the rng.choice fallback many times.
+    fallbacks = [
+        len(_assert_same_actions(n, k, seed))
+        for n in (1, 2)
+        for k in range(4)
+        for seed in range(25)
+    ]
+    assert sum(fallbacks) > 100
