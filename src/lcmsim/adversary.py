@@ -28,14 +28,13 @@ from fractions import Fraction
 
 from .core import (
     Position,
-    RobotId,
     RobotUniverse,
     ScalarLike,
     Side,
     as_scalar,
     format_scalar,
 )
-from .demons import Demon, DemonicAction, Verdict, check_kfair, make_fsync
+from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
 from .properties import GatherVerdict, check_always_split, check_will_gather
 from .robograms import Robogram, check_invariance, evaluate
@@ -82,8 +81,8 @@ class FirstMoveProbe:
 
 
 def _as_universe(universe: RobotUniverse | int) -> RobotUniverse:
-    """The run's own universe, or a new one for a bare pile size.  Sharing
-    one universe keeps every id map of a run keyed by the same objects."""
+    """The run's own universe, or a new one for a bare pile size.  Every
+    action and position of a run shares the run's one universe."""
     if isinstance(universe, RobotUniverse):
         return universe
     return RobotUniverse(universe)
@@ -108,25 +107,29 @@ def _frame_factor(u: Fraction, v: Fraction | None) -> Fraction:
     return Fraction(1)
 
 
-def _canonical_factors(position: Position, sides: tuple[Side, ...]) -> dict[RobotId, Fraction]:
-    """Frame factors of one round: robots on `sides` get the factor 1/(v - u)
-    that shows the opposite pile (stacked at v) at 1 in their local view,
-    every other robot gets 0.  The factor falls back to 1 when the opposite
-    pile is scattered or on top of the robot, keeping the demon total.
+def _canonical_factors(position: Position, sides: tuple[Side, ...]) -> tuple[Fraction, ...]:
+    """Frame factors of one round, in robot order: robots on `sides` get the
+    factor 1/(v - u) that shows the opposite pile (stacked at v) at 1 in
+    their local view, every other robot gets 0.  The factor falls back to 1
+    when the opposite pile is scattered or on top of the robot, keeping the
+    demon total.
 
     Each pile's location is read once per round, and a stacked pile's factor
     is computed once for all its robots, so a round costs O(m), not O(m^2).
     """
-    universe = position.universe
-    factors = dict.fromkeys(universe.robots, Fraction(0))
-    for side in sides:
+    n = position.universe.pile_size
+    locations = position.locations()
+    factors: tuple[Fraction, ...] = ()
+    for side, pile in ((Side.LEFT, locations[:n]), (Side.RIGHT, locations[n:])):
+        if side not in sides:
+            factors += (Fraction(0),) * n
+            continue
         v = position.pile_location(side.other)
         u = position.pile_location(side)
-        robots = universe.side_robots(side)
         if u is not None:
-            factors.update(dict.fromkeys(robots, _frame_factor(u, v)))
+            factors += (_frame_factor(u, v),) * n
         else:
-            factors.update((r, _frame_factor(position[r], v)) for r in robots)
+            factors += tuple(_frame_factor(x, v) for x in pile)
     return factors
 
 
@@ -134,10 +137,10 @@ def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
     """Every round activates every robot with the canonical-view factor."""
     universe.require_inhabited()
 
-    def policy(position: Position) -> dict[RobotId, Fraction]:
-        return _canonical_factors(position, (Side.LEFT, Side.RIGHT))
+    def step(round_index: int, position: Position) -> DemonicAction:
+        return DemonicAction._of(universe, _canonical_factors(position, (Side.LEFT, Side.RIGHT)))
 
-    return make_fsync(policy, name="adversary-swap-fsync")
+    return Demon("adversary-swap-fsync", step)
 
 
 def make_alternating_demon(universe: RobotUniverse) -> Demon:
@@ -147,7 +150,7 @@ def make_alternating_demon(universe: RobotUniverse) -> Demon:
 
     def step(round_index: int, position: Position) -> DemonicAction:
         side = Side.LEFT if round_index % 2 == 0 else Side.RIGHT
-        return DemonicAction(universe, _canonical_factors(position, (side,)))
+        return DemonicAction._of(universe, _canonical_factors(position, (side,)))
 
     return Demon("adversary-alternating", step)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -24,12 +24,10 @@ __all__ = [
     "Position",
     "RobotId",
     "RobotUniverse",
-    "Scalar",
     "ScalarLike",
     "Side",
     "Similarity",
     "as_scalar",
-    "as_scalar_map",
     "format_scalar",
     "parse_robot_id",
     "parse_scalar",
@@ -38,7 +36,6 @@ __all__ = [
     "value_set",
 ]
 
-Scalar = Fraction
 ScalarLike = int | str | Fraction
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -121,17 +118,6 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def as_scalar_map(values: Mapping[RobotId, ScalarLike]) -> dict[RobotId, Fraction]:
-    """A copy of `values` with every value coerced by `as_scalar`.  Copying
-    a dict reuses its keys' stored hashes, so only the entries whose value is
-    not yet a Fraction hash their id again."""
-    out = dict(values)
-    loose = [r for r, v in out.items() if not isinstance(v, Fraction)]
-    for r in loose:
-        out[r] = as_scalar(out[r])
-    return out
-
-
 class Side(Enum):
     LEFT = "L"
     RIGHT = "R"
@@ -143,40 +129,17 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class RobotId:
-    """A robot name: which pile it belongs to and its index within the pile.
-
-    Ids key every per-robot dict, so the hash is computed once here rather
-    than on each lookup (which would call `Enum.__hash__` every time).  It is
-    hashed from ints only, so the stored value is the same in every process
-    and stays valid when an id is pickled.
-    """
+    """A robot name: which pile it belongs to and its index within the pile."""
 
     side: Side
     index: int
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("robot index must be >= 0")
-        object.__setattr__(self, "_hash", hash((self.index, self.side is Side.RIGHT)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Ids of one universe are compared with themselves almost always, so
-        # identity answers before the fields are read.
-        if self is other:
-            return True
-        if not isinstance(other, RobotId):
-            return NotImplemented
-        return self.index == other.index and self.side is other.side
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.side.value, self.index)
 
 
 def parse_robot_id(text: str) -> RobotId:
@@ -190,8 +153,10 @@ def parse_robot_id(text: str) -> RobotId:
 class RobotUniverse:
     """2n robots split into a left and a right pile of n each.
 
-    pile_size 0 is constructible (so the empty-universe error paths can be
-    exercised) but executions and adversaries reject it.
+    Per-robot state is a tuple in `robots` order: the left pile is `[:n]`,
+    the right pile `[n:]`.  pile_size 0 is constructible (so the
+    empty-universe error paths can be exercised) but executions and
+    adversaries reject it.
     """
 
     pile_size: int
@@ -213,20 +178,19 @@ class RobotUniverse:
         return left + right
 
     @cached_property
-    def robot_set(self) -> frozenset[RobotId]:
-        return frozenset(self.robots)
-
-    def is_total(self, mapping: Mapping[RobotId, object]) -> bool:
-        """True iff `mapping`'s keys are exactly the universe's robots.  A map
-        keyed by the universe's own ids in robot order, the usual case, is
-        recognised by identity without hashing an id."""
-        return tuple(mapping) == self.robots or mapping.keys() == self.robot_set
+    def places(self) -> dict[RobotId, int]:
+        """Each robot's index in `robots`, its place in per-robot tuples.
+        Looking up a robot of another universe raises KeyError."""
+        return {r: i for i, r in enumerate(self.robots)}
 
     @cached_property
-    def robots_by_name(self) -> dict[str, RobotId]:
-        """The universe's own ids keyed by their "L<i>"/"R<i>" names, so
-        parsers can hand back these objects instead of fresh equal ones."""
-        return {str(r): r for r in self.robots}
+    def places_by_name(self) -> dict[str, int]:
+        """The same places keyed by "L<i>"/"R<i>" name, in robot order."""
+        return {str(r): i for i, r in enumerate(self.robots)}
+
+    def is_total(self, mapping: Mapping[RobotId, object]) -> bool:
+        """True iff `mapping`'s keys are exactly the universe's robots."""
+        return mapping.keys() == self.places.keys()
 
     def side_robots(self, side: Side) -> tuple[RobotId, ...]:
         return tuple(r for r in self.robots if r.side is side)
@@ -237,52 +201,61 @@ class RobotUniverse:
 
 
 class Position:
-    """Total map from robot id to location.  Partial assignments are rejected."""
+    """Total map from robot id to location, stored as a tuple of locations in
+    `universe.robots` order.  The constructor takes an id -> location map
+    and rejects partial ones; `_of` wraps a tuple the package has already
+    built in robot order, without checking it again."""
 
     __slots__ = ("universe", "_loc")
 
     def __init__(self, universe: RobotUniverse, locations: Mapping[RobotId, ScalarLike]):
-        loc = as_scalar_map(locations)
-        if not universe.is_total(loc):
-            missing = sorted(str(r) for r in universe.robots if r not in loc)
-            extra = sorted(str(r) for r in loc if r not in universe.robot_set)
+        if not universe.is_total(locations):
+            missing = sorted(str(r) for r in universe.robots if r not in locations)
+            extra = sorted(str(r) for r in locations if r not in universe.places)
             raise ValueError(
                 f"position must assign exactly the universe's robots"
                 f" (missing {missing}, extra {extra})"
             )
         self.universe = universe
-        self._loc = loc
+        self._loc = tuple(as_scalar(locations[r]) for r in universe.robots)
+
+    @classmethod
+    def _of(cls, universe: RobotUniverse, locations: tuple[Fraction, ...]) -> Position:
+        """A position from one Fraction per robot, in robot order."""
+        p = cls.__new__(cls)
+        p.universe = universe
+        p._loc = locations
+        return p
 
     @classmethod
     def from_piles(
         cls, universe: RobotUniverse, left: ScalarLike, right: ScalarLike
     ) -> Position:
         """Left pile stacked at `left`, right pile stacked at `right`."""
-        lv, rv = as_scalar(left), as_scalar(right)
-        return cls(
-            universe,
-            {r: lv if r.side is Side.LEFT else rv for r in universe.robots},
-        )
+        n = universe.pile_size
+        return cls._of(universe, (as_scalar(left),) * n + (as_scalar(right),) * n)
 
     def __getitem__(self, robot: RobotId) -> Fraction:
-        return self._loc[robot]
+        return self._loc[self.universe.places[robot]]
 
     def items(self) -> tuple[tuple[RobotId, Fraction], ...]:
-        return tuple((r, self._loc[r]) for r in self.universe.robots)
+        return tuple(zip(self.universe.robots, self._loc))
 
     def locations(self) -> tuple[Fraction, ...]:
-        return tuple(self._loc[r] for r in self.universe.robots)
+        return self._loc
 
     def map_locations(self, fn: Callable[[Fraction], ScalarLike]) -> Position:
-        return Position(self.universe, {r: fn(x) for r, x in self._loc.items()})
+        return Position._of(self.universe, tuple(as_scalar(fn(x)) for x in self._loc))
 
     def pile_location(self, side: Side) -> Fraction | None:
         """The single location shared by the whole pile, or None if scattered.
 
-        Compares with `==` instead of collecting a set: hashing a Fraction
-        costs a modular inverse of its denominator."""
-        locs = [self._loc[r] for r in self.universe.side_robots(side)]
-        if locs and all(x == locs[0] for x in locs):
+        A stacked pile usually shares one location object, so identity is
+        tested before `==`; no location is hashed (hashing a Fraction costs
+        a modular inverse of its denominator)."""
+        n = self.universe.pile_size
+        locs = self._loc[:n] if side is Side.LEFT else self._loc[n:]
+        if locs and all(x is locs[0] or x == locs[0] for x in locs):
             return locs[0]
         return None
 
@@ -297,36 +270,41 @@ class Position:
 
 
 class Permutation:
-    """Bijection on robot ids, stored together with its inverse.
-
-    Consistency (forward o inverse = identity = inverse o forward) is checked
-    by full enumeration at construction; universes are small.
-    """
+    """Bijection on robot ids, stored as two tuples of robot places: the
+    forward map and its inverse."""
 
     __slots__ = ("universe", "_fwd", "_inv")
 
     def __init__(self, universe: RobotUniverse, mapping: Mapping[RobotId, RobotId]):
-        robots = universe.robot_set
-        fwd = dict(mapping)
-        if set(fwd) != robots:
+        if not universe.is_total(mapping):
             raise ValueError("permutation must be defined on every robot")
         inv: dict[RobotId, RobotId] = {}
-        for src, dst in fwd.items():
+        for src, dst in mapping.items():
             if dst in inv:
                 raise ValueError(f"permutation is not injective at {dst}")
             inv[dst] = src
-        if set(inv) != robots:
+        if not universe.is_total(inv):
             raise ValueError("permutation must map onto the same universe")
-        for r in robots:
-            if fwd[inv[r]] != r or inv[fwd[r]] != r:
-                raise ValueError("permutation inverse check failed")
         self.universe = universe
-        self._fwd = fwd
-        self._inv = inv
+        self._fwd = tuple(universe.places[mapping[r]] for r in universe.robots)
+        self._inv = tuple(universe.places[inv[r]] for r in universe.robots)
+
+    @classmethod
+    def _of(cls, universe: RobotUniverse, fwd: tuple[int, ...]) -> Permutation:
+        """A permutation from the forward map of places, a bijection of
+        range(m), which is not checked again."""
+        inv = [0] * len(fwd)
+        for src, dst in enumerate(fwd):
+            inv[dst] = src
+        sigma = cls.__new__(cls)
+        sigma.universe = universe
+        sigma._fwd = fwd
+        sigma._inv = tuple(inv)
+        return sigma
 
     @classmethod
     def identity(cls, universe: RobotUniverse) -> Permutation:
-        return cls(universe, {r: r for r in universe.robots})
+        return cls._of(universe, tuple(range(universe.m)))
 
     @classmethod
     def transposition(cls, universe: RobotUniverse, a: RobotId, b: RobotId) -> Permutation:
@@ -335,16 +313,13 @@ class Permutation:
         return cls(universe, mapping)
 
     def apply(self, robot: RobotId) -> RobotId:
-        return self._fwd[robot]
+        return self.universe.robots[self._fwd[self.universe.places[robot]]]
 
     def unapply(self, robot: RobotId) -> RobotId:
-        return self._inv[robot]
+        return self.universe.robots[self._inv[self.universe.places[robot]]]
 
     def inverted(self) -> Permutation:
-        return Permutation(self.universe, dict(self._inv))
-
-    def mapping(self) -> dict[RobotId, RobotId]:
-        return dict(self._fwd)
+        return Permutation._of(self.universe, self._inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
@@ -352,7 +327,7 @@ class Permutation:
         return self.universe == other.universe and self._fwd == other._fwd
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{r}->{self._fwd[r]}" for r in self.universe.robots)
+        inner = ", ".join(f"{r}->{self.apply(r)}" for r in self.universe.robots)
         return f"Permutation({inner})"
 
 
@@ -421,4 +396,6 @@ def value_set(values: Iterable[Fraction]) -> set[Fraction]:
 
 def permute_position(p: Position, sigma: Permutation) -> Position:
     """Rename robots: the result maps r to p(sigma^-1(r))."""
-    return Position(p.universe, {r: p[sigma.unapply(r)] for r in p.universe.robots})
+    if sigma.universe != p.universe:
+        raise ValueError("permutation and position belong to different universes")
+    return Position._of(p.universe, tuple(p._loc[i] for i in sigma._inv))

@@ -20,16 +20,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .core import (
-    EmptyUniverse,
     Position,
     RobotId,
     RobotUniverse,
     ScalarLike,
     as_scalar,
-    as_scalar_map,
     format_scalar,
 )
 
@@ -61,27 +60,44 @@ class ZeroFactorFromPolicy(RuntimeError):
     breaking the construction contract (FSYNC activates everyone)."""
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class DemonicAction:
-    """One round of scheduling: a total frame-factor map over the universe."""
+    """One round of scheduling: a frame factor for every robot of the
+    universe, `frames` in `universe.robots` order.  The constructor takes a
+    total id -> factor map; `_of` wraps a tuple the package has already
+    built in robot order, without checking it again."""
 
     universe: RobotUniverse
-    frames: Mapping[RobotId, Fraction]
+    frames: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = as_scalar_map(self.frames)
-        if not self.universe.is_total(coerced):
+        universe, frames = self.universe, self.frames
+        if not universe.is_total(frames):
             raise ValueError("demonic action must assign a factor to every robot")
-        object.__setattr__(self, "frames", coerced)
+        object.__setattr__(self, "frames", tuple(as_scalar(frames[r]) for r in universe.robots))
+
+    @classmethod
+    def _of(cls, universe: RobotUniverse, frames: tuple[Fraction, ...]) -> DemonicAction:
+        """An action from one Fraction per robot, in robot order."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "universe", universe)
+        object.__setattr__(action, "frames", frames)
+        return action
 
     def factor(self, robot: RobotId) -> Fraction:
-        return self.frames[robot]
+        return self.frames[self.universe.places[robot]]
 
     def is_active(self, robot: RobotId) -> bool:
-        return self.frames[robot] != 0
+        return self.factor(robot) != 0
 
     def active_robots(self) -> tuple[RobotId, ...]:
-        return tuple(r for r in self.universe.robots if self.frames[r] != 0)
+        return tuple(r for r, f in zip(self.universe.robots, self.frames) if f)
+
+    @cached_property
+    def _activation(self) -> tuple[bool, ...]:
+        """One on/off flag per robot, in robot order.  Kept with the action,
+        so fairness checks under several budgets read each action once."""
+        return tuple(map(bool, self.frames))
 
 
 class Demon:
@@ -152,9 +168,9 @@ def make_fsync(
     factors chosen by `factor_policy` from the current position."""
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        action = DemonicAction(position.universe, dict(factor_policy(position)))
-        for r in position.universe.robots:
-            if not action.is_active(r):
+        action = DemonicAction(position.universe, factor_policy(position))
+        for r, f in zip(position.universe.robots, action.frames):
+            if not f:
                 raise ZeroFactorFromPolicy(
                     f"factor policy returned 0 for {r} at round {round_index}"
                 )
@@ -169,12 +185,11 @@ def make_round_robin(universe: RobotUniverse, factor: ScalarLike) -> Demon:
     if f == 0:
         raise ValueError("round-robin factor must be nonzero")
     universe.require_inhabited()
-    robots = universe.robots
+    zeros = (Fraction(0),) * universe.m
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        chosen = robots[round_index % len(robots)]
-        frames = {r: f if r == chosen else Fraction(0) for r in robots}
-        return DemonicAction(universe, frames)
+        chosen = round_index % universe.m
+        return DemonicAction._of(universe, zeros[:chosen] + (f,) + zeros[chosen + 1:])
 
     return Demon(f"round-robin:{format_scalar(f)}", step)
 
@@ -213,18 +228,17 @@ def make_random_kfair(
     if f == 0:
         raise ValueError("factor must be nonzero")
     universe.require_inhabited()
-    robots = universe.robots
-    m = len(robots)
+    m = universe.m
     zero = Fraction(0)
     rng = random.Random(seed)
     # waited[g][h]: activations of robot h since robot g's last activation
-    # (or the start), robots by their index in `robots`; waited[g][g] stays 0
+    # (or the start), robots by their place; waited[g][g] stays 0
     waited = [[0] * m for _ in range(m)]
 
     def step(round_index: int, position: Position) -> DemonicAction:
         # One draw per robot in robot order, then one choice if none was
         # drawn: the seed's action sequence depends on this exact order.
-        # Choosing from range(m) draws as choosing from `robots` would.
+        # Choosing from range(m) draws as choosing from the robots would.
         active = [rng.random() < 0.5 for _ in range(m)]
         chosen = [i for i in range(m) if active[i]]
         if not chosen:
@@ -246,8 +260,7 @@ def make_random_kfair(
                 row = waited[g]
                 for h in chosen:
                     row[h] += 1
-        frames = {r: f if a else zero for r, a in zip(robots, active)}
-        return DemonicAction(universe, frames)
+        return DemonicAction._of(universe, tuple(f if a else zero for a in active))
 
     return Demon(f"random-kfair:{k}:{seed}", step)
 
@@ -298,9 +311,7 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
         raise ValueError("check_kfair needs a nonempty action prefix")
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
-    robots = actions[0].universe.robots
-    rows = ([a.frames[r] != 0 for r in robots] for a in actions)
-    columns = set(zip(*rows))
+    columns = set(zip(*(a._activation for a in actions)))
     earliest: int | None = None
     for ag in columns:
         for ah in columns:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    EmptyUniverse,
     Position,
     RobotUniverse,
     Similarity,
@@ -112,14 +111,14 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     its distinct locations carried through each frame; a raw robogram sees
     the whole position.
     """
+    if action.universe != position.universe:
+        raise ValueError("action and position belong to different universes")
     world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
-    frames = action.frames
     memo: dict[tuple[int, int, int, int], Fraction] = {}
-    new = {}
-    for r, here in position.items():
-        f = frames[r]
+    new = []
+    for f, here in zip(action.frames, position.locations()):
         if not f:
-            new[r] = here
+            new.append(here)
             continue
         key = (f.numerator, f.denominator, here.numerator, here.denominator)
         destination = memo.get(key)
@@ -127,8 +126,28 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
             local = evaluate(robogram, Similarity(f, here).map_position(world))
             # the inverse frame, y -> y/f + here
             destination = memo[key] = here + local / f
-        new[r] = destination
-    return Position(position.universe, new)
+        new.append(destination)
+    return Position._of(position.universe, tuple(new))
+
+
+def _rounds(
+    robogram: Robogram,
+    next_action: Callable[[int, Position], DemonicAction],
+    p0: Position,
+    horizon: int,
+) -> Iterator[TraceRound]:
+    """The round loop shared by `execute_prefix` and `replay`: from `p0`,
+    `horizon` rounds, each under `next_action(round index, pre-position)`.
+    A failing demon or robogram surfaces as ExecutionError carrying the
+    round index."""
+    current = p0
+    for i in range(horizon):
+        try:
+            action = next_action(i, current)
+            current = round_step(robogram, action, current)
+        except Exception as exc:
+            raise ExecutionError(i, exc) from exc
+        yield TraceRound(i, action, current)
 
 
 def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int) -> Trace:
@@ -140,35 +159,17 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     p0.universe.require_inhabited()
-    rounds = []
-    current = p0
-    for i in range(horizon):
-        try:
-            action = demon.action(i, current)
-            post = round_step(robogram, action, current)
-        except Exception as exc:
-            raise ExecutionError(i, exc) from exc
-        rounds.append(TraceRound(i, action, post))
-        current = post
-    return Trace(robogram.name, demon.name, p0, tuple(rounds))
+    return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 
 def _scalars_to_json(universe: RobotUniverse, values: Sequence[Fraction]) -> dict[str, str]:
-    """One row's id -> "num/den" map, `values` in robot order.  Robots on
+    """One row's name -> "num/den" map, `values` in robot order.  Robots on
     one point share one location object, so each distinct object is
     formatted once."""
     distinct = {id(x): x for x in values}
     text = {key: format_scalar(x) for key, x in distinct.items()}
-    # robots_by_name lists the names in robot order
-    return dict(zip(universe.robots_by_name, [text[id(x)] for x in values]))
-
-
-def _position_to_json(p: Position) -> dict[str, str]:
-    return _scalars_to_json(p.universe, p.locations())
-
-
-def _action_to_json(a: DemonicAction) -> dict[str, str]:
-    return _scalars_to_json(a.universe, [a.frames[r] for r in a.universe.robots])
+    # places_by_name lists the names in robot order
+    return dict(zip(universe.places_by_name, [text[id(x)] for x in values]))
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
@@ -176,14 +177,14 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
         "robogram": trace.robogram_name,
         "demon": trace.demon_name,
         "n": trace.universe.pile_size,
-        "p0": _position_to_json(trace.p0),
+        "p0": _scalars_to_json(trace.universe, trace.p0.locations()),
     }
     fp.write(json.dumps(header) + "\n")
     for rd in trace.rounds:
         row = {
             "round": rd.index,
-            "frames": _action_to_json(rd.action),
-            "post": _position_to_json(rd.post),
+            "frames": _scalars_to_json(trace.universe, rd.action.frames),
+            "post": _scalars_to_json(trace.universe, rd.post.locations()),
         }
         fp.write(json.dumps(row) + "\n")
 
@@ -193,25 +194,30 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fp)
 
 
-def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> dict:
+def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> tuple[Fraction, ...]:
+    """One row's id -> "num/den" map as a tuple in robot order; raises
+    TraceFormatError unless it covers the universe exactly."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
     # the universe build its ids.
     if len(raw) != universe.m:
         raise TraceFormatError(f"{what} does not cover the universe exactly")
-    # Known names map to the universe's own ids (no regex, no new objects);
-    # anything else goes through parse_robot_id for its error message.
-    ids = universe.robots_by_name
+    # Known names map straight to places (no regex, no new objects); anything
+    # else goes through parse_robot_id, for its error message.
+    names = universe.places_by_name
     try:
         # A row repeats a few value strings many times: parse each once.
         values = {text: parse_scalar(text) for text in dict.fromkeys(raw.values())}
-        out = {ids.get(key) or parse_robot_id(key): values[text] for key, text in raw.items()}
+        by_place = {
+            names[key] if key in names else universe.places.get(parse_robot_id(key)): values[text]
+            for key, text in raw.items()
+        }
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
-    if not universe.is_total(out):
+    if None in by_place or len(by_place) != universe.m:
         raise TraceFormatError(f"{what} does not cover the universe exactly")
-    return out
+    return tuple(map(by_place.__getitem__, range(universe.m)))
 
 
 def read_trace(lines: Iterable[str]) -> Trace:
@@ -234,7 +240,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
-    p0 = Position(universe, _parse_scalar_map(universe, header["p0"], "p0"))
+    p0 = Position._of(universe, _parse_scalar_map(universe, header["p0"], "p0"))
 
     rounds = []
     for lineno, line in enumerate(it, start=1):
@@ -255,8 +261,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"line {lineno + 1}: round index {row['round']} out of order"
             )
-        action = DemonicAction(universe, _parse_scalar_map(universe, row["frames"], "frames"))
-        post = Position(universe, _parse_scalar_map(universe, row["post"], "post"))
+        action = DemonicAction._of(universe, _parse_scalar_map(universe, row["frames"], "frames"))
+        post = Position._of(universe, _parse_scalar_map(universe, row["post"], "post"))
         rounds.append(TraceRound(len(rounds), action, post))
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))
@@ -272,10 +278,9 @@ def read_trace_file(path: str) -> Trace:
 
 def replay(trace: Trace, robogram: Robogram) -> None:
     """Re-derive every round from p0 and the stored frames; raises
-    ReplayMismatchError at the first stored position that does not match."""
-    current = trace.p0
-    for rd in trace.rounds:
-        post = round_step(robogram, rd.action, current)
-        if post != rd.post:
+    ReplayMismatchError at the first stored position that does not match,
+    and ExecutionError, as `execute_prefix` does, if the robogram fails."""
+    stored = trace.rounds
+    for rd in _rounds(robogram, lambda i, _: stored[i].action, trace.p0, len(stored)):
+        if rd.post != stored[rd.index].post:
             raise ReplayMismatchError(rd.index)
-        current = post

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Position, Side, format_scalar, value_set
+from .core import Position, format_scalar, value_set
 from .demons import Verdict
 from .execution import Trace
 
@@ -80,9 +80,9 @@ def gathered_location(p: Position) -> Fraction | None:
 def split(p: Position) -> bool:
     """True iff no left-pile robot shares a location with any right-pile robot.
     Collisions within one pile are allowed."""
-    left = value_set(p[r] for r in p.universe.side_robots(Side.LEFT))
-    right = value_set(p[r] for r in p.universe.side_robots(Side.RIGHT))
-    return left.isdisjoint(right)
+    n = p.universe.pile_size
+    locations = p.locations()
+    return value_set(locations[:n]).isdisjoint(value_set(locations[n:]))
 
 
 def check_will_gather(trace: Trace) -> GatherVerdict:

@@ -47,12 +47,13 @@ def random_nonzero_scalar(rng: random.Random, max_abs: int = 8, max_den: int = 6
 def random_position(
     universe: RobotUniverse, rng: random.Random, max_abs: int = 8, max_den: int = 6
 ) -> Position:
-    return Position(
-        universe, {r: random_scalar(rng, max_abs, max_den) for r in universe.robots}
+    return Position._of(
+        universe, tuple(random_scalar(rng, max_abs, max_den) for _ in universe.robots)
     )
 
 
 def random_permutation(universe: RobotUniverse, rng: random.Random) -> Permutation:
-    targets = list(universe.robots)
+    # Shuffling places draws from `rng` exactly as shuffling the robots would.
+    targets = list(range(universe.m))
     rng.shuffle(targets)
-    return Permutation(universe, dict(zip(universe.robots, targets)))
+    return Permutation._of(universe, tuple(targets))

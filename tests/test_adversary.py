@@ -27,6 +27,7 @@ from lcmsim.core import (
     Similarity,
     spectrum,
 )
+from lcmsim.demons import DemonicAction, check_kfair
 from lcmsim.execution import execute_prefix
 from lcmsim.properties import check_will_gather
 from lcmsim.robograms import (
@@ -70,10 +71,10 @@ def _pile_positions(draw):
 @settings(max_examples=300, deadline=None)
 @given(_pile_positions(), st.sampled_from(((), (Side.LEFT,), (Side.RIGHT,), tuple(Side))))
 def test_canonical_factors_match_the_per_robot_definition(position, sides):
-    expected = {
-        r: _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
+    expected = tuple(
+        _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
         for r in position.universe.robots
-    }
+    )
     assert _canonical_factors(position, sides) == expected
 
 
@@ -227,22 +228,34 @@ def test_report_json_shape():
     assert payload["certified"] is True
 
 
-def test_run_impossibility_keys_every_map_by_one_set_of_ids():
-    # One universe per run: the demon's actions, the positions and the
-    # universe all hold the very same RobotId objects.
+def test_run_impossibility_shares_one_universe():
+    # One universe per run: the demon's actions and every position hold the
+    # run's own universe object, so their tuples share one robot order.
     for robogram in (center_of_mass, to_max):
         report = run_impossibility(robogram, 3, 6)
         universe = report.trace.universe
         for rd in report.trace.rounds:
             assert rd.action.universe is universe and rd.post.universe is universe
-            for robot, key in zip(universe.robots, rd.action.frames):
-                assert key is robot
-            for robot, (key, _) in zip(universe.robots, rd.post.items()):
-                assert key is robot
+            assert len(rd.action.frames) == len(rd.post.locations()) == universe.m
     u = RobotUniverse(2)
     assert canonical_view(u).universe is u
     demon = build_adversary_demon(center_of_mass, u, 0, 1)
     assert demon.action(0, Position.from_piles(u, 0, 1)).universe is u
+
+
+@pytest.mark.parametrize("robogram,branch", [(center_of_mass, ALTERNATING), (to_max, SWAP_FSYNC)])
+def test_report_fairness_equals_check_kfair(robogram, branch):
+    report = run_impossibility(robogram, 3, 30)
+    assert report.probe.branch == branch
+    # fresh copies through the checked constructor, so nothing the run's
+    # own actions kept can leak into the expected verdicts
+    u = report.trace.universe
+    actions = [DemonicAction(u, dict(zip(u.robots, a.frames))) for a in report.trace.actions()]
+    expected = {k: check_kfair(actions, k) for k in (0, 1)}
+    assert report.fairness == expected
+    assert report.to_json_dict()["fairness"] == {
+        str(k): v.to_json_dict() for k, v in expected.items()
+    }
 
 
 def test_run_impossibility_zero_horizon():

@@ -10,6 +10,7 @@ from lcmsim import cli
 from lcmsim.cli import main
 from lcmsim.core import MAX_SCALAR_DIGITS
 from lcmsim.execution import read_trace_file
+from lcmsim.robograms import center_of_mass, spectrum_robogram
 
 
 def _run(capsys, *argv):
@@ -294,6 +295,25 @@ def test_check_detects_corrupt_trace(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(corrupt), "--property", "will-gather")
     assert code == 3
     assert "round 1" in err
+
+
+def test_check_exits_3_when_the_robogram_fails_in_replay(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "t.jsonl"
+    _run(
+        capsys, "simulate", "--robogram", "center-of-mass", "--demon", "fsync",
+        "--n", "1", "--horizon", "3", "--out", str(out_path),
+    )
+
+    def fails_once_gathered(view):
+        if len(view) == 1:
+            raise ZeroDivisionError("one point left")
+        return center_of_mass.algo(view)
+
+    robogram = spectrum_robogram("center-of-mass", fails_once_gathered)
+    monkeypatch.setattr(cli, "resolve_robogram", lambda name: robogram)
+    code, out, err = _run(capsys, "check", str(out_path), "--property", "will-gather")
+    assert code == 3 and out == ""
+    assert _one_line(err) and err.startswith("runtime error: round 1: one point left")
 
 
 def test_check_kfair_rejects_zero_round_trace(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_position_totality_ignores_key_order_and_id_identity():
     foreign[RobotId(Side.RIGHT, 2)] = 0
     with pytest.raises(ValueError, match=r"missing \['R1'\], extra \['R2'\]"):
         Position(u, foreign)
-    assert u.robot_set == frozenset(u.robots)
+    assert u.places == {r: i for i, r in enumerate(u.robots)}
     assert u.is_total(values) and not u.is_total(foreign)
 
 
@@ -186,6 +186,21 @@ def test_position_from_piles_and_pile_location():
     )
     assert scattered.pile_location(Side.LEFT) is None
     assert scattered.pile_location(Side.RIGHT) == Fraction(2)
+
+
+def test_pile_location_recognises_equal_but_distinct_objects():
+    u = RobotUniverse(3)
+    # each Fraction(...) call makes its own object: equal values, no sharing
+    p = Position(u, {r: Fraction(2, 3) if r.side is Side.LEFT else Fraction(7) for r in u.robots})
+    left = p.locations()[:3]
+    assert left[0] is not left[1] and left[0] == left[1]
+    assert p.pile_location(Side.LEFT) == Fraction(2, 3)
+    assert p.pile_location(Side.RIGHT) == Fraction(7)
+    shared = Fraction(5, 4)
+    mixed = Position(u, {r: shared if r.index else Fraction(5, 4) for r in u.robots})
+    assert mixed.pile_location(Side.LEFT) == shared == mixed.pile_location(Side.RIGHT)
+    apart = Position(u, {r: Fraction(r.index) if r.side is Side.LEFT else 0 for r in u.robots})
+    assert apart.pile_location(Side.LEFT) is None
 
 
 def test_position_map_and_equality():

@@ -21,7 +21,14 @@ from lcmsim.execution import (
     write_trace,
     write_trace_file,
 )
-from lcmsim.robograms import center_of_mass, evaluate, raw_robogram, resolve_robogram, stay
+from lcmsim.robograms import (
+    center_of_mass,
+    evaluate,
+    raw_robogram,
+    resolve_robogram,
+    spectrum_robogram,
+    stay,
+)
 from lcmsim.sampling import random_nonzero_scalar, random_position, random_scalar
 
 
@@ -178,17 +185,16 @@ def test_trace_file_round_trip(tmp_path):
     assert first["post"]["R1"] == "1/2"
 
 
-def test_read_trace_reuses_the_universe_robot_ids():
+def test_read_trace_shares_one_universe():
     u = RobotUniverse(3)
     trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 3)
     buffer = io.StringIO()
     write_trace(trace, buffer)
     again = read_trace(buffer.getvalue().splitlines())
-    own = {id(r) for r in again.universe.robots}
-    keyed = [again.p0._loc] + [m for rd in again.rounds for m in (rd.action.frames, rd.post._loc)]
-    for mapping in keyed:
-        assert {id(key) for key in mapping} == own
-    assert all(rd.post.universe is again.universe for rd in again.rounds)
+    assert again == trace
+    assert again.p0.universe is again.universe
+    for rd in again.rounds:
+        assert rd.action.universe is again.universe and rd.post.universe is again.universe
 
 
 def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
@@ -284,3 +290,29 @@ def test_replay_certifies_and_detects_tampering():
     # replaying under the wrong robogram also fails
     with pytest.raises(ReplayMismatchError):
         replay(trace, resolve_robogram("to-max"))
+
+
+def _mean_until_gathered():
+    """center-of-mass, except that it fails on a view with a single point."""
+
+    def algo(view):
+        if len(view) == 1:
+            raise ZeroDivisionError("one point left")
+        return center_of_mass.algo(view)
+
+    return spectrum_robogram("center-of-mass", algo)
+
+
+def test_replay_wraps_robogram_failures_like_execute_prefix():
+    # Under fsync the two robots meet after round 0, so round 1 fails.
+    u = RobotUniverse(1)
+    p0 = Position.from_piles(u, 0, 1)
+    trace = execute_prefix(center_of_mass, _fsync1(), p0, 3)
+    for run in (
+        lambda: replay(trace, _mean_until_gathered()),
+        lambda: execute_prefix(_mean_until_gathered(), _fsync1(), p0, 3),
+    ):
+        with pytest.raises(ExecutionError) as err:
+            run()
+        assert err.value.round_index == 1
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
