@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "MAX_SCALAR_DIGITS",
@@ -27,6 +28,7 @@ __all__ = [
     "ScalarLike",
     "Side",
     "Similarity",
+    "Spectrum",
     "as_scalar",
     "format_scalar",
     "parse_robot_id",
@@ -262,7 +264,25 @@ class Position:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Position):
             return NotImplemented
-        return self.universe == other.universe and self._loc == other._loc
+        if self.universe != other.universe:
+            return False
+        a, b = self._loc, other._loc
+        if len(a) < 2 or a[1] is not a[0]:
+            return a == b
+        # The first two robots share one location object, as in a stacked
+        # pile, a parsed row or a round's output: each run of neighbouring
+        # robots that hold the same two objects is compared once, identical
+        # objects not at all (Fraction.__eq__ is a Python-level call).  Any
+        # other position goes to the tuple comparison above, so a row of
+        # distinct objects costs one identity test more than that alone.
+        px = py = None
+        for x, y in zip(a, b):
+            if x is px and y is py:
+                continue
+            if x is not y and x != y:
+                return False
+            px, py = x, y
+        return True
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{r}={format_scalar(x)}" for r, x in self.items())
@@ -353,10 +373,11 @@ class Similarity:
         # y = k*(x - t)  <=>  x = (1/k) * (y - (-k*t))
         return Similarity(Fraction(1) / self.factor, -self.factor * self.center)
 
-    def map_position(self, view: Position | Counter[Fraction]) -> Position | Counter[Fraction]:
+    def map_position(self, view: Position | Mapping[Fraction, int]) -> Position | Spectrum:
         """The view in this frame: a Position location by location, or a
-        spectrum by its distinct locations only.  A similarity is injective,
-        so the counts and the key order carry over unchanged."""
+        location -> count mapping (a spectrum) by its distinct locations
+        only, as a Spectrum.  A similarity is injective, so the counts and
+        the key order carry over unchanged and no image is hashed."""
         if isinstance(view, Position):
             return view.map_locations(self.apply)
         # Each image p*(x - c)/q is built from integers and normalized once,
@@ -366,27 +387,119 @@ class Similarity:
         # the full size of cd, which is slower on large denominators.
         p, q = self.factor.numerator, self.factor.denominator
         cn, cd = self.center.numerator, self.center.denominator
-        mapped: Counter[Fraction] = Counter()
-        for x, count in view.items():
+        images = []
+        for x in view:
             xd = x.denominator
             g = gcd(xd, cd)
             s = xd // g
-            mapped[Fraction(p * (x.numerator * (cd // g) - cn * s), q * s * cd)] = count
-        return mapped
+            images.append(Fraction(p * (x.numerator * (cd // g) - cn * s), q * s * cd))
+        return Spectrum._of(tuple(images), tuple(view.values()))
 
 
-def spectrum(p: Position) -> Counter[Fraction]:
+class Spectrum(Mapping[Fraction, int]):
     """Multiset of occupied locations with multiplicities (the global view a
-    strong multiplicity detector provides), keys in first-occurrence order.
+    strong multiplicity detector provides): the distinct locations and their
+    robot counts, as two tuples in first-occurrence order.
 
-    Robots on one point usually share one location object, so locations are
-    counted by identity first and each distinct object is hashed once."""
-    locations = p.locations()
-    objects = {id(x): x for x in locations}
-    counts: Counter[Fraction] = Counter()
-    for key, count in Counter(map(id, locations)).items():
-        counts[objects[key]] += count
-    return counts
+    Read-only, and read as a Counter is: `len`, iteration and
+    `keys`/`values`/`items` in that order, a missing location counts 0, and
+    it equals the Counter or dict of the same counts.  Hashing a Fraction
+    costs a modular inverse of its denominator, so a location -> slot index
+    is built only on the first key lookup (`view[x]`, `x in view`, `get`).
+    """
+
+    __slots__ = ("_keys", "_counts", "_index")
+
+    def __init__(self, locations: Iterable[Fraction]):
+        # Robots on one point usually share one location object, so
+        # locations are counted by identity first and each distinct object
+        # is hashed once, into the index.
+        locations = tuple(locations)
+        objects = dict(zip(map(id, locations), locations))
+        index: dict[Fraction, int] = {}
+        keys: list[Fraction] = []
+        counts: list[int] = []
+        for key, count in Counter(map(id, locations)).items():
+            x = objects[key]
+            slot = index.setdefault(x, len(keys))
+            if slot == len(keys):
+                keys.append(x)
+                counts.append(count)
+            else:
+                counts[slot] += count
+        self._keys = tuple(keys)
+        self._counts = tuple(counts)
+        self._index = index
+
+    @classmethod
+    def _of(cls, keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> Spectrum:
+        """A spectrum from distinct locations and their positive counts,
+        which are not checked again."""
+        view = cls.__new__(cls)
+        view._keys = keys
+        view._counts = counts
+        view._index = None
+        return view
+
+    def _slot(self, location: Fraction) -> int | None:
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self._keys)}
+        return self._index.get(location)
+
+    def __getitem__(self, location: Fraction) -> int:
+        slot = self._slot(location)
+        return 0 if slot is None else self._counts[slot]
+
+    def get(self, location: Fraction, default: int | None = None) -> int | None:
+        slot = self._slot(location)
+        return default if slot is None else self._counts[slot]
+
+    def __contains__(self, location: object) -> bool:
+        return self._slot(location) is not None
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def values(self) -> _Counts:
+        return _Counts(self)
+
+    def items(self) -> _Pairs:
+        return _Pairs(self)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{format_scalar(x)}: {c}" for x, c in self.items())
+        return f"Spectrum({{{inner}}})"
+
+
+class _Counts(ValuesView):
+    """A spectrum's counts, iterated from its tuple without key lookups."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping._counts)
+
+
+class _Pairs(ItemsView):
+    """A spectrum's (location, count) pairs, zipped from its tuples."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Fraction, int]]:
+        return zip(self._mapping._keys, self._mapping._counts)
+
+    def __contains__(self, item: object) -> bool:
+        location, count = item
+        slot = self._mapping._slot(location)
+        return slot is not None and self._mapping._counts[slot] == count
+
+
+def spectrum(p: Position) -> Spectrum:
+    """The multiset of `p`'s occupied locations."""
+    return Spectrum(p.locations())
 
 
 def value_set(values: Iterable[Fraction]) -> set[Fraction]:

@@ -108,8 +108,9 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     deterministic).  The memo is keyed by numerators and denominators: a
     Fraction's own hash costs a modular inverse of its denominator.  A
     spectrum robogram's view is the round's spectrum, built once, with only
-    its distinct locations carried through each frame; a raw robogram sees
-    the whole position.
+    its distinct locations carried through each frame into a read-only
+    Spectrum that no built-in robogram hashes; a raw robogram sees the
+    whole position.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")

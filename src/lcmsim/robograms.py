@@ -12,7 +12,7 @@ Robograms are immutable and pure; evaluating them concurrently is safe.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -24,6 +24,7 @@ from .core import (
     RobotId,
     ScalarLike,
     Side,
+    Spectrum,
     as_scalar,
     format_scalar,
     parse_scalar,
@@ -62,16 +63,21 @@ class NonRepresentableDestination(ArithmeticError):
 class Robogram:
     """A named destination computation.  `kind` records whether permutation
     invariance holds by construction (spectrum) or must be checked (raw), and
-    what `algo` takes: the location multiset or the whole position."""
+    what `algo` takes: the location multiset (a read-only `Spectrum` where
+    the package builds the view) or the whole position.  `algo` must not
+    mutate its view: a Spectrum refuses item assignment with TypeError,
+    which a run reports as ExecutionError (exit 3 from the CLI)."""
 
     name: str
     kind: str
     algo: Callable[..., Fraction] = field(repr=False)
 
 
-def evaluate(robogram: Robogram, view: Position | Counter[Fraction]) -> Fraction:
+def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fraction:
     """Destination for the observer of `view`, in the observer's frame.  A
-    spectrum robogram also accepts a Position and reads only its spectrum."""
+    spectrum robogram takes a location -> count mapping (the rounds pass a
+    read-only Spectrum; a missing location counts 0), or a Position, of
+    which it reads only the spectrum."""
     if robogram.kind == SPECTRUM_BASED and isinstance(view, Position):
         view = spectrum(view)
     out = robogram.algo(view)
@@ -87,9 +93,12 @@ def check_invariance(robogram: Robogram, p: Position, sigma: Permutation) -> boo
     return evaluate(robogram, p) == evaluate(robogram, permute_position(p, sigma))
 
 
-def spectrum_robogram(name: str, fn: Callable[[Counter[Fraction]], Fraction]) -> Robogram:
+def spectrum_robogram(name: str, fn: Callable[[Spectrum], Fraction]) -> Robogram:
     """Build a robogram from a function of the location multiset alone.
-    Permutation invariance holds by construction."""
+    Permutation invariance holds by construction.  `fn` gets a read-only
+    Spectrum: it may iterate, look up (a missing location counts 0) and
+    compare it, but not assign to it.  Iterating costs no hashing; the first
+    lookup hashes every location once."""
     return Robogram(name, SPECTRUM_BASED, fn)
 
 
@@ -99,7 +108,7 @@ def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:
     return Robogram(name, RAW, fn)
 
 
-def _mean(view: Counter[Fraction]) -> Fraction:
+def _mean(view: Spectrum) -> Fraction:
     # Numerators are summed over the lcm of the denominators and the result
     # is normalized once, instead of one Fraction product and sum per location.
     den = lcm(*(x.denominator for x in view))
@@ -107,12 +116,16 @@ def _mean(view: Counter[Fraction]) -> Fraction:
     return Fraction(num, den * sum(view.values()))
 
 
-def _other_occupied(view: Counter[Fraction]) -> Fraction:
+def _other_occupied(view: Spectrum) -> Fraction:
     # Defined only on bivalent views seen from one of the two locations;
-    # anywhere else the deterministic fallback is to stay put.
-    if len(view) == 2 and Fraction(0) in view:
-        a, b = view.keys()
-        return b if a == 0 else a
+    # anywhere else the deterministic fallback is to stay put.  The two keys
+    # are compared with 0 rather than looked up, so no location is hashed.
+    if len(view) == 2:
+        a, b = view
+        if a == 0:
+            return b
+        if b == 0:
+            return a
     return Fraction(0)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -314,6 +315,20 @@ def test_check_exits_3_when_the_robogram_fails_in_replay(tmp_path, capsys, monke
     code, out, err = _run(capsys, "check", str(out_path), "--property", "will-gather")
     assert code == 3 and out == ""
     assert _one_line(err) and err.startswith("runtime error: round 1: one point left")
+
+
+def test_simulate_exits_3_when_the_robogram_mutates_its_view(capsys, monkeypatch):
+    def grows(view):
+        view[Fraction(0)] += 1
+        return Fraction(0)
+
+    monkeypatch.setattr(cli, "resolve_robogram", lambda name: spectrum_robogram(name, grows))
+    code, out, err = _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "2"
+    )
+    assert code == 3 and out == ""
+    assert _one_line(err) and err.startswith("runtime error: round 0: ")
+    assert "does not support item assignment" in err
 
 
 def test_check_kfair_rejects_zero_round_trace(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from lcmsim.core import (
     RobotUniverse,
     Side,
     Similarity,
+    Spectrum,
     as_scalar,
     format_scalar,
     parse_robot_id,
@@ -216,6 +218,100 @@ def test_spectrum_counts_multiplicities():
     u = RobotUniverse(2)
     p = Position.from_piles(u, 0, 1)
     assert spectrum(p) == {Fraction(0): 2, Fraction(1): 2}
+
+
+_POOL = (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2), Fraction(7, 9))
+_ABSENT = (Fraction(3), Fraction(-1, 7))
+
+
+@st.composite
+def _locations(draw, min_size=0):
+    """Values from a small pool, each the pool's own object or a fresh equal
+    one, so equal values are not always one object."""
+    picks = draw(st.lists(st.sampled_from(_POOL), min_size=min_size, max_size=12))
+    return [x if draw(st.booleans()) else Fraction(x.numerator, x.denominator) for x in picks]
+
+
+@given(_locations(), st.booleans(), st.booleans())
+def test_spectrum_reads_as_the_counter_of_the_same_data(values, mapped, lookup_first):
+    counter = Counter(values)
+    if mapped:
+        # the lazily indexed form that Similarity.map_position returns
+        view = Similarity(1, 0).map_position(counter)
+    else:
+        view = Spectrum(values)
+    assert type(view) is Spectrum
+    probes = _POOL + _ABSENT
+    if lookup_first:  # the index must not disturb the order, and vice versa
+        assert [view[x] for x in probes] == [counter[x] for x in probes]
+    assert list(view) == list(counter)
+    assert list(view.keys()) == list(counter.keys())
+    assert list(view.values()) == list(counter.values())
+    assert list(view.items()) == list(counter.items())
+    assert len(view) == len(counter) == len(view.keys()) == len(view.items())
+    for x in probes:
+        assert (x in view) is (x in counter)
+        assert view[x] == counter[x]  # a missing location counts 0
+        assert view.get(x) == counter.get(x)
+        assert view.get(x, -1) == counter.get(x, -1)
+        assert (x in view.keys()) is (x in counter.keys())
+        for count in (0, 1, 2):
+            assert ((x, count) in view.items()) is ((x, count) in counter.items())
+    for count in (0, 1, 2, 3):
+        assert (count in view.values()) is (count in counter.values())
+    assert view == counter and counter == view and view == dict(counter)
+    assert view == Spectrum(reversed(values))  # equality ignores the order
+    assert view != counter + Counter([_ABSENT[0]])
+    if values:
+        assert view != counter - Counter(values[:1])
+    with pytest.raises(TypeError):
+        view[_POOL[0]] = 1
+    with pytest.raises(TypeError):
+        del view[_POOL[0]]
+    assert list(view.items()) == list(counter.items())  # still unchanged
+
+
+@st.composite
+def _runs(draw):
+    """Locations in runs of one shared object, as piles and parsed rows
+    hold them; each run's object is the pool's own or a fresh equal one."""
+    out = []
+    for x, length in draw(
+        st.lists(st.tuples(st.sampled_from(_POOL), st.integers(1, 4)), min_size=1, max_size=5)
+    ):
+        out += [x if draw(st.booleans()) else Fraction(x.numerator, x.denominator)] * length
+    return out if len(out) % 2 == 0 else out + out[-1:]
+
+
+@given(st.one_of(_runs(), _locations(min_size=2)), st.data())
+def test_position_equality_is_the_equality_of_its_values(values, data):
+    # The other tuple holds the same values as one fresh object per object
+    # of `values`, as its own objects, or a mix, and sometimes one robot
+    # elsewhere, so a run of one object can face objects of two values.
+    if len(values) % 2:
+        values = values[:-1]
+    u = RobotUniverse(len(values) // 2)
+    copies = {id(x): Fraction(x.numerator, x.denominator) for x in values}
+    how = data.draw(st.sampled_from(("shared copies", "own objects", "mixed")))
+    if how == "shared copies":
+        other = [copies[id(x)] for x in values]
+    elif how == "own objects":
+        other = list(values)
+    else:
+        other = [
+            data.draw(st.sampled_from((x, copies[id(x)], Fraction(x.numerator, x.denominator))))
+            for x in values
+        ]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(other) - 1))
+        other[i] = data.draw(st.sampled_from(_POOL + _ABSENT))
+    p = Position._of(u, tuple(values))
+    q = Position._of(u, tuple(other))
+    expected = [(x.numerator, x.denominator) for x in values] == [
+        (y.numerator, y.denominator) for y in other
+    ]
+    assert (p == q) is (q == p) is expected
+    assert (p != q) is not expected
 
 
 def test_permutation_construction_checks():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsim.core import Position, RobotUniverse, Similarity, spectrum, value_set
+from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum, value_set
 from lcmsim.demons import Demon, DemonicAction, make_random_kfair
 from lcmsim.execution import round_step
 from lcmsim.robograms import (
@@ -207,7 +207,7 @@ def test_a_spectrum_maps_as_each_location_would(case, factor, data):
     frame = Similarity(factor, center)
     mapped = frame.map_position(view)
     expected = Counter({frame.apply(x): c for x, c in view.items()})
-    assert type(mapped) is Counter
+    assert type(mapped) is Spectrum
     assert list(mapped.items()) == list(expected.items())
     # each key is stored in lowest terms, as arithmetic on Fractions leaves it
     assert [(x.numerator, x.denominator) for x in mapped] == [

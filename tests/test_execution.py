@@ -316,3 +316,15 @@ def test_replay_wraps_robogram_failures_like_execute_prefix():
             run()
         assert err.value.round_index == 1
         assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+def test_a_robogram_that_mutates_its_view_fails_the_run():
+    def grows(view):
+        view[Fraction(0)] += 1
+        return Fraction(0)
+
+    p0 = Position.from_piles(RobotUniverse(1), 0, 1)
+    with pytest.raises(ExecutionError) as err:
+        execute_prefix(spectrum_robogram("grows", grows), _fsync1(), p0, 2)
+    assert err.value.round_index == 0
+    assert isinstance(err.value.__cause__, TypeError)

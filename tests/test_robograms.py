@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lcmsim.core import Permutation, Position, RobotId, RobotUniverse, Side
+from lcmsim.core import Permutation, Position, RobotId, RobotUniverse, Side, Similarity, spectrum
 from lcmsim.robograms import (
+    BUILTIN_SELECTORS,
+    SPECTRUM_BASED,
     NonRepresentableDestination,
     broken_id_leak,
     center_of_mass,
@@ -59,9 +62,42 @@ def test_to_other_occupied_on_bivalent_views():
     assert evaluate(to_other_occupied, bivalent) == Fraction(1, 3)
     # not bivalent: stay put
     assert evaluate(to_other_occupied, _three_point_view()) == Fraction(0)
+    # the observer's point listed second
+    assert evaluate(to_other_occupied, Position.from_piles(u, Fraction(1, 3), 0)) == Fraction(1, 3)
     # bivalent but observer not on a pile: stay put
     shifted = bivalent.map_locations(lambda x: x + 1)
     assert evaluate(to_other_occupied, shifted) == Fraction(0)
+
+
+def test_builtin_spectrum_robograms_look_and_compute_without_hashing(monkeypatch):
+    # The round's spectrum is built (and its locations hashed) once; each
+    # frame's view is then mapped and evaluated with Fraction.__hash__
+    # raising, for every built-in spectrum robogram, on a scattered and on a
+    # bivalent position, seen from each occupied point.
+    fixed = [resolve_robogram(name) for name in BUILTIN_SELECTORS if ":" not in name]
+    robograms = [r for r in fixed if r.kind == SPECTRUM_BASED] + [convex("1/3"), convex("-5/2")]
+    u = RobotUniverse(3)
+    scattered = Position(u, dict(zip(u.robots, map(Fraction, (0, 0, 2, 5, -7, "1/3")))))
+    bivalent = Position.from_piles(u, Fraction(-2, 3), Fraction(5, 7))
+    cases = []
+    for position in (scattered, bivalent):
+        world = spectrum(position)
+        counts = Counter(position.locations())
+        for here in world:
+            for factor in (Fraction(1), Fraction(-3, 2), Fraction(2, 7)):
+                frame = Similarity(factor, here)
+                local = Counter({frame.apply(x): c for x, c in counts.items()})
+                for robogram in robograms:
+                    cases.append((robogram, frame, world, robogram.algo(local)))
+
+    def no_hashing(self):
+        raise AssertionError("a location was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", no_hashing)
+    got = [evaluate(robogram, frame.map_position(world)) for robogram, frame, world, _ in cases]
+    monkeypatch.undo()
+    assert got == [expected for *_, expected in cases]
+    assert len({r.name for r in robograms}) == 7
 
 
 def test_convex_scales_the_mean():
