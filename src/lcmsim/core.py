@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -266,17 +268,13 @@ class Position:
             return NotImplemented
         if self.universe != other.universe:
             return False
-        a, b = self._loc, other._loc
-        if len(a) < 2 or a[1] is not a[0]:
-            return a == b
-        # The first two robots share one location object, as in a stacked
-        # pile, a parsed row or a round's output: each run of neighbouring
-        # robots that hold the same two objects is compared once, identical
-        # objects not at all (Fraction.__eq__ is a Python-level call).  Any
-        # other position goes to the tuple comparison above, so a row of
-        # distinct objects costs one identity test more than that alone.
+        # Robots on one point usually share one location object, as in a
+        # stacked pile, a parsed row or a round's output: each run of
+        # neighbouring robots that hold the same two objects is compared
+        # once, identical objects not at all (Fraction.__eq__ is a
+        # Python-level call).
         px = py = None
-        for x, y in zip(a, b):
+        for x, y in zip(self._loc, other._loc):
             if x is px and y is py:
                 continue
             if x is not y and x != y:
@@ -402,8 +400,10 @@ class Spectrum(Mapping[Fraction, int]):
     robot counts, as two tuples in first-occurrence order.
 
     Read-only, and read as a Counter is: `len`, iteration and
-    `keys`/`values`/`items` in that order, a missing location counts 0, and
-    it equals the Counter or dict of the same counts.  Hashing a Fraction
+    `keys`/`values`/`items` in that order, a missing location counts 0,
+    `most_common`, `total` and `elements`, and it equals the Counter or dict
+    of the same counts.  It has no `copy` and no Counter arithmetic;
+    `Counter(view)` gives a Counter of the same counts.  Hashing a Fraction
     costs a modular inverse of its denominator, so a location -> slot index
     is built only on the first key lookup (`view[x]`, `x in view`, `get`).
     """
@@ -463,38 +463,29 @@ class Spectrum(Mapping[Fraction, int]):
     def __len__(self) -> int:
         return len(self._keys)
 
-    def values(self) -> _Counts:
-        return _Counts(self)
+    def values(self) -> tuple[int, ...]:
+        return self._counts
 
-    def items(self) -> _Pairs:
-        return _Pairs(self)
+    def items(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple(zip(self._keys, self._counts))
+
+    def most_common(self, n: int | None = None) -> list[tuple[Fraction, int]]:
+        """(location, count) pairs by decreasing count, ties in key order,
+        as Counter.most_common lists them."""
+        pairs = sorted(zip(self._keys, self._counts), key=itemgetter(1), reverse=True)
+        return pairs if n is None else pairs[: max(n, 0)]
+
+    def total(self) -> int:
+        """The number of robots."""
+        return sum(self._counts)
+
+    def elements(self) -> Iterator[Fraction]:
+        """Each location repeated by its count, in key order."""
+        return chain.from_iterable(map(repeat, self._keys, self._counts))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{format_scalar(x)}: {c}" for x, c in self.items())
         return f"Spectrum({{{inner}}})"
-
-
-class _Counts(ValuesView):
-    """A spectrum's counts, iterated from its tuple without key lookups."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._mapping._counts)
-
-
-class _Pairs(ItemsView):
-    """A spectrum's (location, count) pairs, zipped from its tuples."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[Fraction, int]]:
-        return zip(self._mapping._keys, self._mapping._counts)
-
-    def __contains__(self, item: object) -> bool:
-        location, count = item
-        slot = self._mapping._slot(location)
-        return slot is not None and self._mapping._counts[slot] == count
 
 
 def spectrum(p: Position) -> Spectrum:

@@ -96,9 +96,11 @@ def check_invariance(robogram: Robogram, p: Position, sigma: Permutation) -> boo
 def spectrum_robogram(name: str, fn: Callable[[Spectrum], Fraction]) -> Robogram:
     """Build a robogram from a function of the location multiset alone.
     Permutation invariance holds by construction.  `fn` gets a read-only
-    Spectrum: it may iterate, look up (a missing location counts 0) and
-    compare it, but not assign to it.  Iterating costs no hashing; the first
-    lookup hashes every location once."""
+    Spectrum: it may iterate, look up (a missing location counts 0), call
+    `most_common`, `total` and `elements`, and compare it, but not assign to
+    it; it has no `copy` and no Counter arithmetic (`Counter(view)` gives
+    one).  Iterating costs no hashing; the first lookup hashes every
+    location once."""
     return Robogram(name, SPECTRUM_BASED, fn)
 
 

@@ -259,6 +259,10 @@ def test_spectrum_reads_as_the_counter_of_the_same_data(values, mapped, lookup_f
             assert ((x, count) in view.items()) is ((x, count) in counter.items())
     for count in (0, 1, 2, 3):
         assert (count in view.values()) is (count in counter.values())
+    for n in (None, -1, 0, 1, 2, 20):
+        assert view.most_common(n) == counter.most_common(n)
+    assert view.total() == counter.total()
+    assert list(view.elements()) == list(counter.elements())
     assert view == counter and counter == view and view == dict(counter)
     assert view == Spectrum(reversed(values))  # equality ignores the order
     assert view != counter + Counter([_ABSENT[0]])
