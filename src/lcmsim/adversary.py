@@ -22,7 +22,6 @@ construction and certifies the trace with the bounded checkers.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .core import (
     Side,
     as_scalar,
     format_scalar,
+    spectrum,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
@@ -114,22 +114,18 @@ def _canonical_factors(position: Position, sides: tuple[Side, ...]) -> tuple[Fra
     when the opposite pile is scattered or on top of the robot, keeping the
     demon total.
 
-    Each pile's location is read once per round, and a stacked pile's factor
-    is computed once for all its robots, so a round costs O(m), not O(m^2).
+    The opposite pile's location is read once per round and each factor is
+    computed once per point, so a round costs O(m), not O(m^2).
     """
     n = position.universe.pile_size
-    locations = position.locations()
     factors: tuple[Fraction, ...] = ()
-    for side, pile in ((Side.LEFT, locations[:n]), (Side.RIGHT, locations[n:])):
-        if side not in sides:
-            factors += (Fraction(0),) * n
-            continue
-        v = position.pile_location(side.other)
-        u = position.pile_location(side)
-        if u is not None:
-            factors += (_frame_factor(u, v),) * n
+    for side, pile in ((Side.LEFT, position.slots[:n]), (Side.RIGHT, position.slots[n:])):
+        if side in sides:
+            v = position.pile_location(side.other)
+            by_point = [_frame_factor(x, v) for x in position.points]
+            factors += tuple(map(by_point.__getitem__, pile))
         else:
-            factors += tuple(_frame_factor(x, v) for x in pile)
+            factors += (Fraction(0),) * n
     return factors
 
 
@@ -227,23 +223,8 @@ class ImpossibilityReport:
 
 
 def _balanced_bivalent(position: Position, n: int) -> bool:
-    """Exactly two occupied points with n robots each.  Robots on one point
-    usually share one location object, so locations are grouped by identity
-    and the few distinct objects are compared with `==`, never hashed."""
-    locations = position.locations()
-    objects = {id(x): x for x in locations}
-    points: list[list] = []  # [location, robot count]
-    for key, count in Counter(map(id, locations)).items():
-        x = objects[key]
-        for point in points:
-            if point[0] == x:
-                point[1] += count
-                break
-        else:
-            if len(points) == 2:
-                return False
-            points.append([x, count])
-    return len(points) == 2 and all(count == n for _, count in points)
+    """Exactly two occupied points with n robots each."""
+    return len(position.points) == 2 and spectrum(position).values() == (n, n)
 
 
 def run_impossibility(

@@ -63,7 +63,10 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
     if sel == "fsync":
         return make_fsync(lambda p: {r: 1 for r in p.universe.robots})
     if sel.startswith("round-robin:"):
-        factor = parse_scalar(sel.removeprefix("round-robin:"))
+        try:
+            factor = parse_scalar(sel.removeprefix("round-robin:"))
+        except ValueError as exc:
+            raise UsageError(f"bad round-robin selector: {exc}") from exc
         if factor == 0:
             raise UsageError("round-robin factor must be nonzero")
         return make_round_robin(universe, factor)
@@ -113,6 +116,7 @@ SCENARIO_KEYS = ("robogram", "demon", "n", "init", "horizon", "out")
 
 
 def _merge_scenario(flags: argparse.Namespace, config_entry: dict) -> dict:
+    """The config entry with the flags laid over it, checked before any run."""
     unknown = set(config_entry) - set(SCENARIO_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -121,25 +125,25 @@ def _merge_scenario(flags: argparse.Namespace, config_entry: dict) -> dict:
         value = getattr(flags, key, None)
         if value is not None:
             merged[key] = value
+    for key in ("robogram", "demon", "n", "horizon"):
+        if merged.get(key) is None:
+            raise UsageError(f"missing required setting {key!r}")
+    for key in ("robogram", "demon", "out"):
+        if merged.get(key) is not None and not isinstance(merged[key], str):
+            raise UsageError(f"{key} must be a string")
+    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
+    for key, least in (("n", 1), ("horizon", 0)):
+        if type(merged[key]) is not int or merged[key] < least:
+            raise UsageError(f"{key} must be an integer >= {least}")
     return merged
 
 
 def _run_scenario(scenario: dict) -> Trace:
-    for key in ("robogram", "demon", "n", "horizon"):
-        if scenario.get(key) is None:
-            raise UsageError(f"missing required setting {key!r}")
-    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
-    n = scenario["n"]
-    if type(n) is not int or n < 1:
-        raise UsageError("n must be an integer >= 1")
-    horizon = scenario["horizon"]
-    if type(horizon) is not int or horizon < 0:
-        raise UsageError("horizon must be an integer >= 0")
-    universe = RobotUniverse(n)
+    universe = RobotUniverse(scenario["n"])
     robogram = _resolve_robogram(scenario["robogram"])
     p0 = _parse_init(scenario.get("init") or "bivalent:0/1:1/1", universe)
     demon = _resolve_demon(scenario["demon"], universe, robogram, p0)
-    return execute_prefix(robogram, demon, p0, horizon)
+    return execute_prefix(robogram, demon, p0, scenario["horizon"])
 
 
 def _write_trace_file(trace: Trace, path: str) -> None:

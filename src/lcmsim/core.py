@@ -37,7 +37,6 @@ __all__ = [
     "parse_scalar",
     "permute_position",
     "spectrum",
-    "value_set",
 ]
 
 ScalarLike = int | str | Fraction
@@ -82,6 +81,8 @@ def parse_scalar(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer).  Decimal notation is rejected:
     values cross every interface in exact form.  Numerator and denominator
     may each have up to MAX_SCALAR_DIGITS digits."""
+    if not isinstance(text, str):
+        raise TypeError(f"invalid scalar {text!r}: expected a 'num/den' string")
     s = text.strip()
     if not _SCALAR_RE.match(s):
         raise ValueError(f"invalid scalar {text!r}: expected 'num' or 'num/den'")
@@ -204,13 +205,32 @@ class RobotUniverse:
             raise EmptyUniverse("universe must contain at least one robot per pile")
 
 
-class Position:
-    """Total map from robot id to location, stored as a tuple of locations in
-    `universe.robots` order.  The constructor takes an id -> location map
-    and rejects partial ones; `_of` wraps a tuple the package has already
-    built in robot order, without checking it again."""
+def tabulate(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The canonical occupancy table of some values: the distinct values in
+    order of first occurrence, and each value's index into them.  The one
+    place that decides which values share a point: equal (numerator,
+    denominator), as hashing a Fraction costs a modular inverse."""
+    values = tuple(values)
+    ratios = tuple(map(Fraction.as_integer_ratio, values))
+    first = dict(zip(reversed(ratios), reversed(values)))  # each ratio's first value
+    slot_of = {ratio: slot for slot, ratio in enumerate(dict.fromkeys(ratios))}
+    return tuple(map(first.__getitem__, slot_of)), tuple(map(slot_of.__getitem__, ratios))
 
-    __slots__ = ("universe", "_loc")
+
+def _counts(slots: tuple[int, ...]) -> tuple[int, ...]:
+    """Robots per slot of a canonical table, in slot order."""
+    return tuple(Counter(slots).values())
+
+
+class Position:
+    """Total map from robot id to location, stored as an occupancy table:
+    `points`, the distinct locations in order of their first robot, and
+    `slots`, one index into `points` per robot in `universe.robots` order,
+    so equal positions have equal tables.  The constructor takes a total
+    id -> location map; `_of` groups one location per robot, in robot
+    order; `_table` wraps a table already built, without checking it."""
+
+    __slots__ = ("universe", "points", "slots")
 
     def __init__(self, universe: RobotUniverse, locations: Mapping[RobotId, ScalarLike]):
         if not universe.is_total(locations):
@@ -221,15 +241,19 @@ class Position:
                 f" (missing {missing}, extra {extra})"
             )
         self.universe = universe
-        self._loc = tuple(as_scalar(locations[r]) for r in universe.robots)
+        self.points, self.slots = tabulate(as_scalar(locations[r]) for r in universe.robots)
 
     @classmethod
-    def _of(cls, universe: RobotUniverse, locations: tuple[Fraction, ...]) -> Position:
-        """A position from one Fraction per robot, in robot order."""
+    def _table(cls, universe: RobotUniverse, points: tuple, slots: tuple) -> Position:
+        """A position from a table that is canonical, as Position's is."""
         p = cls.__new__(cls)
-        p.universe = universe
-        p._loc = locations
+        p.universe, p.points, p.slots = universe, points, slots
         return p
+
+    @classmethod
+    def _of(cls, universe: RobotUniverse, locations: Iterable[Fraction]) -> Position:
+        """A position from one Fraction per robot, in robot order."""
+        return cls._table(universe, *tabulate(locations))
 
     @classmethod
     def from_piles(
@@ -240,47 +264,31 @@ class Position:
         return cls._of(universe, (as_scalar(left),) * n + (as_scalar(right),) * n)
 
     def __getitem__(self, robot: RobotId) -> Fraction:
-        return self._loc[self.universe.places[robot]]
+        return self.points[self.slots[self.universe.places[robot]]]
 
     def items(self) -> tuple[tuple[RobotId, Fraction], ...]:
-        return tuple(zip(self.universe.robots, self._loc))
+        return tuple(zip(self.universe.robots, self.locations()))
 
     def locations(self) -> tuple[Fraction, ...]:
-        return self._loc
+        """One location per robot, in robot order."""
+        return tuple(map(self.points.__getitem__, self.slots))
 
     def map_locations(self, fn: Callable[[Fraction], ScalarLike]) -> Position:
-        return Position._of(self.universe, tuple(as_scalar(fn(x)) for x in self._loc))
+        return Position._of(self.universe, (as_scalar(fn(x)) for x in self.locations()))
 
     def pile_location(self, side: Side) -> Fraction | None:
-        """The single location shared by the whole pile, or None if scattered.
-
-        A stacked pile usually shares one location object, so identity is
-        tested before `==`; no location is hashed (hashing a Fraction costs
-        a modular inverse of its denominator)."""
+        """The single location shared by the whole pile, or None if scattered."""
         n = self.universe.pile_size
-        locs = self._loc[:n] if side is Side.LEFT else self._loc[n:]
-        if locs and all(x is locs[0] or x == locs[0] for x in locs):
-            return locs[0]
+        pile = self.slots[:n] if side is Side.LEFT else self.slots[n:]
+        if pile and pile.count(pile[0]) == n:
+            return self.points[pile[0]]
         return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Position):
             return NotImplemented
-        if self.universe != other.universe:
-            return False
-        # Robots on one point usually share one location object, as in a
-        # stacked pile, a parsed row or a round's output: each run of
-        # neighbouring robots that hold the same two objects is compared
-        # once, identical objects not at all (Fraction.__eq__ is a
-        # Python-level call).
-        px = py = None
-        for x, y in zip(self._loc, other._loc):
-            if x is px and y is py:
-                continue
-            if x is not y and x != y:
-                return False
-            px, py = x, y
-        return True
+        same_table = self.slots == other.slots and self.points == other.points
+        return self.universe == other.universe and same_table
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{r}={format_scalar(x)}" for r, x in self.items())
@@ -372,12 +380,11 @@ class Similarity:
         return Similarity(Fraction(1) / self.factor, -self.factor * self.center)
 
     def map_position(self, view: Position | Mapping[Fraction, int]) -> Position | Spectrum:
-        """The view in this frame: a Position location by location, or a
-        location -> count mapping (a spectrum) by its distinct locations
-        only, as a Spectrum.  A similarity is injective, so the counts and
-        the key order carry over unchanged and no image is hashed."""
-        if isinstance(view, Position):
-            return view.map_locations(self.apply)
+        """The view in this frame: a Position as the same slots over the
+        images of its points, or a location -> count mapping (a spectrum) as
+        a Spectrum of the images of its distinct locations.  A similarity is
+        injective, so slots, counts and key order carry over unchanged and
+        no image is hashed."""
         # Each image p*(x - c)/q is built from integers and normalized once,
         # instead of as a subtraction and a product that each normalize.  The
         # difference is taken over lcm(xd, cd), as Fraction subtraction does:
@@ -386,11 +393,13 @@ class Similarity:
         p, q = self.factor.numerator, self.factor.denominator
         cn, cd = self.center.numerator, self.center.denominator
         images = []
-        for x in view:
+        for x in view.points if isinstance(view, Position) else view:
             xd = x.denominator
             g = gcd(xd, cd)
             s = xd // g
             images.append(Fraction(p * (x.numerator * (cd // g) - cn * s), q * s * cd))
+        if isinstance(view, Position):
+            return Position._table(view.universe, tuple(images), view.slots)
         return Spectrum._of(tuple(images), tuple(view.values()))
 
 
@@ -411,25 +420,9 @@ class Spectrum(Mapping[Fraction, int]):
     __slots__ = ("_keys", "_counts", "_index")
 
     def __init__(self, locations: Iterable[Fraction]):
-        # Robots on one point usually share one location object, so
-        # locations are counted by identity first and each distinct object
-        # is hashed once, into the index.
-        locations = tuple(locations)
-        objects = dict(zip(map(id, locations), locations))
-        index: dict[Fraction, int] = {}
-        keys: list[Fraction] = []
-        counts: list[int] = []
-        for key, count in Counter(map(id, locations)).items():
-            x = objects[key]
-            slot = index.setdefault(x, len(keys))
-            if slot == len(keys):
-                keys.append(x)
-                counts.append(count)
-            else:
-                counts[slot] += count
-        self._keys = tuple(keys)
-        self._counts = tuple(counts)
-        self._index = index
+        self._keys, slots = tabulate(locations)
+        self._counts = _counts(slots)
+        self._index = None
 
     @classmethod
     def _of(cls, keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> Spectrum:
@@ -490,16 +483,11 @@ class Spectrum(Mapping[Fraction, int]):
 
 def spectrum(p: Position) -> Spectrum:
     """The multiset of `p`'s occupied locations."""
-    return Spectrum(p.locations())
-
-
-def value_set(values: Iterable[Fraction]) -> set[Fraction]:
-    """set(values), hashing each distinct object once rather than each value."""
-    return set({id(x): x for x in values}.values())
+    return Spectrum._of(p.points, _counts(p.slots))
 
 
 def permute_position(p: Position, sigma: Permutation) -> Position:
     """Rename robots: the result maps r to p(sigma^-1(r))."""
     if sigma.universe != p.universe:
         raise ValueError("permutation and position belong to different universes")
-    return Position._of(p.universe, tuple(p._loc[i] for i in sigma._inv))
+    return Position._of(p.universe, map(p.locations().__getitem__, sigma._inv))

@@ -28,6 +28,7 @@ from .core import (
     parse_robot_id,
     parse_scalar,
     spectrum,
+    tabulate,
 )
 from .demons import Demon, DemonicAction
 from .robograms import SPECTRUM_BASED, Robogram, evaluate
@@ -103,32 +104,38 @@ class Trace:
 def round_step(robogram: Robogram, action: DemonicAction, position: Position) -> Position:
     """One synchronous step of the recurrence.
 
-    Robots sharing a frame factor and a location see the same local view, so
+    Robots sharing a frame factor and a point see the same local view, so
     their destination is computed once (sound because robograms are
-    deterministic).  The memo is keyed by numerators and denominators: a
-    Fraction's own hash costs a modular inverse of its denominator.  A
-    spectrum robogram's view is the round's spectrum, built once, with only
-    its distinct locations carried through each frame into a read-only
-    Spectrum that no built-in robogram hashes; a raw robogram sees the
-    whole position.
+    deterministic), and equal destinations share one point of the new
+    table.  Keys are (numerator, denominator) pairs: a Fraction's own hash
+    costs a modular inverse of its denominator.  A spectrum robogram's view
+    is the round's spectrum, built once, with only its distinct locations
+    carried through each frame into a read-only Spectrum that no built-in
+    robogram hashes; a raw robogram sees the whole position.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
     world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
-    memo: dict[tuple[int, int, int, int], Fraction] = {}
-    new = []
-    for f, here in zip(action.frames, position.locations()):
-        if not f:
-            new.append(here)
-            continue
-        key = (f.numerator, f.denominator, here.numerator, here.denominator)
-        destination = memo.get(key)
-        if destination is None:
-            local = evaluate(robogram, Similarity(f, here).map_position(world))
-            # the inverse frame, y -> y/f + here
-            destination = memo[key] = here + local / f
-        new.append(destination)
-    return Position._of(position.universe, tuple(new))
+    # One destination per key: ((factor num, den), old slot) for an active
+    # robot, the old slot for an idle one.
+    index: dict[object, int] = {}
+    destinations: list[Fraction] = []
+    picks = []  # each robot's index into `destinations`
+    for f, old in zip(action.frames, position.slots):
+        key = (f.as_integer_ratio(), old) if f else old
+        i = index.get(key)
+        if i is None:
+            point = position.points[old]
+            if f:
+                local = evaluate(robogram, Similarity(f, point).map_position(world))
+                # the inverse frame, y -> y/f + point
+                point = point + local / f
+            i = index[key] = len(destinations)
+            destinations.append(point)
+        picks.append(i)
+    # destinations come in order of first robot; equal ones share a point
+    points, slot_of = tabulate(destinations)
+    return Position._table(position.universe, points, tuple(map(slot_of.__getitem__, picks)))
 
 
 def _rounds(
@@ -164,13 +171,19 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
 
 
 def _scalars_to_json(universe: RobotUniverse, values: Sequence[Fraction]) -> dict[str, str]:
-    """One row's name -> "num/den" map, `values` in robot order.  Robots on
-    one point share one location object, so each distinct object is
-    formatted once."""
+    """One row's name -> "num/den" map, `values` in robot order.  Robots
+    with one frame factor usually share one factor object, so each distinct
+    object is formatted once."""
     distinct = {id(x): x for x in values}
     text = {key: format_scalar(x) for key, x in distinct.items()}
     # places_by_name lists the names in robot order
     return dict(zip(universe.places_by_name, [text[id(x)] for x in values]))
+
+
+def _position_to_json(p: Position) -> dict[str, str]:
+    """A position's name -> "num/den" map, each point formatted once."""
+    text = [format_scalar(x) for x in p.points]
+    return dict(zip(p.universe.places_by_name, map(text.__getitem__, p.slots)))
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
@@ -178,14 +191,14 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
         "robogram": trace.robogram_name,
         "demon": trace.demon_name,
         "n": trace.universe.pile_size,
-        "p0": _scalars_to_json(trace.universe, trace.p0.locations()),
+        "p0": _position_to_json(trace.p0),
     }
     fp.write(json.dumps(header) + "\n")
     for rd in trace.rounds:
         row = {
             "round": rd.index,
             "frames": _scalars_to_json(trace.universe, rd.action.frames),
-            "post": _scalars_to_json(trace.universe, rd.post.locations()),
+            "post": _position_to_json(rd.post),
         }
         fp.write(json.dumps(row) + "\n")
 
@@ -195,9 +208,10 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fp)
 
 
-def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> tuple[Fraction, ...]:
-    """One row's id -> "num/den" map as a tuple in robot order; raises
-    TraceFormatError unless it covers the universe exactly."""
+def _parse_row(universe: RobotUniverse, raw: object, what: str) -> tuple[tuple, dict]:
+    """One row's id -> "num/den" map as its texts in robot order and the
+    value of each distinct text; raises TraceFormatError unless it covers
+    the universe exactly."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
@@ -211,14 +225,26 @@ def _parse_scalar_map(universe: RobotUniverse, raw: object, what: str) -> tuple[
         # A row repeats a few value strings many times: parse each once.
         values = {text: parse_scalar(text) for text in dict.fromkeys(raw.values())}
         by_place = {
-            names[key] if key in names else universe.places.get(parse_robot_id(key)): values[text]
+            names[key] if key in names else universe.places.get(parse_robot_id(key)): text
             for key, text in raw.items()
         }
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
     if None in by_place or len(by_place) != universe.m:
         raise TraceFormatError(f"{what} does not cover the universe exactly")
-    return tuple(map(by_place.__getitem__, range(universe.m)))
+    return tuple(map(by_place.__getitem__, range(universe.m))), values
+
+
+def _parse_position(universe: RobotUniverse, raw: object, what: str, shared: dict) -> Position:
+    """A row's position table, built from its text index: texts equal in
+    value ("1/2", "2/4") share a point.  Rows of one trace share equal slot
+    tuples through `shared`; a bivalent run has only a few slot patterns."""
+    texts, values = _parse_row(universe, raw, what)
+    distinct = tuple(dict.fromkeys(texts))
+    points, index = tabulate(map(values.__getitem__, distinct))
+    slot_of = dict(zip(distinct, index))
+    slots = tuple(map(slot_of.__getitem__, texts))
+    return Position._table(universe, points, shared.setdefault(slots, slots))
 
 
 def read_trace(lines: Iterable[str]) -> Trace:
@@ -241,7 +267,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
-    p0 = Position._of(universe, _parse_scalar_map(universe, header["p0"], "p0"))
+    shared: dict[tuple, tuple] = {}
+    p0 = _parse_position(universe, header["p0"], "p0", shared)
 
     rounds = []
     for lineno, line in enumerate(it, start=1):
@@ -262,8 +289,9 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"line {lineno + 1}: round index {row['round']} out of order"
             )
-        action = DemonicAction._of(universe, _parse_scalar_map(universe, row["frames"], "frames"))
-        post = Position._of(universe, _parse_scalar_map(universe, row["post"], "post"))
+        texts, values = _parse_row(universe, row["frames"], "frames")
+        action = DemonicAction._of(universe, tuple(map(values.__getitem__, texts)))
+        post = _parse_position(universe, row["post"], "post", shared)
         rounds.append(TraceRound(len(rounds), action, post))
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Position, format_scalar, value_set
+from .core import Position, format_scalar
 from .demons import Verdict
 from .execution import Trace
 
@@ -71,18 +71,14 @@ class GatherVerdict:
 def gathered_location(p: Position) -> Fraction | None:
     """The single point all robots stand on, or None if they do not."""
     p.universe.require_inhabited()
-    locations = value_set(p.locations())
-    if len(locations) == 1:
-        return next(iter(locations))
-    return None
+    return p.points[0] if len(p.points) == 1 else None
 
 
 def split(p: Position) -> bool:
     """True iff no left-pile robot shares a location with any right-pile robot.
     Collisions within one pile are allowed."""
     n = p.universe.pile_size
-    locations = p.locations()
-    return value_set(locations[:n]).isdisjoint(value_set(locations[n:]))
+    return set(p.slots[:n]).isdisjoint(p.slots[n:])
 
 
 def check_will_gather(trace: Trace) -> GatherVerdict:

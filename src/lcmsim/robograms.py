@@ -113,8 +113,9 @@ def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:
 def _mean(view: Spectrum) -> Fraction:
     # Numerators are summed over the lcm of the denominators and the result
     # is normalized once, instead of one Fraction product and sum per location.
-    den = lcm(*(x.denominator for x in view))
-    num = sum(x.numerator * (den // x.denominator) * count for x, count in view.items())
+    ratios = [x.as_integer_ratio() for x in view]
+    den = lcm(*(d for _, d in ratios))
+    num = sum(p * (den // d) * count for (p, d), count in zip(ratios, view.values()))
     return Fraction(num, den * sum(view.values()))
 
 

@@ -356,6 +356,42 @@ def test_simulate_config_rejects_json_booleans_for_integers(tmp_path, capsys, ke
     assert _one_line(err) and f"{key} must be an integer" in err
 
 
+_STAY = {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**_STAY, "robogram": 5}, "robogram must be a string"),
+        ({**_STAY, "demon": ["fsync"]}, "demon must be a string"),
+        ({**_STAY, "init": {"L0": None, "R0": "1/1"}}, "bad initial position"),
+        ([{**_STAY, "out": ["a"]}, {**_STAY, "out": "b"}], "out must be a string"),
+        # an int is not taken for a file descriptor
+        ({**_STAY, "out": 7}, "out must be a string"),
+    ],
+)
+def test_simulate_config_rejects_settings_of_the_wrong_type(tmp_path, capsys, config, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "simulate", "--config", str(path))
+    assert code == 2 and not out
+    assert _one_line(err) and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--init", '{"L0": 1, "R0": 2}'), "bad initial position"),
+        (("--demon", "round-robin:abc"), "bad round-robin selector"),
+    ],
+)
+def test_simulate_rejects_malformed_flags(capsys, flags, message):
+    argv = ["simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "1"]
+    code, out, err = _run(capsys, *argv, *flags)
+    assert code == 2 and not out
+    assert _one_line(err) and message in err
+
+
 def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
     out_path = tmp_path / "t.jsonl"
     _run(

@@ -194,8 +194,8 @@ def test_pile_location_recognises_equal_but_distinct_objects():
     u = RobotUniverse(3)
     # each Fraction(...) call makes its own object: equal values, no sharing
     p = Position(u, {r: Fraction(2, 3) if r.side is Side.LEFT else Fraction(7) for r in u.robots})
-    left = p.locations()[:3]
-    assert left[0] is not left[1] and left[0] == left[1]
+    assert p.points == (Fraction(2, 3), Fraction(7))
+    assert p.slots == (0, 0, 0, 1, 1, 1)
     assert p.pile_location(Side.LEFT) == Fraction(2, 3)
     assert p.pile_location(Side.RIGHT) == Fraction(7)
     shared = Fraction(5, 4)

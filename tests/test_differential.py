@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum, value_set
+from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum
 from lcmsim.demons import Demon, DemonicAction, make_random_kfair
 from lcmsim.execution import round_step
 from lcmsim.robograms import (
@@ -138,10 +138,12 @@ def test_round_step_agrees_with_the_reference(case):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: _position(RobotUniverse(n))))
-def test_spectrum_and_value_set_count_values_not_objects(position):
+def test_spectrum_and_table_count_values_not_objects(position):
     counted = Counter(position.locations())
     assert list(spectrum(position).items()) == list(counted.items())
-    assert value_set(position.locations()) == set(counted)
+    assert position.points == tuple(counted)
+    assert list(Counter(position.slots).values()) == list(counted.values())
+    assert list(Spectrum(position.locations()).items()) == list(counted.items())
 
 
 @settings(max_examples=200, deadline=None)

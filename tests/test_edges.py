@@ -1,8 +1,9 @@
 """Robot-ordered state built inside the package against the checked edges.
 
-Rounds, demons and the trace parser build positions and actions as tuples in
-`universe.robots` order and do not check them again.  Each such object must
-equal what the public constructors build from its id-keyed map, and a robot
+Rounds, demons and the trace parser build actions as tuples in
+`universe.robots` order and positions as occupancy tables, and do not check
+them again.  Each such object must equal what the public constructors build
+from its id-keyed map, each table must be the canonical one, and a robot
 of another universe must raise KeyError instead of landing on another
 robot's place.
 """
@@ -18,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsim.adversary import make_alternating_demon, make_swap_fsync_demon
-from lcmsim.core import Permutation, Position, RobotId, RobotUniverse, Side, permute_position
+from lcmsim.core import (
+    Permutation,
+    Position,
+    RobotId,
+    RobotUniverse,
+    Side,
+    Similarity,
+    permute_position,
+)
 from lcmsim.demons import (
     DemonicAction,
     make_fsync,
@@ -57,8 +66,23 @@ def _lines(trace):
     return buffer.getvalue().splitlines()
 
 
+def _assert_canonical_table(p):
+    """Points pairwise distinct by value and numbered in order of their first
+    robot, one in-range slot per robot: the table `_of` builds from the
+    locations, so equal positions have equal tables."""
+    u = p.universe
+    assert len(p.slots) == u.m
+    assert all(0 <= s < len(p.points) for s in p.slots)
+    assert len(set(p.points)) == len(p.points)
+    assert list(dict.fromkeys(p.slots)) == list(range(len(p.points)))
+    rebuilt = Position._of(u, p.locations())
+    assert rebuilt == p
+    assert (rebuilt.points, rebuilt.slots) == (p.points, p.slots)
+
+
 def _assert_matches_checked_position(p):
     u = p.universe
+    _assert_canonical_table(p)
     assert len(p.locations()) == u.m
     assert all(type(x) is Fraction for x in p.locations())
     assert Position(u, dict(p.items())) == p
@@ -84,18 +108,23 @@ def test_built_positions_and_actions_equal_the_checked_ones(n, seed, robogram, d
     p0 = random_position(u, random.Random(seed)) if scattered else Position.from_piles(u, 0, 1)
     trace = execute_prefix(robogram, DEMONS[demon](u, seed), p0, 6)
     parsed = read_trace(_lines(trace))
-    assert parsed == trace
     for t in (trace, parsed):
         for p in t.positions():
             _assert_matches_checked_position(p)
         for a in t.actions():
             _assert_matches_checked_action(a)
+    assert parsed == trace
     for rd in trace.rounds:
         pre = trace.positions()[rd.index]
         _assert_matches_checked_position(round_step(robogram, rd.action, pre))
     sigma = random_permutation(u, random.Random(seed))
     assert Permutation(u, {r: sigma.apply(r) for r in u.robots}) == sigma
     _assert_matches_checked_position(permute_position(p0, sigma))
+    frame = Similarity(Fraction(-3, 2), p0.locations()[-1])
+    for p in (trace.positions()[-1], p0):
+        _assert_matches_checked_position(frame.map_position(p))
+    _assert_matches_checked_position(Position.from_piles(u, "1/2", "2/4"))
+    _assert_matches_checked_position(random_position(u, random.Random(seed + 1)))
 
 
 @pytest.mark.parametrize("n", [1, 3])
