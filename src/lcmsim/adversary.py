@@ -33,6 +33,7 @@ from .core import (
     as_scalar,
     format_scalar,
     spectrum,
+    tabulate_keys,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
@@ -99,34 +100,30 @@ def probe_first_move(robogram: Robogram, universe: RobotUniverse | int) -> First
     return FirstMoveProbe(evaluate(robogram, canonical_view(universe)))
 
 
-def _frame_factor(u: Fraction, v: Fraction | None) -> Fraction:
-    """1/(v - u), or 1 (an arbitrary nonzero factor) when there is no v or
-    it equals u."""
-    if v is not None and v != u:
-        return Fraction(1) / (v - u)
-    return Fraction(1)
+def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAction:
+    """One round's action: robots on `sides` get the factor 1/(v - u) that
+    shows the opposite pile (stacked at v) at 1 in their local view, every
+    other robot gets 0.  The factor falls back to 1 (an arbitrary nonzero
+    factor) when the opposite pile is scattered or on top of the robot,
+    keeping the demon total.
 
-
-def _canonical_factors(position: Position, sides: tuple[Side, ...]) -> tuple[Fraction, ...]:
-    """Frame factors of one round, in robot order: robots on `sides` get the
-    factor 1/(v - u) that shows the opposite pile (stacked at v) at 1 in
-    their local view, every other robot gets 0.  The factor falls back to 1
-    when the opposite pile is scattered or on top of the robot, keeping the
-    demon total.
-
-    The opposite pile's location is read once per round and each factor is
-    computed once per point, so a round costs O(m), not O(m^2).
+    The opposite pile's location is read once per side and each factor is
+    computed once per (side, point) pair, keyed by the point slot, offset
+    by the number of points on the right pile; a round costs O(m) int work.
     """
-    n = position.universe.pile_size
-    factors: tuple[Fraction, ...] = ()
-    for side, pile in ((Side.LEFT, position.slots[:n]), (Side.RIGHT, position.slots[n:])):
-        if side in sides:
-            v = position.pile_location(side.other)
-            by_point = [_frame_factor(x, v) for x in position.points]
-            factors += tuple(map(by_point.__getitem__, pile))
-        else:
-            factors += (Fraction(0),) * n
-    return factors
+    n, points = position.universe.pile_size, position.points
+    width = len(points)
+    # left pile, then right: whether it is activated, and the opposite pile's location
+    piles = [(side in sides, position.pile_location(side.other)) for side in Side]
+
+    def factor(key: int) -> Fraction:
+        (active, v), u = piles[key // width], points[key % width]
+        if not active:
+            return Fraction(0)
+        return Fraction(1) / (v - u) if v is not None and v != u else Fraction(1)
+
+    keys = position.slots[:n] + tuple(width + s for s in position.slots[n:])
+    return DemonicAction._table(position.universe, *tabulate_keys(keys, factor))
 
 
 def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
@@ -134,7 +131,7 @@ def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
     universe.require_inhabited()
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        return DemonicAction._of(universe, _canonical_factors(position, (Side.LEFT, Side.RIGHT)))
+        return _canonical_action(position, (Side.LEFT, Side.RIGHT))
 
     return Demon("adversary-swap-fsync", step)
 
@@ -146,7 +143,7 @@ def make_alternating_demon(universe: RobotUniverse) -> Demon:
 
     def step(round_index: int, position: Position) -> DemonicAction:
         side = Side.LEFT if round_index % 2 == 0 else Side.RIGHT
-        return DemonicAction._of(universe, _canonical_factors(position, (side,)))
+        return _canonical_action(position, (side,))
 
     return Demon("adversary-alternating", step)
 

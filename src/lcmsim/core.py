@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "MAX_SCALAR_DIGITS",
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 ScalarLike = int | str | Fraction
+_T = TypeVar("_T", bound="_Table")
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _ROBOT_ID_RE = re.compile(r"^([LR])(\d+)$")
@@ -217,43 +218,81 @@ def tabulate(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[in
     return tuple(map(first.__getitem__, slot_of)), tuple(map(slot_of.__getitem__, ratios))
 
 
+def tabulate_keys(
+    keys: Iterable[Hashable], value_of: Callable[[Hashable], Fraction]
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The canonical table of one value per robot, given as one key per robot
+    in robot order: `value_of` runs once per distinct key, in order of its
+    first robot, and `tabulate` groups those values.  Keys are ints or
+    strings, which hash in C, so no Fraction is touched per robot."""
+    keys = tuple(keys)
+    distinct = dict.fromkeys(keys)
+    points, index = tabulate(map(value_of, distinct))
+    slot_of = dict(zip(distinct, index))
+    return points, tuple(map(slot_of.__getitem__, keys))
+
+
 def _counts(slots: tuple[int, ...]) -> tuple[int, ...]:
     """Robots per slot of a canonical table, in slot order."""
     return tuple(Counter(slots).values())
 
 
-class Position:
-    """Total map from robot id to location, stored as an occupancy table:
-    `points`, the distinct locations in order of their first robot, and
-    `slots`, one index into `points` per robot in `universe.robots` order,
-    so equal positions have equal tables.  The constructor takes a total
-    id -> location map; `_of` groups one location per robot, in robot
-    order; `_table` wraps a table already built, without checking it."""
+class _Table:
+    """One value per robot, stored as an occupancy table: `points`, the
+    distinct values in order of their first robot, and `slots`, one index
+    into `points` per robot in `universe.robots` order, so equal per-robot
+    values give equal tables.  The constructor takes a total id -> value
+    map; `_of` groups one value per robot, in robot order; `_table` wraps a
+    table already built, without checking it."""
 
     __slots__ = ("universe", "points", "slots")
+    _partial = "table must assign exactly the universe's robots"
 
-    def __init__(self, universe: RobotUniverse, locations: Mapping[RobotId, ScalarLike]):
-        if not universe.is_total(locations):
-            missing = sorted(str(r) for r in universe.robots if r not in locations)
-            extra = sorted(str(r) for r in locations if r not in universe.places)
-            raise ValueError(
-                f"position must assign exactly the universe's robots"
-                f" (missing {missing}, extra {extra})"
-            )
+    def __init__(self, universe: RobotUniverse, values: Mapping[RobotId, ScalarLike]):
+        if not universe.is_total(values):
+            missing = sorted(str(r) for r in universe.robots if r not in values)
+            extra = sorted(str(r) for r in values if r not in universe.places)
+            raise ValueError(f"{self._partial} (missing {missing}, extra {extra})")
         self.universe = universe
-        self.points, self.slots = tabulate(as_scalar(locations[r]) for r in universe.robots)
+        self.points, self.slots = tabulate(as_scalar(values[r]) for r in universe.robots)
 
     @classmethod
-    def _table(cls, universe: RobotUniverse, points: tuple, slots: tuple) -> Position:
-        """A position from a table that is canonical, as Position's is."""
-        p = cls.__new__(cls)
-        p.universe, p.points, p.slots = universe, points, slots
-        return p
+    def _table(cls: type[_T], universe: RobotUniverse, points: tuple, slots: tuple) -> _T:
+        """A table that is canonical, as the constructors' are."""
+        t = cls.__new__(cls)
+        t.universe, t.points, t.slots = universe, points, slots
+        return t
 
     @classmethod
-    def _of(cls, universe: RobotUniverse, locations: Iterable[Fraction]) -> Position:
-        """A position from one Fraction per robot, in robot order."""
-        return cls._table(universe, *tabulate(locations))
+    def _of(cls: type[_T], universe: RobotUniverse, values: Iterable[Fraction]) -> _T:
+        """A table from one Fraction per robot, in robot order."""
+        return cls._table(universe, *tabulate(values))
+
+    def __getitem__(self, robot: RobotId) -> Fraction:
+        return self.points[self.slots[self.universe.places[robot]]]
+
+    def _per_robot(self) -> tuple[Fraction, ...]:
+        """One value per robot, in robot order."""
+        return tuple(map(self.points.__getitem__, self.slots))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        same_table = self.slots == other.slots and self.points == other.points
+        return self.universe == other.universe and same_table
+
+    def __repr__(self) -> str:
+        values = zip(self.universe.robots, self._per_robot())
+        inner = ", ".join(f"{r}={format_scalar(x)}" for r, x in values)
+        return f"{type(self).__name__}({inner})"
+
+
+class Position(_Table):
+    """Total map from robot id to location, stored as an occupancy table of
+    locations."""
+
+    __slots__ = ()
+    _partial = "position must assign exactly the universe's robots"
 
     @classmethod
     def from_piles(
@@ -263,15 +302,12 @@ class Position:
         n = universe.pile_size
         return cls._of(universe, (as_scalar(left),) * n + (as_scalar(right),) * n)
 
-    def __getitem__(self, robot: RobotId) -> Fraction:
-        return self.points[self.slots[self.universe.places[robot]]]
-
     def items(self) -> tuple[tuple[RobotId, Fraction], ...]:
         return tuple(zip(self.universe.robots, self.locations()))
 
     def locations(self) -> tuple[Fraction, ...]:
         """One location per robot, in robot order."""
-        return tuple(map(self.points.__getitem__, self.slots))
+        return self._per_robot()
 
     def map_locations(self, fn: Callable[[Fraction], ScalarLike]) -> Position:
         return Position._of(self.universe, (as_scalar(fn(x)) for x in self.locations()))
@@ -283,16 +319,6 @@ class Position:
         if pile and pile.count(pile[0]) == n:
             return self.points[pile[0]]
         return None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Position):
-            return NotImplemented
-        same_table = self.slots == other.slots and self.points == other.points
-        return self.universe == other.universe and same_table
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{r}={format_scalar(x)}" for r, x in self.items())
-        return f"Position({inner})"
 
 
 class Permutation:
@@ -490,4 +516,5 @@ def permute_position(p: Position, sigma: Permutation) -> Position:
     """Rename robots: the result maps r to p(sigma^-1(r))."""
     if sigma.universe != p.universe:
         raise ValueError("permutation and position belong to different universes")
-    return Position._of(p.universe, map(p.locations().__getitem__, sigma._inv))
+    keys = map(p.slots.__getitem__, sigma._inv)  # robot r's key: the slot of sigma^-1(r)
+    return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__))

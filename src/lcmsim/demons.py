@@ -1,11 +1,13 @@
 """Adversarial schedulers ("demons") and bounded fairness checking.
 
 A demonic action assigns every robot a frame factor for one round: 0 means
-"not activated", anything else activates the robot with that scale factor. A
-demon produces one action per round, forever; here demons are stateful
-producers driven by the round index and the current position, so a demon
-instance must be owned by a single run.  Checkers, by contrast, are pure
-functions over recorded action prefixes and can be run in parallel freely.
+"not activated", anything else activates the robot with that scale factor.
+It is the occupancy table a position is, of factors, so activation is read
+per distinct factor.  A demon produces one action per round, forever; here
+demons are stateful producers driven by the round index and the current
+position, so a demon instance must be owned by a single run.  Checkers, by
+contrast, are pure functions over recorded action prefixes and can be run
+in parallel freely.
 
 Verdicts are three-valued by design.  The per-pair waiting property can be
 *proven* on a finite prefix (the watched robot was activated in time), but
@@ -20,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -28,8 +29,10 @@ from .core import (
     RobotId,
     RobotUniverse,
     ScalarLike,
+    _Table,
     as_scalar,
     format_scalar,
+    tabulate_keys,
 )
 
 __all__ = [
@@ -60,44 +63,33 @@ class ZeroFactorFromPolicy(RuntimeError):
     breaking the construction contract (FSYNC activates everyone)."""
 
 
-@dataclass(frozen=True)
-class DemonicAction:
+class DemonicAction(_Table):
     """One round of scheduling: a frame factor for every robot of the
-    universe, `frames` in `universe.robots` order.  The constructor takes a
-    total id -> factor map; `_of` wraps a tuple the package has already
-    built in robot order, without checking it again."""
+    universe, stored as the occupancy table a Position is: `points`, the
+    distinct factors in order of their first robot, and `slots`, one index
+    into them per robot.  The constructor takes a total id -> factor map."""
 
-    universe: RobotUniverse
-    frames: tuple[Fraction, ...]
+    __slots__ = ()
+    _partial = "demonic action must assign a factor to every robot"
 
-    def __post_init__(self) -> None:
-        universe, frames = self.universe, self.frames
-        if not universe.is_total(frames):
-            raise ValueError("demonic action must assign a factor to every robot")
-        object.__setattr__(self, "frames", tuple(as_scalar(frames[r]) for r in universe.robots))
-
-    @classmethod
-    def _of(cls, universe: RobotUniverse, frames: tuple[Fraction, ...]) -> DemonicAction:
-        """An action from one Fraction per robot, in robot order."""
-        action = object.__new__(cls)
-        object.__setattr__(action, "universe", universe)
-        object.__setattr__(action, "frames", frames)
-        return action
+    @property
+    def frames(self) -> tuple[Fraction, ...]:
+        """One factor per robot, in robot order."""
+        return self._per_robot()
 
     def factor(self, robot: RobotId) -> Fraction:
-        return self.frames[self.universe.places[robot]]
+        return self[robot]
 
     def is_active(self, robot: RobotId) -> bool:
-        return self.factor(robot) != 0
+        return self[robot] != 0
 
     def active_robots(self) -> tuple[RobotId, ...]:
-        return tuple(r for r, f in zip(self.universe.robots, self.frames) if f)
+        idle = self._idle_slot()
+        return tuple(r for r, s in zip(self.universe.robots, self.slots) if s != idle)
 
-    @cached_property
-    def _activation(self) -> tuple[bool, ...]:
-        """One on/off flag per robot, in robot order.  Kept with the action,
-        so fairness checks under several budgets read each action once."""
-        return tuple(map(bool, self.frames))
+    def _idle_slot(self) -> int:
+        """The slot of factor 0, or -1 when every robot is activated."""
+        return self.points.index(0) if 0 in self.points else -1
 
 
 class Demon:
@@ -169,11 +161,9 @@ def make_fsync(
 
     def step(round_index: int, position: Position) -> DemonicAction:
         action = DemonicAction(position.universe, factor_policy(position))
-        for r, f in zip(position.universe.robots, action.frames):
-            if not f:
-                raise ZeroFactorFromPolicy(
-                    f"factor policy returned 0 for {r} at round {round_index}"
-                )
+        if 0 in action.points:
+            r = position.universe.robots[action.slots.index(action.points.index(0))]
+            raise ZeroFactorFromPolicy(f"factor policy returned 0 for {r} at round {round_index}")
         return action
 
     return Demon(name, step)
@@ -185,11 +175,12 @@ def make_round_robin(universe: RobotUniverse, factor: ScalarLike) -> Demon:
     if f == 0:
         raise ValueError("round-robin factor must be nonzero")
     universe.require_inhabited()
-    zeros = (Fraction(0),) * universe.m
+    by_flag = (Fraction(0), f).__getitem__
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        chosen = round_index % universe.m
-        return DemonicAction._of(universe, zeros[:chosen] + (f,) + zeros[chosen + 1:])
+        active = [False] * universe.m
+        active[round_index % universe.m] = True
+        return DemonicAction._table(universe, *tabulate_keys(active, by_flag))
 
     return Demon(f"round-robin:{format_scalar(f)}", step)
 
@@ -229,7 +220,7 @@ def make_random_kfair(
         raise ValueError("factor must be nonzero")
     universe.require_inhabited()
     m = universe.m
-    zero = Fraction(0)
+    by_flag = (Fraction(0), f).__getitem__
     rng = random.Random(seed)
     # waited[g][h]: activations of robot h since robot g's last activation
     # (or the start), robots by their place; waited[g][g] stays 0
@@ -260,7 +251,7 @@ def make_random_kfair(
                 row = waited[g]
                 for h in chosen:
                     row[h] += 1
-        return DemonicAction._of(universe, tuple(f if a else zero for a in active))
+        return DemonicAction._table(universe, *tabulate_keys(active, by_flag))
 
     return Demon(f"random-kfair:{k}:{seed}", step)
 
@@ -304,14 +295,17 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     instead of robot pairs: robots with the same column are activated
     together and never wait on each other, and every pair drawn from two
     given columns gets the same verdict.  The earliest violating round is
-    therefore unchanged, and the cost is O(m*H) to build the columns plus
-    O(c^2*H) for c distinct columns over H rounds, instead of O(m^2*H).
+    therefore unchanged.  Robots with one slot in every round share a
+    column, which is read off the slots against each round's idle slot.
+    The cost is O(m*H) int work to build the columns plus O(c^2*H) for c
+    distinct columns over H rounds, instead of O(m^2*H).
     """
     if not actions:
         raise ValueError("check_kfair needs a nonempty action prefix")
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
-    columns = set(zip(*(a._activation for a in actions)))
+    idle = [a._idle_slot() for a in actions]
+    columns = {tuple(map(int.__ne__, c, idle)) for c in set(zip(*(a.slots for a in actions)))}
     earliest: int | None = None
     for ag in columns:
         for ah in columns:

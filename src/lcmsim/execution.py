@@ -9,8 +9,10 @@ round function takes no history, so obliviousness is structural.
 Traces persist as JSONL: a header line (robogram, demon, pile size, initial
 position) followed by one line per round with the frame-factor map and the
 post-round position.  Scalars are "num/den" strings and robot ids "L<i>" /
-"R<i>".  Only post-positions are stored; pre-positions are recovered by
-chaining, and `replay` re-derives every round to certify a file.
+"R<i>".  Positions and actions are both occupancy tables, written and read
+back by one pair of functions.  Only post-positions are stored;
+pre-positions are recovered by chaining, and `replay` re-derives every
+round to certify a file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .core import (
     Position,
@@ -28,7 +30,7 @@ from .core import (
     parse_robot_id,
     parse_scalar,
     spectrum,
-    tabulate,
+    tabulate_keys,
 )
 from .demons import Demon, DemonicAction
 from .robograms import SPECTRUM_BASED, Robogram, evaluate
@@ -47,6 +49,8 @@ __all__ = [
     "write_trace",
     "write_trace_file",
 ]
+
+_T = TypeVar("_T", Position, DemonicAction)
 
 
 class ExecutionError(RuntimeError):
@@ -107,35 +111,27 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     Robots sharing a frame factor and a point see the same local view, so
     their destination is computed once (sound because robograms are
     deterministic), and equal destinations share one point of the new
-    table.  Keys are (numerator, denominator) pairs: a Fraction's own hash
-    costs a modular inverse of its denominator.  A spectrum robogram's view
-    is the round's spectrum, built once, with only its distinct locations
-    carried through each frame into a read-only Spectrum that no built-in
-    robogram hashes; a raw robogram sees the whole position.
+    table.  Each robot's key is its (factor slot, point slot) pair as one
+    int, so no Fraction is read or hashed per robot.  A spectrum robogram's
+    view is the round's spectrum, built once, with only its distinct
+    locations carried through each frame into a read-only Spectrum that no
+    built-in robogram hashes; a raw robogram sees the whole position.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
     world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
-    # One destination per key: ((factor num, den), old slot) for an active
-    # robot, the old slot for an idle one.
-    index: dict[object, int] = {}
-    destinations: list[Fraction] = []
-    picks = []  # each robot's index into `destinations`
-    for f, old in zip(action.frames, position.slots):
-        key = (f.as_integer_ratio(), old) if f else old
-        i = index.get(key)
-        if i is None:
-            point = position.points[old]
-            if f:
-                local = evaluate(robogram, Similarity(f, point).map_position(world))
-                # the inverse frame, y -> y/f + point
-                point = point + local / f
-            i = index[key] = len(destinations)
-            destinations.append(point)
-        picks.append(i)
-    # destinations come in order of first robot; equal ones share a point
-    points, slot_of = tabulate(destinations)
-    return Position._table(position.universe, points, tuple(map(slot_of.__getitem__, picks)))
+    points, factors, width = position.points, action.points, len(position.points)
+
+    def destination(key: int) -> Fraction:
+        factor_slot, point_slot = divmod(key, width)
+        f, point = factors[factor_slot], points[point_slot]
+        if not f:  # not activated: stays put
+            return point
+        local = evaluate(robogram, Similarity(f, point).map_position(world))
+        return point + local / f  # the inverse frame, y -> y/f + point
+
+    keys = [f * width + p for f, p in zip(action.slots, position.slots)]
+    return Position._table(position.universe, *tabulate_keys(keys, destination))
 
 
 def _rounds(
@@ -170,20 +166,10 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 
-def _scalars_to_json(universe: RobotUniverse, values: Sequence[Fraction]) -> dict[str, str]:
-    """One row's name -> "num/den" map, `values` in robot order.  Robots
-    with one frame factor usually share one factor object, so each distinct
-    object is formatted once."""
-    distinct = {id(x): x for x in values}
-    text = {key: format_scalar(x) for key, x in distinct.items()}
-    # places_by_name lists the names in robot order
-    return dict(zip(universe.places_by_name, [text[id(x)] for x in values]))
-
-
-def _position_to_json(p: Position) -> dict[str, str]:
-    """A position's name -> "num/den" map, each point formatted once."""
-    text = [format_scalar(x) for x in p.points]
-    return dict(zip(p.universe.places_by_name, map(text.__getitem__, p.slots)))
+def _table_to_json(table: Position | DemonicAction) -> dict[str, str]:
+    """A table's name -> "num/den" map, each point formatted once."""
+    text = [format_scalar(x) for x in table.points]
+    return dict(zip(table.universe.places_by_name, map(text.__getitem__, table.slots)))
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
@@ -191,14 +177,14 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
         "robogram": trace.robogram_name,
         "demon": trace.demon_name,
         "n": trace.universe.pile_size,
-        "p0": _position_to_json(trace.p0),
+        "p0": _table_to_json(trace.p0),
     }
     fp.write(json.dumps(header) + "\n")
     for rd in trace.rounds:
         row = {
             "round": rd.index,
-            "frames": _scalars_to_json(trace.universe, rd.action.frames),
-            "post": _position_to_json(rd.post),
+            "frames": _table_to_json(rd.action),
+            "post": _table_to_json(rd.post),
         }
         fp.write(json.dumps(row) + "\n")
 
@@ -208,10 +194,13 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fp)
 
 
-def _parse_row(universe: RobotUniverse, raw: object, what: str) -> tuple[tuple, dict]:
-    """One row's id -> "num/den" map as its texts in robot order and the
-    value of each distinct text; raises TraceFormatError unless it covers
-    the universe exactly."""
+def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, shared: dict) -> _T:
+    """One row's id -> "num/den" map as a `cls` table (a Position or a
+    DemonicAction): texts equal in value ("1/2", "2/4") share a point, and
+    each distinct text is parsed once, in order of its first robot.  Rows
+    of one trace share equal slot tuples through `shared`; a bivalent run
+    has only a few slot patterns.  Raises TraceFormatError unless the map
+    covers the universe exactly."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
@@ -222,29 +211,18 @@ def _parse_row(universe: RobotUniverse, raw: object, what: str) -> tuple[tuple, 
     # else goes through parse_robot_id, for its error message.
     names = universe.places_by_name
     try:
-        # A row repeats a few value strings many times: parse each once.
-        values = {text: parse_scalar(text) for text in dict.fromkeys(raw.values())}
         by_place = {
             names[key] if key in names else universe.places.get(parse_robot_id(key)): text
             for key, text in raw.items()
         }
+        # A foreign or repeated id leaves a place out: its lookup raises
+        # KeyError, before any text is parsed.
+        points, slots = tabulate_keys(map(by_place.__getitem__, range(universe.m)), parse_scalar)
+    except KeyError:
+        raise TraceFormatError(f"{what} does not cover the universe exactly") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
-    if None in by_place or len(by_place) != universe.m:
-        raise TraceFormatError(f"{what} does not cover the universe exactly")
-    return tuple(map(by_place.__getitem__, range(universe.m))), values
-
-
-def _parse_position(universe: RobotUniverse, raw: object, what: str, shared: dict) -> Position:
-    """A row's position table, built from its text index: texts equal in
-    value ("1/2", "2/4") share a point.  Rows of one trace share equal slot
-    tuples through `shared`; a bivalent run has only a few slot patterns."""
-    texts, values = _parse_row(universe, raw, what)
-    distinct = tuple(dict.fromkeys(texts))
-    points, index = tabulate(map(values.__getitem__, distinct))
-    slot_of = dict(zip(distinct, index))
-    slots = tuple(map(slot_of.__getitem__, texts))
-    return Position._table(universe, points, shared.setdefault(slots, slots))
+    return cls._table(universe, points, shared.setdefault(slots, slots))
 
 
 def read_trace(lines: Iterable[str]) -> Trace:
@@ -268,7 +246,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
     shared: dict[tuple, tuple] = {}
-    p0 = _parse_position(universe, header["p0"], "p0", shared)
+    p0 = _parse_row(Position, universe, header["p0"], "p0", shared)
 
     rounds = []
     for lineno, line in enumerate(it, start=1):
@@ -289,9 +267,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"line {lineno + 1}: round index {row['round']} out of order"
             )
-        texts, values = _parse_row(universe, row["frames"], "frames")
-        action = DemonicAction._of(universe, tuple(map(values.__getitem__, texts)))
-        post = _parse_position(universe, row["post"], "post", shared)
+        action = _parse_row(DemonicAction, universe, row["frames"], "frames", shared)
+        post = _parse_row(Position, universe, row["post"], "post", shared)
         rounds.append(TraceRound(len(rounds), action, post))
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))

@@ -11,7 +11,7 @@ from lcmsim.adversary import (
     SWAP_FSYNC,
     DegenerateInitial,
     _balanced_bivalent,
-    _canonical_factors,
+    _canonical_action,
     build_adversary_demon,
     canonical_view,
     make_alternating_demon,
@@ -71,11 +71,14 @@ def _pile_positions(draw):
 @settings(max_examples=300, deadline=None)
 @given(_pile_positions(), st.sampled_from(((), (Side.LEFT,), (Side.RIGHT,), tuple(Side))))
 def test_canonical_factors_match_the_per_robot_definition(position, sides):
-    expected = tuple(
-        _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
-        for r in position.universe.robots
-    )
-    assert _canonical_factors(position, sides) == expected
+    u = position.universe
+    expected = {
+        r: _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
+        for r in u.robots
+    }
+    action = _canonical_action(position, sides)
+    assert action.frames == tuple(expected.values())
+    assert action == DemonicAction(u, expected)
 
 
 def test_canonical_view_shape():

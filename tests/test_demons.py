@@ -107,8 +107,14 @@ def test_fsync_policy_returning_zero_is_a_contract_error():
     u = RobotUniverse(1)
     l0, r0 = u.robots
     demon = make_fsync(lambda p: {l0: 1, r0: 0})
-    with pytest.raises(ZeroFactorFromPolicy):
+    with pytest.raises(ZeroFactorFromPolicy, match=r"^factor policy returned 0 for R0 at round 0$"):
         demon.action(0, Position.from_piles(u, 0, 1))
+    # the message names the first robot whose factor is 0, and the round
+    u = RobotUniverse(2)
+    l0, l1, r0, r1 = u.robots
+    demon = make_fsync(lambda p: {l0: 1, l1: "0/5", r0: 2, r1: 0})
+    with pytest.raises(ZeroFactorFromPolicy, match=r"^factor policy returned 0 for L1 at round 7$"):
+        demon.action(7, Position.from_piles(u, 0, 1))
 
 
 def test_round_robin_cycles_left_pile_then_right():

@@ -1,11 +1,10 @@
 """Robot-ordered state built inside the package against the checked edges.
 
-Rounds, demons and the trace parser build actions as tuples in
-`universe.robots` order and positions as occupancy tables, and do not check
-them again.  Each such object must equal what the public constructors build
-from its id-keyed map, each table must be the canonical one, and a robot
-of another universe must raise KeyError instead of landing on another
-robot's place.
+Rounds, demons and the trace parser build positions and actions as
+occupancy tables in `universe.robots` order, and do not check them again.
+Each such object must equal what the public constructors build from its
+id-keyed map, each table must be the canonical one, and a robot of another
+universe must raise KeyError instead of landing on another robot's place.
 """
 
 from __future__ import annotations
@@ -66,18 +65,18 @@ def _lines(trace):
     return buffer.getvalue().splitlines()
 
 
-def _assert_canonical_table(p):
+def _assert_canonical_table(t):
     """Points pairwise distinct by value and numbered in order of their first
     robot, one in-range slot per robot: the table `_of` builds from the
-    locations, so equal positions have equal tables."""
-    u = p.universe
-    assert len(p.slots) == u.m
-    assert all(0 <= s < len(p.points) for s in p.slots)
-    assert len(set(p.points)) == len(p.points)
-    assert list(dict.fromkeys(p.slots)) == list(range(len(p.points)))
-    rebuilt = Position._of(u, p.locations())
-    assert rebuilt == p
-    assert (rebuilt.points, rebuilt.slots) == (p.points, p.slots)
+    per-robot values, so equal positions (or actions) have equal tables."""
+    u = t.universe
+    assert len(t.slots) == u.m
+    assert all(0 <= s < len(t.points) for s in t.slots)
+    assert len(set(t.points)) == len(t.points)
+    assert list(dict.fromkeys(t.slots)) == list(range(len(t.points)))
+    rebuilt = type(t)._of(u, tuple(map(t.points.__getitem__, t.slots)))
+    assert rebuilt == t
+    assert (rebuilt.points, rebuilt.slots) == (t.points, t.slots)
 
 
 def _assert_matches_checked_position(p):
@@ -90,6 +89,7 @@ def _assert_matches_checked_position(p):
 
 def _assert_matches_checked_action(a):
     u = a.universe
+    _assert_canonical_table(a)
     assert len(a.frames) == u.m
     assert all(type(f) is Fraction for f in a.frames)
     assert DemonicAction(u, dict(zip(u.robots, a.frames))) == a

@@ -210,6 +210,8 @@ def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
     assert trace.rounds[0].post == Position(u, expected)
     assert trace.rounds[0].action == DemonicAction(u, expected)
     assert trace.p0[u.robots[0]] == Fraction(1, 2) and trace.p0[u.robots[2]] == 0
+    # "2/4" and "1/2" share one point, and "-0/3" is 0
+    assert trace.rounds[0].action.points == (Fraction(1, 2), 0, 7)
     # written back, every value is in lowest terms
     buffer = io.StringIO()
     write_trace(trace, buffer)
