@@ -32,7 +32,6 @@ from .core import (
     Side,
     as_scalar,
     format_scalar,
-    spectrum,
     tabulate_keys,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
@@ -221,7 +220,7 @@ class ImpossibilityReport:
 
 def _balanced_bivalent(position: Position, n: int) -> bool:
     """Exactly two occupied points with n robots each."""
-    return len(position.points) == 2 and spectrum(position).values() == (n, n)
+    return len(position.points) == 2 and position.slots.count(0) == n
 
 
 def run_impossibility(

@@ -141,7 +141,8 @@ def _merge_scenario(flags: argparse.Namespace, config_entry: dict) -> dict:
 def _run_scenario(scenario: dict) -> Trace:
     universe = RobotUniverse(scenario["n"])
     robogram = _resolve_robogram(scenario["robogram"])
-    p0 = _parse_init(scenario.get("init") or "bivalent:0/1:1/1", universe)
+    init = scenario.get("init")
+    p0 = _parse_init("bivalent:0/1:1/1" if init is None else init, universe)
     demon = _resolve_demon(scenario["demon"], universe, robogram, p0)
     return execute_prefix(robogram, demon, p0, scenario["horizon"])
 
@@ -317,7 +318,10 @@ def cmd_invariance(args: argparse.Namespace) -> int:
                 "counterexample": {
                     "n": universe.pile_size,
                     "position": {str(r): format_scalar(x) for r, x in position.items()},
-                    "permutation": {str(r): str(sigma.apply(r)) for r in universe.robots},
+                    "permutation": {
+                        str(r): str(universe.robots[place])
+                        for r, place in zip(universe.robots, sigma)
+                    },
                 },
             }
             print(json.dumps(counterexample))

@@ -4,6 +4,11 @@ Every location, frame factor and destination is a `fractions.Fraction`, so
 equality and ordering are decidable and all arithmetic is exact.  Values are
 immutable after construction and operations are pure functions, safe to share
 between threads.
+
+Per-robot state is kept in `RobotUniverse.robots` order: a `Position` as an
+occupancy table, and a renaming of the robots as a plain tuple of places
+(`sigma[i]` is the place robot i is renamed to), which `permute_position`
+checks where it applies it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 __all__ = [
     "MAX_SCALAR_DIGITS",
     "EmptyUniverse",
-    "Permutation",
     "Position",
     "RobotId",
     "RobotUniverse",
@@ -321,68 +325,6 @@ class Position(_Table):
         return None
 
 
-class Permutation:
-    """Bijection on robot ids, stored as two tuples of robot places: the
-    forward map and its inverse."""
-
-    __slots__ = ("universe", "_fwd", "_inv")
-
-    def __init__(self, universe: RobotUniverse, mapping: Mapping[RobotId, RobotId]):
-        if not universe.is_total(mapping):
-            raise ValueError("permutation must be defined on every robot")
-        inv: dict[RobotId, RobotId] = {}
-        for src, dst in mapping.items():
-            if dst in inv:
-                raise ValueError(f"permutation is not injective at {dst}")
-            inv[dst] = src
-        if not universe.is_total(inv):
-            raise ValueError("permutation must map onto the same universe")
-        self.universe = universe
-        self._fwd = tuple(universe.places[mapping[r]] for r in universe.robots)
-        self._inv = tuple(universe.places[inv[r]] for r in universe.robots)
-
-    @classmethod
-    def _of(cls, universe: RobotUniverse, fwd: tuple[int, ...]) -> Permutation:
-        """A permutation from the forward map of places, a bijection of
-        range(m), which is not checked again."""
-        inv = [0] * len(fwd)
-        for src, dst in enumerate(fwd):
-            inv[dst] = src
-        sigma = cls.__new__(cls)
-        sigma.universe = universe
-        sigma._fwd = fwd
-        sigma._inv = tuple(inv)
-        return sigma
-
-    @classmethod
-    def identity(cls, universe: RobotUniverse) -> Permutation:
-        return cls._of(universe, tuple(range(universe.m)))
-
-    @classmethod
-    def transposition(cls, universe: RobotUniverse, a: RobotId, b: RobotId) -> Permutation:
-        mapping = {r: r for r in universe.robots}
-        mapping[a], mapping[b] = b, a
-        return cls(universe, mapping)
-
-    def apply(self, robot: RobotId) -> RobotId:
-        return self.universe.robots[self._fwd[self.universe.places[robot]]]
-
-    def unapply(self, robot: RobotId) -> RobotId:
-        return self.universe.robots[self._inv[self.universe.places[robot]]]
-
-    def inverted(self) -> Permutation:
-        return Permutation._of(self.universe, self._inv)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.universe == other.universe and self._fwd == other._fwd
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{r}->{self.apply(r)}" for r in self.universe.robots)
-        return f"Permutation({inner})"
-
-
 @dataclass(frozen=True)
 class Similarity:
     """Frame transformation x -> factor * (x - center).  Zero factors are
@@ -512,9 +454,16 @@ def spectrum(p: Position) -> Spectrum:
     return Spectrum._of(p.points, _counts(p.slots))
 
 
-def permute_position(p: Position, sigma: Permutation) -> Position:
-    """Rename robots: the result maps r to p(sigma^-1(r))."""
-    if sigma.universe != p.universe:
+def permute_position(p: Position, sigma: tuple[int, ...]) -> Position:
+    """Rename robots: `sigma[i]` is the place robot i is renamed to, so the
+    result maps the robot at place sigma[i] to p's location of robot i.
+    `sigma` must be a permutation of range(m); this is where it is checked."""
+    m = p.universe.m
+    if len(sigma) != m:
         raise ValueError("permutation and position belong to different universes")
-    keys = map(p.slots.__getitem__, sigma._inv)  # robot r's key: the slot of sigma^-1(r)
+    if len(set(sigma)) != m or (m and (min(sigma) < 0 or max(sigma) >= m)):
+        raise ValueError(f"renaming must list each of the {m} robot places once")
+    keys = [0] * m  # robot sigma[i]'s key: the slot of robot i
+    for slot, place in zip(p.slots, sigma):
+        keys[place] = slot
     return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__))

@@ -3,9 +3,12 @@
 A robogram maps an observed position, expressed in the observing robot's own
 frame (observer at the origin), to a destination in that same frame.  It must
 be deterministic and invariant under renaming of robots.  Spectrum-based
-robograms get the invariance for free because they only ever see the multiset
-of occupied locations; raw robograms take the full position and exist so the
-invariance checker has something to refute.
+robograms see only the occupied locations and their counts, so they are
+invariant when they read that multiset; a spectrum lists its locations in
+order of their first robot, so one that reads the key order can still leak
+a name, and the invariance screen runs for every kind.  Raw robograms take
+the full position and exist so the invariance checker has something to
+refute.
 
 Robograms are immutable and pure; evaluating them concurrently is safe.
 """
@@ -20,7 +23,6 @@ from typing import Callable
 
 from .core import (
     Position,
-    Permutation,
     RobotId,
     ScalarLike,
     Side,
@@ -61,11 +63,12 @@ class NonRepresentableDestination(ArithmeticError):
 
 @dataclass(frozen=True)
 class Robogram:
-    """A named destination computation.  `kind` records whether permutation
-    invariance holds by construction (spectrum) or must be checked (raw), and
-    what `algo` takes: the location multiset (a read-only `Spectrum` where
-    the package builds the view) or the whole position.  `algo` must not
-    mutate its view: a Spectrum refuses item assignment with TypeError,
+    """A named destination computation.  `kind` records what `algo` takes:
+    the location multiset (a read-only `Spectrum` where the package builds
+    the view) or the whole position.  A spectrum robogram that reads the
+    multiset is invariant under renaming; one that reads the key order, or
+    a raw one, may not be, which `check_invariance` tests.  `algo` must
+    not mutate its view: a Spectrum refuses item assignment with TypeError,
     which a run reports as ExecutionError (exit 3 from the CLI)."""
 
     name: str
@@ -88,14 +91,17 @@ def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fra
     return as_scalar(out)
 
 
-def check_invariance(robogram: Robogram, p: Position, sigma: Permutation) -> bool:
-    """True iff renaming the robots by `sigma` leaves the destination unchanged."""
+def check_invariance(robogram: Robogram, p: Position, sigma: tuple[int, ...]) -> bool:
+    """True iff renaming the robots by `sigma`, a tuple of robot places (see
+    `permute_position`), leaves the destination unchanged."""
     return evaluate(robogram, p) == evaluate(robogram, permute_position(p, sigma))
 
 
 def spectrum_robogram(name: str, fn: Callable[[Spectrum], Fraction]) -> Robogram:
-    """Build a robogram from a function of the location multiset alone.
-    Permutation invariance holds by construction.  `fn` gets a read-only
+    """Build a robogram from a function of the location multiset.  It is
+    invariant under renaming if `fn` reads only the multiset: the keys are
+    in order of their first robot, so a result that depends on that order
+    (the first key, say) leaks a name.  `fn` gets a read-only
     Spectrum: it may iterate, look up (a missing location counts 0), call
     `most_common`, `total` and `elements`, and compare it, but not assign to
     it; it has no `copy` and no Counter arithmetic (`Counter(view)` gives

@@ -1,4 +1,4 @@
-"""Seeded random generators for positions, scalars and permutations.
+"""Seeded random generators for positions, scalars and robot renamings.
 
 Used by the invariance screening (CLI and the adversary's pre-check) and by
 the test suite.  Everything is driven by an explicit `random.Random`, so runs
@@ -12,7 +12,7 @@ import os
 import random
 from fractions import Fraction
 
-from .core import Permutation, Position, RobotUniverse
+from .core import Position, RobotUniverse
 
 __all__ = [
     "default_seed",
@@ -52,8 +52,11 @@ def random_position(
     )
 
 
-def random_permutation(universe: RobotUniverse, rng: random.Random) -> Permutation:
-    # Shuffling places draws from `rng` exactly as shuffling the robots would.
+def random_permutation(universe: RobotUniverse, rng: random.Random) -> tuple[int, ...]:
+    """A uniformly random renaming of the robots: a tuple of robot places,
+    `sigma[i]` being the place robot i is renamed to (see
+    `core.permute_position`).  Shuffling places draws from `rng` exactly as
+    shuffling the robots would."""
     targets = list(range(universe.m))
     rng.shuffle(targets)
-    return Permutation._of(universe, tuple(targets))
+    return tuple(targets)

@@ -35,6 +35,7 @@ from lcmsim.robograms import (
     center_of_mass,
     convex,
     resolve_robogram,
+    spectrum_robogram,
     stay,
     to_max,
     to_min,
@@ -216,6 +217,22 @@ def test_run_impossibility_flags_identity_leaks():
     assert not report.certified
     payload = report.to_json_dict()
     assert payload["invariance_ok"] is False
+    assert payload["certified"] is False
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_spectrum_robogram_that_reads_key_order_is_screened_and_not_certified(n):
+    # A spectrum lists its locations in order of their first robot, so the
+    # first key is L0's point: reading it leaks a name, and the screen runs
+    # for spectrum robograms too.
+    first_key = spectrum_robogram("first-key", lambda view: next(iter(view)))
+    payload = run_impossibility(first_key, n, 6).to_json_dict()
+    assert payload["invariance_ok"] is False
+    assert payload["split"] == {"verdict": "violated", "round": 2}
+    assert payload["gather"] == {
+        "verdict": "tentatively-gathered", "horizon": 6, "round": 2, "point": "0/1"
+    }
+    assert payload["bivalence"] == {"complete": False, "failures": [2, 3, 4, 5, 6]}
     assert payload["certified"] is False
 
 

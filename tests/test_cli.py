@@ -368,6 +368,12 @@ _STAY = {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1}
         ([{**_STAY, "out": ["a"]}, {**_STAY, "out": "b"}], "out must be a string"),
         # an int is not taken for a file descriptor
         ({**_STAY, "out": 7}, "out must be a string"),
+        # a falsy init is refused, not replaced by the default piles
+        ({**_STAY, "init": {}}, "bad initial position"),
+        ({**_STAY, "init": ""}, "bad initial position"),
+        ({**_STAY, "init": 0}, "initial position must be"),
+        ({**_STAY, "init": False}, "initial position must be"),
+        ({**_STAY, "init": []}, "initial position must be"),
     ],
 )
 def test_simulate_config_rejects_settings_of_the_wrong_type(tmp_path, capsys, config, message):
@@ -383,6 +389,7 @@ def test_simulate_config_rejects_settings_of_the_wrong_type(tmp_path, capsys, co
     [
         (("--init", '{"L0": 1, "R0": 2}'), "bad initial position"),
         (("--demon", "round-robin:abc"), "bad round-robin selector"),
+        (("--init", ""), "bad initial position"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from lcmsim.core import (
     MAX_SCALAR_DIGITS,
     EmptyUniverse,
-    Permutation,
     Position,
     RobotId,
     RobotUniverse,
@@ -318,29 +317,22 @@ def test_position_equality_is_the_equality_of_its_values(values, data):
     assert (p != q) is not expected
 
 
-def test_permutation_construction_checks():
-    u = RobotUniverse(1)
-    l0, r0 = u.robots
-    ident = Permutation.identity(u)
-    assert ident.apply(l0) == l0
-    swap = Permutation.transposition(u, l0, r0)
-    assert swap.apply(l0) == r0
-    assert swap.unapply(l0) == r0
-    assert swap.inverted() == swap
-    with pytest.raises(ValueError):
-        Permutation(u, {l0: l0})
-    with pytest.raises(ValueError):
-        Permutation(u, {l0: l0, r0: l0})
-
-
-def test_permutation_apply_unapply_inverse_random():
-    rng = random.Random(7)
-    for _ in range(50):
-        u = RobotUniverse(rng.randint(1, 5))
-        sigma = random_permutation(u, rng)
-        for r in u.robots:
-            assert sigma.unapply(sigma.apply(r)) == r
-            assert sigma.apply(sigma.unapply(r)) == r
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ((0,), "different universes"),
+        ((0, 1, 2), "different universes"),
+        ((0, 0), "each of the 2 robot places once"),
+        ((-1, 0), "each of the 2 robot places once"),
+        ((0, 2), "each of the 2 robot places once"),
+    ],
+)
+def test_permute_position_refuses_a_tuple_that_is_not_a_renaming(sigma, message):
+    # (-1, 0) is distinct and of the right length, but -1 would index from
+    # the end and wrap around to place 1.
+    p = Position.from_piles(RobotUniverse(1), 0, 1)
+    with pytest.raises(ValueError, match=message):
+        permute_position(p, sigma)
 
 
 def test_permute_position_preserves_spectrum():
@@ -351,8 +343,8 @@ def test_permute_position_preserves_spectrum():
         sigma = random_permutation(u, rng)
         q = permute_position(p, sigma)
         assert spectrum(q) == spectrum(p)
-        for r in u.robots:
-            assert q[sigma.apply(r)] == p[r]
+        for i in range(u.m):
+            assert q[u.robots[sigma[i]]] == p[u.robots[i]]
 
 
 def test_similarity_known_value():

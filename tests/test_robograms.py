@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsim.core import Permutation, Position, RobotId, RobotUniverse, Side, Similarity, spectrum
+from lcmsim.core import Position, RobotId, RobotUniverse, Side, Similarity, spectrum
 from lcmsim.robograms import (
     BUILTIN_SELECTORS,
     SPECTRUM_BASED,
@@ -149,11 +149,10 @@ def test_spectrum_builtins_are_permutation_invariant():
 def test_broken_id_leak_has_a_counterexample():
     u = RobotUniverse(1)
     p = Position.from_piles(u, 0, 1)
-    swap = Permutation.transposition(u, *u.robots)
-    assert not check_invariance(broken_id_leak, p, swap)
+    assert not check_invariance(broken_id_leak, p, (1, 0))
 
 
 def test_invariance_holds_trivially_under_identity():
     u = RobotUniverse(2)
     p = random_position(u, random.Random(5))
-    assert check_invariance(broken_id_leak, p, Permutation.identity(u))
+    assert check_invariance(broken_id_leak, p, tuple(range(u.m)))
