@@ -237,8 +237,9 @@ def run_impossibility(
 
     rng = random.Random(default_seed() if seed is None else seed)
     view = canonical_view(universe)
+    # The probe already evaluated the unrenamed canonical view.
     invariance_ok = all(
-        check_invariance(robogram, view, random_permutation(universe, rng))
+        check_invariance(robogram, view, random_permutation(universe, rng), probe.delta)
         for _ in range(INVARIANCE_PRECHECK_SAMPLES)
     )
 

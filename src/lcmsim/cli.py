@@ -2,9 +2,9 @@
 
 Machine-readable output (traces, reports, verdicts) goes to stdout or the
 requested file; diagnostics go to stderr.  Exit codes: 0 success / property
-holds, 1 property fails, 2 usage or config error, 3 runtime error (bad
-robogram arithmetic, corrupt trace).  Rationals cross the CLI as "num/den"
-strings only.
+holds, 1 property fails, 2 usage error or malformed input, 3 runtime error
+(bad robogram arithmetic, corrupt trace).  Rationals cross the CLI as
+"num/den" strings only.
 """
 
 from __future__ import annotations
@@ -96,55 +96,27 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
     )
 
 
-def _parse_init(raw: object, universe: RobotUniverse) -> Position:
+def _parse_init(text: str, universe: RobotUniverse) -> Position:
     try:
-        if isinstance(raw, str) and raw.startswith("bivalent:"):
-            parts = raw.split(":")
+        if text.startswith("bivalent:"):
+            parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("bivalent init must be bivalent:<num/den>:<num/den>")
             return Position.from_piles(universe, parse_scalar(parts[1]), parse_scalar(parts[2]))
-        if isinstance(raw, str):
-            raw = json.loads(raw)
+        raw = json.loads(text)
         if isinstance(raw, dict):
             return Position(universe, {parse_robot_id(k): parse_scalar(v) for k, v in raw.items()})
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
+    except (ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad initial position: {exc}") from exc
     raise UsageError("initial position must be bivalent:<a>:<b> or a JSON object id -> scalar")
 
 
-SCENARIO_KEYS = ("robogram", "demon", "n", "init", "horizon", "out")
-
-
-def _merge_scenario(flags: argparse.Namespace, config_entry: dict) -> dict:
-    """The config entry with the flags laid over it, checked before any run."""
-    unknown = set(config_entry) - set(SCENARIO_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(config_entry)
-    for key in SCENARIO_KEYS:
-        value = getattr(flags, key, None)
-        if value is not None:
-            merged[key] = value
-    for key in ("robogram", "demon", "n", "horizon"):
-        if merged.get(key) is None:
-            raise UsageError(f"missing required setting {key!r}")
-    for key in ("robogram", "demon", "out"):
-        if merged.get(key) is not None and not isinstance(merged[key], str):
-            raise UsageError(f"{key} must be a string")
-    # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
-    for key, least in (("n", 1), ("horizon", 0)):
-        if type(merged[key]) is not int or merged[key] < least:
-            raise UsageError(f"{key} must be an integer >= {least}")
-    return merged
-
-
-def _run_scenario(scenario: dict) -> Trace:
-    universe = RobotUniverse(scenario["n"])
-    robogram = _resolve_robogram(scenario["robogram"])
-    init = scenario.get("init")
-    p0 = _parse_init("bivalent:0/1:1/1" if init is None else init, universe)
-    demon = _resolve_demon(scenario["demon"], universe, robogram, p0)
-    return execute_prefix(robogram, demon, p0, scenario["horizon"])
+def _check_run_size(n: int, horizon: int) -> None:
+    if n < 1:
+        raise UsageError("n must be an integer >= 1")
+    if horizon < 0:
+        raise UsageError("horizon must be an integer >= 0")
 
 
 def _write_trace_file(trace: Trace, path: str) -> None:
@@ -177,63 +149,24 @@ def _seed_from_env() -> int:
         raise UsageError(str(exc)) from exc
 
 
-def _run_scenario_to_file(scenario: dict) -> str:
-    trace = _run_scenario(scenario)
-    _write_trace_file(trace, scenario["out"])
-    return scenario["out"]
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    entries: list[dict]
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fp:
-                loaded = json.load(fp)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        entries = loaded if isinstance(loaded, list) else [loaded]
-        if not all(isinstance(e, dict) for e in entries):
-            raise UsageError("config must be a scenario object or a list of them")
-    else:
-        entries = [{}]
-    scenarios = [_merge_scenario(args, entry) for entry in entries]
-
-    if len(scenarios) > 1:
-        if any(not s.get("out") for s in scenarios):
-            raise UsageError("every scenario in a batch config needs its own 'out' path")
-        if len({s["out"] for s in scenarios}) != len(scenarios):
-            raise UsageError("batch scenarios must write to distinct 'out' paths")
-        for s in scenarios:
-            _check_writable(s["out"])
-        if args.jobs > 1:
-            # Imported here: it pulls in multiprocessing, which no other
-            # command needs, and every invocation pays for module imports.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for path in pool.map(_run_scenario_to_file, scenarios):
-                    print(path)
-        else:
-            for scenario in scenarios:
-                print(_run_scenario_to_file(scenario))
-        return 0
-
-    scenario = scenarios[0]
-    if scenario.get("out"):
-        _check_writable(scenario["out"])
-    trace = _run_scenario(scenario)
-    if scenario.get("out"):
-        _write_trace_file(trace, scenario["out"])
+    _check_run_size(args.n, args.horizon)
+    if args.out:
+        _check_writable(args.out)
+    universe = RobotUniverse(args.n)
+    robogram = _resolve_robogram(args.robogram)
+    p0 = _parse_init(args.init, universe)
+    demon = _resolve_demon(args.demon, universe, robogram, p0)
+    trace = execute_prefix(robogram, demon, p0, args.horizon)
+    if args.out:
+        _write_trace_file(trace, args.out)
     else:
         write_trace(trace, sys.stdout)
     return 0
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
-    if args.n is None or args.n < 1:
-        raise UsageError("n must be an integer >= 1")
-    if args.horizon is None or args.horizon < 0:
-        raise UsageError("horizon must be an integer >= 0")
+    _check_run_size(args.n, args.horizon)
     robogram = _resolve_robogram(args.robogram)
     if args.out:
         _check_writable(args.out)
@@ -301,7 +234,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_invariance(args: argparse.Namespace) -> int:
-    if args.samples is None or args.samples < 1:
+    if args.samples < 1:
         raise UsageError("samples must be >= 1")
     robogram = _resolve_robogram(args.robogram)
     seed = _seed_from_env() if args.seed is None else args.seed
@@ -338,14 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a robogram against a demon, write a trace")
-    sim.add_argument("--robogram")
-    sim.add_argument("--demon")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--init", help="bivalent:<num/den>:<num/den> or JSON id->scalar map")
-    sim.add_argument("--horizon", type=int)
+    sim.add_argument("--robogram", required=True)
+    sim.add_argument("--demon", required=True)
+    sim.add_argument("--n", type=int, required=True)
+    sim.add_argument("--init", default="bivalent:0/1:1/1",
+                     help="bivalent:<num/den>:<num/den> or JSON id->scalar map")
+    sim.add_argument("--horizon", type=int, required=True)
     sim.add_argument("--out", help="trace output path (default: stdout)")
-    sim.add_argument("--config", help="JSON scenario (or list of scenarios); flags win")
-    sim.add_argument("--jobs", type=int, default=1, help="parallel workers for batch configs")
     sim.set_defaults(func=cmd_simulate)
 
     adv = sub.add_parser("adversary", help="run the gathering-defeating demon and certify")

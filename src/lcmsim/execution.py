@@ -234,7 +234,8 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError("empty trace file") from None
     try:
         header = json.loads(first)
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(f"header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise TraceFormatError("header must be a JSON object")
@@ -254,7 +255,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceFormatError(f"line {lineno + 1} is not JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno + 1} must be a JSON object")

@@ -91,10 +91,15 @@ def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fra
     return as_scalar(out)
 
 
-def check_invariance(robogram: Robogram, p: Position, sigma: tuple[int, ...]) -> bool:
+def check_invariance(
+    robogram: Robogram, p: Position, sigma: tuple[int, ...], destination: Fraction | None = None
+) -> bool:
     """True iff renaming the robots by `sigma`, a tuple of robot places (see
-    `permute_position`), leaves the destination unchanged."""
-    return evaluate(robogram, p) == evaluate(robogram, permute_position(p, sigma))
+    `permute_position`), leaves the destination unchanged.  A caller that
+    already holds `evaluate(robogram, p)` passes it as `destination`."""
+    if destination is None:
+        destination = evaluate(robogram, p)
+    return destination == evaluate(robogram, permute_position(p, sigma))
 
 
 def spectrum_robogram(name: str, fn: Callable[[Spectrum], Fraction]) -> Robogram:

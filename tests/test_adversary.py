@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcmsim.adversary import (
     ALTERNATING,
+    INVARIANCE_PRECHECK_SAMPLES,
     SWAP_FSYNC,
     DegenerateInitial,
     _balanced_bivalent,
@@ -31,9 +32,11 @@ from lcmsim.demons import DemonicAction, check_kfair
 from lcmsim.execution import execute_prefix
 from lcmsim.properties import check_will_gather
 from lcmsim.robograms import (
+    BUILTIN_SELECTORS,
     broken_id_leak,
     center_of_mass,
     convex,
+    raw_robogram,
     resolve_robogram,
     spectrum_robogram,
     stay,
@@ -218,6 +221,40 @@ def test_run_impossibility_flags_identity_leaks():
     payload = report.to_json_dict()
     assert payload["invariance_ok"] is False
     assert payload["certified"] is False
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_the_invariance_screen_passes_every_builtin_but_the_leak(n):
+    selectors = [s for s in BUILTIN_SELECTORS if "<" not in s] + ["convex:1/3"]
+    for selector in selectors:
+        report = run_impossibility(resolve_robogram(selector), n, 0)
+        assert report.invariance_ok == (selector != "broken-id-leak"), selector
+
+
+def test_the_invariance_screen_evaluates_the_unrenamed_view_once():
+    calls = []
+
+    def counted(view):
+        calls.append(view)
+        return center_of_mass.algo(view)
+
+    run_impossibility(spectrum_robogram("counted", counted), 2, 0)
+    # The probe evaluates the canonical view; the screen only its renamings.
+    assert len(calls) == 1 + INVARIANCE_PRECHECK_SAMPLES
+
+
+def test_the_invariance_screen_stops_at_the_first_failing_renaming():
+    calls = []
+
+    def counted(position):
+        calls.append(position)
+        return broken_id_leak.algo(position)
+
+    report = run_impossibility(raw_robogram("counted-leak", counted), 2, 0, seed=0)
+    assert not report.invariance_ok
+    # The screen draws renamings until the first that moves L0 off its
+    # pile, half of all renamings; it does not evaluate the rest.
+    assert 1 < len(calls) < 1 + INVARIANCE_PRECHECK_SAMPLES
 
 
 @pytest.mark.parametrize("n", [1, 3])

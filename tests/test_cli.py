@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -87,6 +88,9 @@ def test_simulate_accepts_json_init(capsys):
         ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "1", "--init", "bivalent:0.5:1"),
         ("simulate", "--robogram", "stay", "--demon", "fsync", "--horizon", "1"),
         ("simulate", "--robogram", "stay", "--demon", "adversary", "--n", "1", "--horizon", "1", "--init", '{"L0": "0/1", "R0": "0/1"}'),
+        ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "true", "--horizon", "1"),
+        ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "true"),
+        ("simulate", "--robogram", "stay", "--n", "1", "--horizon", "1"),
     ],
 )
 def test_simulate_usage_errors_exit_2(capsys, argv):
@@ -106,68 +110,6 @@ def test_simulate_adversary_demon_selector(capsys):
     assert header["demon"] == "adversary-alternating"
     last = json.loads(lines[-1])
     assert last["post"] == {"L0": "1/2", "R0": "3/4"}
-
-
-def test_simulate_config_file_with_flag_override(tmp_path, capsys):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({
-        "robogram": "center-of-mass",
-        "demon": "fsync",
-        "n": 1,
-        "horizon": 5,
-    }))
-    code, out, _ = _run(capsys, "simulate", "--config", str(config), "--horizon", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + the overriding 2 rounds
-
-
-def test_simulate_config_unknown_key_rejected(tmp_path, capsys):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"robogram": "stay", "demon": "fsync", "n": 1,
-                                  "horizon": 1, "speed": 9}))
-    code, _, err = _run(capsys, "simulate", "--config", str(config))
-    assert code == 2 and "speed" in err
-
-
-def test_simulate_batch_config(tmp_path, capsys):
-    entries = [
-        {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 2,
-         "out": str(tmp_path / "a.jsonl")},
-        {"robogram": "to-max", "demon": "round-robin:1/1", "n": 2, "horizon": 4,
-         "out": str(tmp_path / "b.jsonl")},
-    ]
-    config = tmp_path / "batch.json"
-    config.write_text(json.dumps(entries))
-    code, out, _ = _run(capsys, "simulate", "--config", str(config))
-    assert code == 0
-    assert read_trace_file(str(tmp_path / "a.jsonl")).horizon == 2
-    assert read_trace_file(str(tmp_path / "b.jsonl")).robogram_name == "to-max"
-
-    # same thing in parallel
-    for path in ("a.jsonl", "b.jsonl"):
-        (tmp_path / path).unlink()
-    code, *_ = _run(capsys, "simulate", "--config", str(config), "--jobs", "2")
-    assert code == 0
-    assert read_trace_file(str(tmp_path / "a.jsonl")).horizon == 2
-    assert read_trace_file(str(tmp_path / "b.jsonl")).horizon == 4
-
-
-def test_simulate_batch_requires_distinct_out_paths(tmp_path, capsys):
-    shared = str(tmp_path / "same.jsonl")
-    entries = [
-        {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1, "out": shared},
-        {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 2, "out": shared},
-    ]
-    config = tmp_path / "batch.json"
-    config.write_text(json.dumps(entries))
-    code, _, err = _run(capsys, "simulate", "--config", str(config))
-    assert code == 2
-
-    entries[1].pop("out")
-    config.write_text(json.dumps(entries))
-    code, _, err = _run(capsys, "simulate", "--config", str(config))
-    assert code == 2
 
 
 def test_adversary_certifies_and_writes_trace(tmp_path, capsys):
@@ -345,51 +287,21 @@ def _one_line(err):
     return len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", ["n", "horizon"])
-def test_simulate_config_rejects_json_booleans_for_integers(tmp_path, capsys, key):
-    scenario = {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1}
-    scenario[key] = True
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(scenario))
-    code, out, err = _run(capsys, "simulate", "--config", str(config))
-    assert code == 2 and not out
-    assert _one_line(err) and f"{key} must be an integer" in err
-
-
-_STAY = {"robogram": "stay", "demon": "fsync", "n": 1, "horizon": 1}
-
-
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        ({**_STAY, "robogram": 5}, "robogram must be a string"),
-        ({**_STAY, "demon": ["fsync"]}, "demon must be a string"),
-        ({**_STAY, "init": {"L0": None, "R0": "1/1"}}, "bad initial position"),
-        ([{**_STAY, "out": ["a"]}, {**_STAY, "out": "b"}], "out must be a string"),
-        # an int is not taken for a file descriptor
-        ({**_STAY, "out": 7}, "out must be a string"),
-        # a falsy init is refused, not replaced by the default piles
-        ({**_STAY, "init": {}}, "bad initial position"),
-        ({**_STAY, "init": ""}, "bad initial position"),
-        ({**_STAY, "init": 0}, "initial position must be"),
-        ({**_STAY, "init": False}, "initial position must be"),
-        ({**_STAY, "init": []}, "initial position must be"),
-    ],
-)
-def test_simulate_config_rejects_settings_of_the_wrong_type(tmp_path, capsys, config, message):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(config))
-    code, out, err = _run(capsys, "simulate", "--config", str(path))
-    assert code == 2 and not out
-    assert _one_line(err) and message in err
-
-
 @pytest.mark.parametrize(
     "flags, message",
     [
         (("--init", '{"L0": 1, "R0": 2}'), "bad initial position"),
         (("--demon", "round-robin:abc"), "bad round-robin selector"),
         (("--init", ""), "bad initial position"),
+        (("--init", '{"L0": null, "R0": "1/1"}'), "bad initial position"),
+        # a falsy init is refused, not replaced by the default piles
+        (("--init", "{}"), "bad initial position"),
+        (("--init", "0"), "initial position must be"),
+        (("--init", "false"), "initial position must be"),
+        (("--init", "[]"), "initial position must be"),
+        # JSON nested past the recursion limit, and an integer past the digit limit
+        (("--init", "[" * 5000 + "]" * 5000), "bad initial position"),
+        (("--init", '{"L0": ' + "1" * 5000 + ', "R0": "1/1"}'), "bad initial position"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):
@@ -406,9 +318,14 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         "--n", "1", "--horizon", "2", "--out", str(out_path),
     )
     text = out_path.read_text()
+    deep, long = "[" * 200000 + "]" * 200000, "1" * 5000
     for mangled, needle in (
         (text.replace('"n": 1', '"n": true'), "header n"),
         (text.replace('"round": 0', '"round": false'), "round must be an integer"),
+        (text.replace('"n": 1', f'"n": {deep}'), "header is not JSON"),
+        (text.replace('"n": 1', f'"n": {long}'), "header is not JSON"),
+        (text.replace('"round": 0', f'"round": {deep}'), "line 2 is not JSON"),
+        (text.replace('"round": 0', f'"round": {long}'), "line 2 is not JSON"),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(mangled)
@@ -520,6 +437,12 @@ def test_argparse_failures_map_to_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_simulate_takes_exactly_six_flags(capsys):
+    assert main(["simulate", "--help"]) == 0
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert flags == {"--help", "--robogram", "--demon", "--n", "--init", "--horizon", "--out"}
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -536,8 +459,9 @@ def test_console_script_entry_point():
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():
-    # Only `simulate --config ... --jobs N>1` needs concurrent.futures (and
-    # the multiprocessing it pulls in); every other invocation skips them.
+    # No command runs a process pool, so importing the CLI must not pull in
+    # concurrent.futures or multiprocessing: every invocation pays for its
+    # module imports.
     code = (
         "import sys, lcmsim.cli\n"
         "lcmsim.cli.build_parser()\n"
