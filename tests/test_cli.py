@@ -299,6 +299,7 @@ def _one_line(err):
         (("--init", "0"), "initial position must be"),
         (("--init", "false"), "initial position must be"),
         (("--init", "[]"), "initial position must be"),
+        (("--init", '""'), "initial position must be"),
         # JSON nested past the recursion limit, and an integer past the digit limit
         (("--init", "[" * 5000 + "]" * 5000), "bad initial position"),
         (("--init", '{"L0": ' + "1" * 5000 + ', "R0": "1/1"}'), "bad initial position"),
