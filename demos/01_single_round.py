@@ -56,7 +56,7 @@ for robot, where in p1.items():
 
 # Under a fully synchronous scheduler, center-of-mass gathers immediately:
 # every robot computes the same global point.
-fsync = make_fsync(lambda p: {r: 1 for r in p.universe.robots})
+fsync = make_fsync(universe)
 trace = execute_prefix(center_of_mass, fsync, p0, 3)
 print("\nfully synchronous run from the same start:")
 for index, position in enumerate(trace.positions()):

@@ -32,7 +32,7 @@ BUILTINS = ("stay", "center-of-mass", "to-other-occupied", "to-max", "to-min", "
 
 print("first-move probes (piles at 0 and 1, n=3):")
 for name in BUILTINS:
-    probe = probe_first_move(resolve_robogram(name), 3)
+    probe = probe_first_move(resolve_robogram(name), RobotUniverse(3))
     print(f"  {name:<18} delta={format_scalar(probe.delta):>5}  branch={probe.branch}")
 
 print("\ncertification runs, horizon 300:")

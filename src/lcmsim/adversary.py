@@ -38,7 +38,7 @@ from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
 from .properties import GatherVerdict, check_always_split, check_will_gather
 from .robograms import Robogram, check_invariance, evaluate
-from .sampling import default_seed, random_permutation
+from .sampling import random_permutation
 
 __all__ = [
     "ALTERNATING",
@@ -80,22 +80,13 @@ class FirstMoveProbe:
         return {"delta": format_scalar(self.delta), "branch": self.branch}
 
 
-def _as_universe(universe: RobotUniverse | int) -> RobotUniverse:
-    """The run's own universe, or a new one for a bare pile size.  Every
-    action and position of a run shares the run's one universe."""
-    if isinstance(universe, RobotUniverse):
-        return universe
-    return RobotUniverse(universe)
-
-
-def canonical_view(universe: RobotUniverse | int) -> Position:
+def canonical_view(universe: RobotUniverse) -> Position:
     """n robots on the observer's pile at 0 and n on the other pile at 1."""
-    universe = _as_universe(universe)
     universe.require_inhabited()
     return Position.from_piles(universe, 0, 1)
 
 
-def probe_first_move(robogram: Robogram, universe: RobotUniverse | int) -> FirstMoveProbe:
+def probe_first_move(robogram: Robogram, universe: RobotUniverse) -> FirstMoveProbe:
     return FirstMoveProbe(evaluate(robogram, canonical_view(universe)))
 
 
@@ -149,7 +140,7 @@ def make_alternating_demon(universe: RobotUniverse) -> Demon:
 
 def build_adversary_demon(
     robogram: Robogram,
-    universe: RobotUniverse | int,
+    universe: RobotUniverse,
     a: ScalarLike,
     b: ScalarLike,
     probe: FirstMoveProbe | None = None,
@@ -159,8 +150,6 @@ def build_adversary_demon(
     holds the robogram's `probe` passes it in so it is not run again."""
     if as_scalar(a) == as_scalar(b):
         raise DegenerateInitial("initial piles must occupy two distinct locations")
-    universe = _as_universe(universe)
-    universe.require_inhabited()
     if probe is None:
         probe = probe_first_move(robogram, universe)
     if probe.branch == SWAP_FSYNC:
@@ -224,22 +213,21 @@ def _balanced_bivalent(position: Position, n: int) -> bool:
 
 
 def run_impossibility(
-    robogram: Robogram, n: int, horizon: int, seed: int | None = None
+    robogram: Robogram, n: int, horizon: int, seed: int = 0
 ) -> ImpossibilityReport:
-    """Execute the adversary against `robogram` from piles at 0 and 1 and
-    certify the resulting trace."""
+    """Execute the adversary against `robogram` from piles at 0 and 1 (the
+    canonical view) and certify the resulting trace; `seed` drives the
+    invariance screen's renamings."""
     universe = RobotUniverse(n)
-    universe.require_inhabited()
-    p0 = Position.from_piles(universe, 0, 1)
+    p0 = canonical_view(universe)
     probe = probe_first_move(robogram, universe)
     demon = build_adversary_demon(robogram, universe, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
-    rng = random.Random(default_seed() if seed is None else seed)
-    view = canonical_view(universe)
-    # The probe already evaluated the unrenamed canonical view.
+    rng = random.Random(seed)
+    # The screen renames p0; the probe already evaluated it unrenamed.
     invariance_ok = all(
-        check_invariance(robogram, view, random_permutation(universe, rng), probe.delta)
+        check_invariance(robogram, p0, random_permutation(universe, rng), probe.delta)
         for _ in range(INVARIANCE_PRECHECK_SAMPLES)
     )
 

@@ -15,20 +15,14 @@ import random
 import sys
 
 from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
-from .core import (
-    Position,
-    RobotUniverse,
-    Side,
-    format_scalar,
-    parse_robot_id,
-    parse_scalar,
-)
+from .core import Position, RobotUniverse, Side, format_scalar, parse_scalar
 from .demons import Demon, check_kfair, make_fsync, make_random_kfair, make_round_robin
 from .execution import (
     ExecutionError,
     ReplayMismatchError,
     Trace,
     TraceFormatError,
+    _parse_row,
     execute_prefix,
     read_trace_file,
     replay,
@@ -61,7 +55,7 @@ def _resolve_robogram(selector: str) -> Robogram:
 def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p0: Position) -> Demon:
     sel = selector.strip()
     if sel == "fsync":
-        return make_fsync(lambda p: {r: 1 for r in p.universe.robots})
+        return make_fsync(universe)
     if sel.startswith("round-robin:"):
         try:
             factor = parse_scalar(sel.removeprefix("round-robin:"))
@@ -105,9 +99,10 @@ def _parse_init(text: str, universe: RobotUniverse) -> Position:
             return Position.from_piles(universe, parse_scalar(parts[1]), parse_scalar(parts[2]))
         raw = json.loads(text)
         if isinstance(raw, dict):
-            return Position(universe, {parse_robot_id(k): parse_scalar(v) for k, v in raw.items()})
-    # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
-    except (ValueError, TypeError, RecursionError) as exc:
+            return _parse_row(Position, universe, raw, "--init", {})
+    # ValueError: bad JSON, too many digits or a malformed map (TraceFormatError
+    # from the trace's own row reader); RecursionError: nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"bad initial position: {exc}") from exc
     raise UsageError("initial position must be bivalent:<a>:<b> or a JSON object id -> scalar")
 

@@ -37,7 +37,6 @@ __all__ = [
     "Spectrum",
     "as_scalar",
     "format_scalar",
-    "parse_robot_id",
     "parse_scalar",
     "permute_position",
     "spectrum",
@@ -47,7 +46,6 @@ ScalarLike = int | str | Fraction
 _T = TypeVar("_T", bound="_Table")
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_ROBOT_ID_RE = re.compile(r"^([LR])(\d+)$")
 
 
 class EmptyUniverse(ValueError):
@@ -150,13 +148,6 @@ class RobotId:
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
-
-
-def parse_robot_id(text: str) -> RobotId:
-    m = _ROBOT_ID_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"invalid robot id {text!r}: expected L<index> or R<index>")
-    return RobotId(Side(m.group(1)), int(m.group(2)))
 
 
 @dataclass(frozen=True)

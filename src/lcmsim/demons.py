@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Position,
@@ -43,24 +43,17 @@ __all__ = [
     "UNKNOWN",
     "VIOLATED",
     "Verdict",
-    "ZeroFactorFromPolicy",
     "check_between",
     "check_kfair",
     "make_fsync",
     "make_random_kfair",
     "make_round_robin",
-    "make_scripted",
 ]
 
 PROVEN = "proven"
 VIOLATED = "violated"
 NO_VIOLATION = "no-violation-up-to"
 UNKNOWN = "unknown"
-
-
-class ZeroFactorFromPolicy(RuntimeError):
-    """A fully-synchronous demon's factor policy returned 0 for some robot,
-    breaking the construction contract (FSYNC activates everyone)."""
 
 
 class DemonicAction(_Table):
@@ -152,21 +145,16 @@ class Verdict:
         return out
 
 
-def make_fsync(
-    factor_policy: Callable[[Position], Mapping[RobotId, ScalarLike]],
-    name: str = "fsync",
-) -> Demon:
-    """Fully synchronous demon: every robot is activated every round, with
-    factors chosen by `factor_policy` from the current position."""
+def make_fsync(universe: RobotUniverse) -> Demon:
+    """Fully synchronous demon: every robot is activated every round with
+    factor 1, by one action built once."""
+    universe.require_inhabited()
+    action = DemonicAction._table(universe, (Fraction(1),), (0,) * universe.m)
 
     def step(round_index: int, position: Position) -> DemonicAction:
-        action = DemonicAction(position.universe, factor_policy(position))
-        if 0 in action.points:
-            r = position.universe.robots[action.slots.index(action.points.index(0))]
-            raise ZeroFactorFromPolicy(f"factor policy returned 0 for {r} at round {round_index}")
         return action
 
-    return Demon(name, step)
+    return Demon("fsync", step)
 
 
 def make_round_robin(universe: RobotUniverse, factor: ScalarLike) -> Demon:
@@ -183,23 +171,6 @@ def make_round_robin(universe: RobotUniverse, factor: ScalarLike) -> Demon:
         return DemonicAction._table(universe, *tabulate_keys(active, by_flag))
 
     return Demon(f"round-robin:{format_scalar(f)}", step)
-
-
-def make_scripted(
-    universe: RobotUniverse,
-    schedule: Sequence[Mapping[RobotId, ScalarLike]],
-    name: str = "scripted",
-) -> Demon:
-    """Replay a fixed, position-independent frame schedule, cycling past the
-    end so the demon stays total."""
-    if not schedule:
-        raise ValueError("scripted demon needs a nonempty schedule")
-    actions = [DemonicAction(universe, dict(frames)) for frames in schedule]
-
-    def step(round_index: int, position: Position) -> DemonicAction:
-        return actions[round_index % len(actions)]
-
-    return Demon(name, step)
 
 
 def make_random_kfair(

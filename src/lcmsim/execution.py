@@ -10,9 +10,10 @@ Traces persist as JSONL: a header line (robogram, demon, pile size, initial
 position) followed by one line per round with the frame-factor map and the
 post-round position.  Scalars are "num/den" strings and robot ids "L<i>" /
 "R<i>".  Positions and actions are both occupancy tables, written and read
-back by one pair of functions.  Only post-positions are stored;
-pre-positions are recovered by chaining, and `replay` re-derives every
-round to certify a file.
+back by one pair of functions.  The reader accepts only the canonical ids
+(no sign, space or leading zero) and also reads `simulate --init` maps.
+Only post-positions are stored; pre-positions are recovered by chaining,
+and `replay` re-derives every round to certify a file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     RobotUniverse,
     Similarity,
     format_scalar,
-    parse_robot_id,
     parse_scalar,
     spectrum,
     tabulate_keys,
@@ -195,32 +195,31 @@ def write_trace_file(trace: Trace, path: str) -> None:
 
 
 def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, shared: dict) -> _T:
-    """One row's id -> "num/den" map as a `cls` table (a Position or a
-    DemonicAction): texts equal in value ("1/2", "2/4") share a point, and
-    each distinct text is parsed once, in order of its first robot.  Rows
-    of one trace share equal slot tuples through `shared`; a bivalent run
-    has only a few slot patterns.  Raises TraceFormatError unless the map
-    covers the universe exactly."""
+    """One id -> "num/den" map, a trace row or a `simulate --init` map, as a
+    `cls` table (a Position or a DemonicAction).  The keys must be exactly
+    the universe's canonical names ("L0", not "L00" or " L0 ").  Texts equal
+    in value ("1/2", "2/4") share a point, and each distinct text is parsed
+    once, in order of its first robot.  Rows of one trace share equal slot
+    tuples through `shared`; a bivalent run has only a few slot patterns.
+    Raises TraceFormatError on any defect: the size is checked first, then
+    every id, then the texts."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
     # the universe build its ids.
     if len(raw) != universe.m:
         raise TraceFormatError(f"{what} does not cover the universe exactly")
-    # Known names map straight to places (no regex, no new objects); anything
-    # else goes through parse_robot_id, for its error message.
     names = universe.places_by_name
+    # The keys of a JSON object are distinct, so m known names cover the universe.
+    if raw.keys() != names.keys():
+        key = next(k for k in raw if k not in names)
+        raise TraceFormatError(
+            f"{what} has unknown robot id {key!r}: expected L<i> or R<i>"
+            f" with 0 <= i < {universe.pile_size}, no sign, space or leading zero"
+        )
     try:
-        by_place = {
-            names[key] if key in names else universe.places.get(parse_robot_id(key)): text
-            for key, text in raw.items()
-        }
-        # A foreign or repeated id leaves a place out: its lookup raises
-        # KeyError, before any text is parsed.
-        points, slots = tabulate_keys(map(by_place.__getitem__, range(universe.m)), parse_scalar)
-    except KeyError:
-        raise TraceFormatError(f"{what} does not cover the universe exactly") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+        points, slots = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
+    except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"bad {what}: {exc}") from exc
     return cls._table(universe, points, shared.setdefault(slots, slots))
 

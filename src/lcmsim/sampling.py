@@ -2,8 +2,8 @@
 
 Used by the invariance screening (CLI and the adversary's pre-check) and by
 the test suite.  Everything is driven by an explicit `random.Random`, so runs
-are reproducible; the LCM_SEED environment variable overrides the default
-seed where one applies.
+are reproducible.  `default_seed` reads the LCM_SEED environment variable;
+only the CLI calls it, and the library takes every seed as an argument.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .core import Position, RobotUniverse
 
 __all__ = [
     "default_seed",
-    "random_nonzero_scalar",
     "random_permutation",
     "random_position",
     "random_scalar",
@@ -35,13 +34,6 @@ def default_seed() -> int:
 
 def random_scalar(rng: random.Random, max_abs: int = 8, max_den: int = 6) -> Fraction:
     return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
-
-
-def random_nonzero_scalar(rng: random.Random, max_abs: int = 8, max_den: int = 6) -> Fraction:
-    while True:
-        q = random_scalar(rng, max_abs, max_den)
-        if q != 0:
-            return q
 
 
 def random_position(

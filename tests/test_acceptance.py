@@ -22,7 +22,6 @@ from lcmsim.demons import (
     Verdict,
     check_kfair,
     make_random_kfair,
-    make_scripted,
 )
 from lcmsim.execution import execute_prefix, read_trace, replay, write_trace
 from lcmsim.properties import (
@@ -34,11 +33,12 @@ from lcmsim.properties import (
 from lcmsim.robograms import broken_id_leak, check_invariance, resolve_robogram
 from lcmsim.sampling import (
     default_seed,
-    random_nonzero_scalar,
     random_permutation,
     random_position,
     random_scalar,
 )
+
+from helpers import make_scripted, random_nonzero_scalar
 
 ROBOGRAM_NAMES = (
     "stay",

@@ -86,11 +86,11 @@ def test_canonical_factors_match_the_per_robot_definition(position, sides):
 
 
 def test_canonical_view_shape():
-    view = canonical_view(3)
+    view = canonical_view(RobotUniverse(3))
     assert view.pile_location(Side.LEFT) == Fraction(0)
     assert view.pile_location(Side.RIGHT) == Fraction(1)
     with pytest.raises(EmptyUniverse):
-        canonical_view(0)
+        canonical_view(RobotUniverse(0))
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_canonical_view_shape():
 )
 def test_probe_values_and_branches(robogram, delta, branch):
     for n in (1, 3):
-        probe = probe_first_move(robogram, n)
+        probe = probe_first_move(robogram, RobotUniverse(n))
         assert probe.delta == delta
         assert probe.branch == branch
         assert probe.to_json_dict()["branch"] == branch
@@ -168,10 +168,11 @@ def test_alternating_demon_survives_degenerate_positions():
 
 
 def test_build_adversary_demon_picks_the_probe_branch():
-    assert build_adversary_demon(to_max, 2, 0, 1).name == "adversary-swap-fsync"
-    assert build_adversary_demon(center_of_mass, 2, 0, 1).name == "adversary-alternating"
+    u = RobotUniverse(2)
+    assert build_adversary_demon(to_max, u, 0, 1).name == "adversary-swap-fsync"
+    assert build_adversary_demon(center_of_mass, u, 0, 1).name == "adversary-alternating"
     with pytest.raises(DegenerateInitial):
-        build_adversary_demon(center_of_mass, 2, "1/2", "2/4")
+        build_adversary_demon(center_of_mass, u, "1/2", "2/4")
 
 
 def test_wrong_branch_would_gather():

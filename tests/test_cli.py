@@ -303,6 +303,9 @@ def _one_line(err):
         # JSON nested past the recursion limit, and an integer past the digit limit
         (("--init", "[" * 5000 + "]" * 5000), "bad initial position"),
         (("--init", '{"L0": ' + "1" * 5000 + ', "R0": "1/1"}'), "bad initial position"),
+        # an off-format id is refused by name, not read as the robot it parses to
+        (("--init", '{"L01": "0", "R0": "1"}'), "bad initial position: --init has unknown robot id 'L01'"),
+        (("--init", '{" L0 ": "0", "R0": "1"}'), "bad initial position: --init has unknown robot id ' L0 '"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):
@@ -327,6 +330,9 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (text.replace('"n": 1', f'"n": {long}'), "header is not JSON"),
         (text.replace('"round": 0', f'"round": {deep}'), "line 2 is not JSON"),
         (text.replace('"round": 0', f'"round": {long}'), "line 2 is not JSON"),
+        # only canonical robot ids are read, and the refusal names the key
+        (text.replace('"L0"', '"L00"', 1), "p0 has unknown robot id 'L00'"),
+        (text.replace('"frames": {"L0"', '"frames": {" L0 "'), "frames has unknown robot id ' L0 '"),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(mangled)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsim.core import Position, RobotId, RobotUniverse, Side
+from lcmsim.core import EmptyUniverse, Position, RobotId, RobotUniverse, Side
 from lcmsim.demons import (
     NO_VIOLATION,
     PROVEN,
@@ -15,16 +15,16 @@ from lcmsim.demons import (
     VIOLATED,
     DemonicAction,
     Verdict,
-    ZeroFactorFromPolicy,
     check_between,
     check_kfair,
     make_fsync,
     make_random_kfair,
     make_round_robin,
-    make_scripted,
 )
 from lcmsim.execution import execute_prefix
 from lcmsim.robograms import stay
+
+from helpers import make_scripted
 
 
 def _action(universe, active, factor=1):
@@ -95,26 +95,31 @@ def test_all_zero_action_is_legal():
 
 def test_fsync_constant_policy_activates_everyone():
     u = RobotUniverse(2)
-    demon = make_fsync(lambda p: {r: 1 for r in p.universe.robots})
+    demon = make_fsync(u)
+    assert demon.name == "fsync"
     p = Position.from_piles(u, 0, 1)
+    first = demon.action(0, p)
+    assert first == DemonicAction(u, dict.fromkeys(u.robots, 1))
     for i in range(5):
-        action = demon.action(i, p)
+        action = demon.action(i, p.map_locations(lambda x: x + i))
+        # one action, built once, whatever the round and the position
+        assert action is first
         assert action.active_robots() == u.robots
         assert all(action.factor(r) == 1 for r in u.robots)
 
 
-def test_fsync_policy_returning_zero_is_a_contract_error():
-    u = RobotUniverse(1)
-    l0, r0 = u.robots
-    demon = make_fsync(lambda p: {l0: 1, r0: 0})
-    with pytest.raises(ZeroFactorFromPolicy, match=r"^factor policy returned 0 for R0 at round 0$"):
-        demon.action(0, Position.from_piles(u, 0, 1))
-    # the message names the first robot whose factor is 0, and the round
-    u = RobotUniverse(2)
-    l0, l1, r0, r1 = u.robots
-    demon = make_fsync(lambda p: {l0: 1, l1: "0/5", r0: 2, r1: 0})
-    with pytest.raises(ZeroFactorFromPolicy, match=r"^factor policy returned 0 for L1 at round 7$"):
-        demon.action(7, Position.from_piles(u, 0, 1))
+@pytest.mark.parametrize(
+    "factory",
+    [
+        make_fsync,
+        lambda u: make_round_robin(u, 1),
+        lambda u: make_random_kfair(u, 1, 1, 0),
+    ],
+    ids=["fsync", "round-robin", "random-kfair"],
+)
+def test_demon_factories_refuse_an_empty_universe(factory):
+    with pytest.raises(EmptyUniverse):
+        factory(RobotUniverse(0))
 
 
 def test_round_robin_cycles_left_pile_then_right():
@@ -182,7 +187,7 @@ def test_check_between_monotone_in_budget():
 
 def test_check_kfair_on_fsync_prefix_is_clean_at_zero():
     u = RobotUniverse(2)
-    demon = make_fsync(lambda p: {r: 1 for r in p.universe.robots})
+    demon = make_fsync(u)
     trace = execute_prefix(stay, demon, Position.from_piles(u, 0, 1), 20)
     assert check_kfair(trace.actions(), 0) == Verdict.no_violation_up_to(20)
     for g in u.robots:

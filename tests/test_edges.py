@@ -31,7 +31,6 @@ from lcmsim.demons import (
     make_fsync,
     make_random_kfair,
     make_round_robin,
-    make_scripted,
 )
 from lcmsim.execution import execute_prefix, read_trace, round_step, write_trace
 from lcmsim.robograms import (
@@ -44,10 +43,12 @@ from lcmsim.robograms import (
 )
 from lcmsim.sampling import random_permutation, random_position
 
+from helpers import make_scripted
+
 ROBOGRAMS = (center_of_mass, convex("1/3"), to_max, stay, to_other_occupied, broken_id_leak)
 
 DEMONS = {
-    "fsync": lambda u, seed: make_fsync(lambda p: {r: 1 for r in p.universe.robots}),
+    "fsync": lambda u, seed: make_fsync(u),
     "round-robin": lambda u, seed: make_round_robin(u, "1/2"),
     "scripted": lambda u, seed: make_scripted(
         u, [{r: i % 2 for i, r in enumerate(u.robots)}, dict.fromkeys(u.robots, "-2/3")]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lcmsim.core import EmptyUniverse, Position, RobotUniverse, parse_scalar
-from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair, make_scripted
+from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair
 from lcmsim.execution import (
     ExecutionError,
     ReplayMismatchError,
@@ -29,11 +29,9 @@ from lcmsim.robograms import (
     spectrum_robogram,
     stay,
 )
-from lcmsim.sampling import random_nonzero_scalar, random_position, random_scalar
+from lcmsim.sampling import random_position, random_scalar
 
-
-def _fsync1():
-    return make_fsync(lambda p: {r: 1 for r in p.universe.robots})
+from helpers import make_scripted, random_nonzero_scalar
 
 
 def _random_schedule(rng, universe, length):
@@ -90,11 +88,11 @@ def test_execute_prefix_validates_inputs():
     u = RobotUniverse(1)
     p = Position.from_piles(u, 0, 1)
     with pytest.raises(ValueError):
-        execute_prefix(stay, _fsync1(), p, -1)
+        execute_prefix(stay, make_fsync(u), p, -1)
     empty = Position(RobotUniverse(0), {})
     with pytest.raises(EmptyUniverse):
-        execute_prefix(stay, _fsync1(), empty, 1)
-    trace = execute_prefix(stay, _fsync1(), p, 0)
+        execute_prefix(stay, make_fsync(u), empty, 1)
+    trace = execute_prefix(stay, make_fsync(u), p, 0)
     assert trace.horizon == 0
     assert trace.positions() == (p,)
 
@@ -114,7 +112,7 @@ def test_execution_error_carries_round_index():
 
     bad = raw_robogram("bad-float", lambda view: 0.5)
     with pytest.raises(ExecutionError) as err:
-        execute_prefix(bad, _fsync1(), p, 5)
+        execute_prefix(bad, make_fsync(u), p, 5)
     assert err.value.round_index == 0
 
 
@@ -170,7 +168,7 @@ def test_trace_round_trip_through_text():
 
 def test_trace_file_round_trip(tmp_path):
     u = RobotUniverse(2)
-    trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 4)
+    trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 4)
     path = tmp_path / "trace.jsonl"
     write_trace_file(trace, str(path))
     assert read_trace_file(str(path)) == trace
@@ -187,7 +185,7 @@ def test_trace_file_round_trip(tmp_path):
 
 def test_read_trace_shares_one_universe():
     u = RobotUniverse(3)
-    trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 3)
+    trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 3)
     buffer = io.StringIO()
     write_trace(trace, buffer)
     again = read_trace(buffer.getvalue().splitlines())
@@ -232,7 +230,7 @@ def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch):
 
 def test_read_trace_skips_blank_lines():
     u = RobotUniverse(1)
-    trace = execute_prefix(stay, _fsync1(), Position.from_piles(u, 0, 1), 2)
+    trace = execute_prefix(stay, make_fsync(u), Position.from_piles(u, 0, 1), 2)
     buffer = io.StringIO()
     write_trace(trace, buffer)
     lines = buffer.getvalue().splitlines()
@@ -242,7 +240,7 @@ def test_read_trace_skips_blank_lines():
 
 def _valid_lines():
     u = RobotUniverse(1)
-    trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 2)
+    trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 2)
     buffer = io.StringIO()
     write_trace(trace, buffer)
     return buffer.getvalue().splitlines()
@@ -259,6 +257,8 @@ def _valid_lines():
         lambda lines: [lines[0].replace('"n": 1', '"n": 1.0')] + lines[1:],
         lambda lines: [lines[0].replace("0/1", "0.5")] + lines[1:],
         lambda lines: [lines[0].replace('"L0"', '"L9"')] + lines[1:],
+        lambda lines: [lines[0].replace('"L0"', '"L00"')] + lines[1:],
+        lambda lines: lines[:1] + [lines[1].replace('"L0"', '" L0 "', 1)],
         lambda lines: lines[:1] + ["not json"],
         lambda lines: lines[:1] + ['"scalar"'],
         lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": 1')],
@@ -277,7 +277,7 @@ def test_read_trace_rejects_malformed_input(mangle):
 
 def test_replay_certifies_and_detects_tampering():
     u = RobotUniverse(1)
-    trace = execute_prefix(center_of_mass, _fsync1(), Position.from_piles(u, 0, 1), 3)
+    trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 3)
     replay(trace, center_of_mass)
 
     buffer = io.StringIO()
@@ -309,10 +309,10 @@ def test_replay_wraps_robogram_failures_like_execute_prefix():
     # Under fsync the two robots meet after round 0, so round 1 fails.
     u = RobotUniverse(1)
     p0 = Position.from_piles(u, 0, 1)
-    trace = execute_prefix(center_of_mass, _fsync1(), p0, 3)
+    trace = execute_prefix(center_of_mass, make_fsync(u), p0, 3)
     for run in (
         lambda: replay(trace, _mean_until_gathered()),
-        lambda: execute_prefix(_mean_until_gathered(), _fsync1(), p0, 3),
+        lambda: execute_prefix(_mean_until_gathered(), make_fsync(u), p0, 3),
     ):
         with pytest.raises(ExecutionError) as err:
             run()
@@ -327,6 +327,6 @@ def test_a_robogram_that_mutates_its_view_fails_the_run():
 
     p0 = Position.from_piles(RobotUniverse(1), 0, 1)
     with pytest.raises(ExecutionError) as err:
-        execute_prefix(spectrum_robogram("grows", grows), _fsync1(), p0, 2)
+        execute_prefix(spectrum_robogram("grows", grows), make_fsync(p0.universe), p0, 2)
     assert err.value.round_index == 0
     assert isinstance(err.value.__cause__, TypeError)
