@@ -37,7 +37,7 @@ from .core import (
 from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
 from .properties import GatherVerdict, check_always_split, check_will_gather
-from .robograms import Robogram, check_invariance, evaluate
+from .robograms import SPECTRUM_BASED, Robogram, check_invariance, evaluate
 from .sampling import random_permutation
 
 __all__ = [
@@ -212,24 +212,27 @@ def _balanced_bivalent(position: Position, n: int) -> bool:
     return len(position.points) == 2 and position.slots.count(0) == n
 
 
-def run_impossibility(
-    robogram: Robogram, n: int, horizon: int, seed: int = 0
-) -> ImpossibilityReport:
+def run_impossibility(robogram: Robogram, n: int, horizon: int) -> ImpossibilityReport:
     """Execute the adversary against `robogram` from piles at 0 and 1 (the
-    canonical view) and certify the resulting trace; `seed` drives the
-    invariance screen's renamings."""
+    canonical view) and certify the resulting trace.  The invariance screen
+    renames p0, which the probe saw unrenamed: under any renaming a spectrum
+    robogram sees keys (0, 1) or (1, 0), so the pile swap decides it.  No
+    finite set of renamings decides a raw robogram; one that passes the swap
+    is also screened with fixed samples."""
     universe = RobotUniverse(n)
     p0 = canonical_view(universe)
     probe = probe_first_move(robogram, universe)
     demon = build_adversary_demon(robogram, universe, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
-    rng = random.Random(seed)
-    # The screen renames p0; the probe already evaluated it unrenamed.
-    invariance_ok = all(
-        check_invariance(robogram, p0, random_permutation(universe, rng), probe.delta)
-        for _ in range(INVARIANCE_PRECHECK_SAMPLES)
-    )
+    swap = tuple(range(n, 2 * n)) + tuple(range(n))  # each pile takes the other's names
+    invariance_ok = check_invariance(robogram, p0, swap, probe.delta)
+    if invariance_ok and robogram.kind != SPECTRUM_BASED:
+        rng = random.Random(0)
+        invariance_ok = all(
+            check_invariance(robogram, p0, random_permutation(universe, rng), probe.delta)
+            for _ in range(INVARIANCE_PRECHECK_SAMPLES)
+        )
 
     actions = trace.actions()
     fairness = {k: check_kfair(actions, k) for k in (0, 1)} if actions else {

@@ -36,7 +36,7 @@ from .robograms import (
     check_invariance,
     resolve_robogram,
 )
-from .sampling import default_seed, random_permutation, random_position
+from .sampling import random_permutation, random_position
 
 __all__ = ["main", "main_entry"]
 
@@ -137,13 +137,6 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _seed_from_env() -> int:
-    try:
-        return default_seed()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_run_size(args.n, args.horizon)
     if args.out:
@@ -165,7 +158,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     robogram = _resolve_robogram(args.robogram)
     if args.out:
         _check_writable(args.out)
-    report = run_impossibility(robogram, args.n, args.horizon, _seed_from_env())
+    report = run_impossibility(robogram, args.n, args.horizon)
     if args.out:
         _write_trace_file(report.trace, args.out)
     print(json.dumps(report.to_json_dict()))
@@ -232,8 +225,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise UsageError("samples must be >= 1")
     robogram = _resolve_robogram(args.robogram)
-    seed = _seed_from_env() if args.seed is None else args.seed
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     for i in range(args.samples):
         universe = RobotUniverse(rng.randint(1, 4))
         position = random_position(universe, rng)
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv = sub.add_parser("invariance", help="randomized permutation-invariance check")
     inv.add_argument("--robogram", required=True)
     inv.add_argument("--samples", type=int, default=1000)
-    inv.add_argument("--seed", type=int, help="defaults to LCM_SEED or 0")
+    inv.add_argument("--seed", type=int, default=0)
     inv.set_defaults(func=cmd_invariance)
 
     return parser

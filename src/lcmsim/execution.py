@@ -19,6 +19,7 @@ and `replay` re-derives every round to certify a file.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Iterator, TypeVar
@@ -220,7 +221,16 @@ def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, s
     try:
         points, slots = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
     except (ValueError, TypeError) as exc:
-        raise TraceFormatError(f"bad {what}: {exc}") from exc
+        # Only a refused map looks for a value that is not a string to name;
+        # `reprlib` bounds how much of a list or object is shown.
+        why = str(exc)
+        for name, value in raw.items():
+            if not isinstance(value, str):
+                container = isinstance(value, (list, dict))
+                shown = reprlib.repr(value) if container else json.dumps(value)
+                why = f"{name} has {shown}: expected a 'num/den' string"
+                break
+        raise TraceFormatError(f"bad {what}: {why}") from exc
     return cls._table(universe, points, shared.setdefault(slots, slots))
 
 
@@ -267,8 +277,11 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(
                 f"line {lineno + 1}: round index {row['round']} out of order"
             )
-        action = _parse_row(DemonicAction, universe, row["frames"], "frames", shared)
-        post = _parse_row(Position, universe, row["post"], "post", shared)
+        try:
+            action = _parse_row(DemonicAction, universe, row["frames"], "frames", shared)
+            post = _parse_row(Position, universe, row["post"], "post", shared)
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
         rounds.append(TraceRound(len(rounds), action, post))
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))

@@ -1,35 +1,23 @@
 """Seeded random generators for positions, scalars and robot renamings.
 
-Used by the invariance screening (CLI and the adversary's pre-check) and by
-the test suite.  Everything is driven by an explicit `random.Random`, so runs
-are reproducible.  `default_seed` reads the LCM_SEED environment variable;
-only the CLI calls it, and the library takes every seed as an argument.
+Used by the CLI's `invariance` command, the test suite, and the adversary's
+screen of a raw robogram that passes the pile swap; the screen of a spectrum
+robogram is exact and draws nothing.  Everything is driven by an explicit
+`random.Random`, so runs are reproducible.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
 from .core import Position, RobotUniverse
 
 __all__ = [
-    "default_seed",
     "random_permutation",
     "random_position",
     "random_scalar",
 ]
-
-
-def default_seed() -> int:
-    raw = os.environ.get("LCM_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LCM_SEED must be an integer, got {raw!r}") from None
 
 
 def random_scalar(rng: random.Random, max_abs: int = 8, max_den: int = 6) -> Fraction:

@@ -31,12 +31,7 @@ from lcmsim.properties import (
     split,
 )
 from lcmsim.robograms import broken_id_leak, check_invariance, resolve_robogram
-from lcmsim.sampling import (
-    default_seed,
-    random_permutation,
-    random_position,
-    random_scalar,
-)
+from lcmsim.sampling import random_permutation, random_position, random_scalar
 
 from helpers import make_scripted, random_nonzero_scalar
 
@@ -79,7 +74,7 @@ def battery(emitted):
 
 @pytest.fixture(scope="session")
 def fair_traces(emitted):
-    rng = random.Random(default_seed() + 2)
+    rng = random.Random(2)
     traces = []
     for i in range(100):
         universe = RobotUniverse(rng.randint(1, 3))
@@ -94,7 +89,7 @@ def fair_traces(emitted):
 
 @pytest.fixture(scope="session")
 def random_scheduler_traces(emitted):
-    rng = random.Random(default_seed() + 5)
+    rng = random.Random(5)
     traces = []
     for i in range(200):
         universe = RobotUniverse(rng.randint(1, 3))
@@ -207,7 +202,7 @@ def test_criterion_5_mutual_exclusion(battery, emitted, random_scheduler_traces)
         if split_clean and gathered:
             failures.append(f"{label}: split-clean and gathered")
 
-    rng = random.Random(default_seed() + 55)
+    rng = random.Random(55)
     for _ in range(10_000):
         universe = RobotUniverse(rng.randint(1, 4))
         position = random_position(universe, rng, max_abs=2, max_den=2)
@@ -222,7 +217,7 @@ def test_criterion_5_mutual_exclusion(battery, emitted, random_scheduler_traces)
 
 def test_criterion_6_invariance():
     failures = []
-    rng = random.Random(default_seed() + 6)
+    rng = random.Random(6)
     for name in ROBOGRAM_NAMES:
         robogram = resolve_robogram(name)
         for _ in range(1000):
@@ -253,7 +248,7 @@ def test_criterion_6_invariance():
 
 def test_criterion_7_execution_equivariance():
     failures = []
-    rng = random.Random(default_seed() + 7)
+    rng = random.Random(7)
     for i in range(100):
         universe = RobotUniverse(rng.randint(1, 3))
         robogram = resolve_robogram(rng.choice(ROBOGRAM_NAMES))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lcmsim.adversary import (
     ALTERNATING,
-    INVARIANCE_PRECHECK_SAMPLES,
     SWAP_FSYNC,
     DegenerateInitial,
     _balanced_bivalent,
@@ -23,6 +22,7 @@ from lcmsim.adversary import (
 from lcmsim.core import (
     EmptyUniverse,
     Position,
+    RobotId,
     RobotUniverse,
     Side,
     Similarity,
@@ -35,6 +35,7 @@ from lcmsim.robograms import (
     BUILTIN_SELECTORS,
     broken_id_leak,
     center_of_mass,
+    check_invariance,
     convex,
     raw_robogram,
     resolve_robogram,
@@ -224,12 +225,29 @@ def test_run_impossibility_flags_identity_leaks():
     assert payload["certified"] is False
 
 
+FIRST_KEY = spectrum_robogram("first-key", lambda view: next(iter(view)))
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_the_invariance_screen_passes_every_builtin_but_the_leak(n):
-    selectors = [s for s in BUILTIN_SELECTORS if "<" not in s] + ["convex:1/3"]
-    for selector in selectors:
-        report = run_impossibility(resolve_robogram(selector), n, 0)
-        assert report.invariance_ok == (selector != "broken-id-leak"), selector
+    # FIRST_KEY reads key order, so like broken-id-leak it sees L0's pile.
+    selectors = [s for s in BUILTIN_SELECTORS if "<" not in s]
+    selectors += ["convex:1/3", "convex:2/1", "convex:-1/2"]
+    for robogram in [resolve_robogram(s) for s in selectors] + [FIRST_KEY]:
+        report = run_impossibility(robogram, n, 0)
+        assert report.invariance_ok == (robogram not in (broken_id_leak, FIRST_KEY)), robogram
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_a_raw_robogram_that_passes_the_pile_swap_is_still_sampled(n):
+    # L0 and L1 share a pile in the canonical view and after the swap, so
+    # only a renaming that splits them shows the leak.
+    gap = raw_robogram(
+        "gap", lambda p: p[RobotId(Side.LEFT, 0)] - p[RobotId(Side.LEFT, 1)]
+    )
+    p0 = canonical_view(RobotUniverse(n))
+    assert check_invariance(gap, p0, tuple(range(n, 2 * n)) + tuple(range(n)))
+    assert not run_impossibility(gap, n, 0).invariance_ok
 
 
 def test_the_invariance_screen_evaluates_the_unrenamed_view_once():
@@ -240,8 +258,9 @@ def test_the_invariance_screen_evaluates_the_unrenamed_view_once():
         return center_of_mass.algo(view)
 
     run_impossibility(spectrum_robogram("counted", counted), 2, 0)
-    # The probe evaluates the canonical view; the screen only its renamings.
-    assert len(calls) == 1 + INVARIANCE_PRECHECK_SAMPLES
+    # The probe evaluates the canonical view; the screen only its pile swap,
+    # which decides it for a spectrum robogram.
+    assert len(calls) == 1 + 1
 
 
 def test_the_invariance_screen_stops_at_the_first_failing_renaming():
@@ -251,11 +270,11 @@ def test_the_invariance_screen_stops_at_the_first_failing_renaming():
         calls.append(position)
         return broken_id_leak.algo(position)
 
-    report = run_impossibility(raw_robogram("counted-leak", counted), 2, 0, seed=0)
+    report = run_impossibility(raw_robogram("counted-leak", counted), 2, 0)
     assert not report.invariance_ok
-    # The screen draws renamings until the first that moves L0 off its
-    # pile, half of all renamings; it does not evaluate the rest.
-    assert 1 < len(calls) < 1 + INVARIANCE_PRECHECK_SAMPLES
+    # The pile swap, the first renaming, moves L0 onto the other pile, so
+    # the screen fails there and draws no sample.
+    assert len(calls) == 1 + 1
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -263,8 +282,7 @@ def test_a_spectrum_robogram_that_reads_key_order_is_screened_and_not_certified(
     # A spectrum lists its locations in order of their first robot, so the
     # first key is L0's point: reading it leaks a name, and the screen runs
     # for spectrum robograms too.
-    first_key = spectrum_robogram("first-key", lambda view: next(iter(view)))
-    payload = run_impossibility(first_key, n, 6).to_json_dict()
+    payload = run_impossibility(FIRST_KEY, n, 6).to_json_dict()
     assert payload["invariance_ok"] is False
     assert payload["split"] == {"verdict": "violated", "round": 2}
     assert payload["gather"] == {

@@ -30,8 +30,8 @@ def _text(trace) -> str:
 # Both adversary branches and a gathering run, so every verdict kind occurs.
 _ONE = RobotUniverse(1)
 BASES = (
-    _text(run_impossibility(center_of_mass, 2, 4, 0).trace),
-    _text(run_impossibility(to_max, 1, 3, 0).trace),
+    _text(run_impossibility(center_of_mass, 2, 4).trace),
+    _text(run_impossibility(to_max, 1, 3).trace),
     _text(execute_prefix(center_of_mass, make_fsync(_ONE), Position.from_piles(_ONE, 0, 1), 3)),
 )
 PROPERTIES = ("kfair:1", "always-split", "will-gather")
