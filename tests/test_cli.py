@@ -359,13 +359,13 @@ def test_check_rejects_non_utf8_trace(tmp_path, capsys):
     assert _one_line(err) and "not UTF-8" in err
 
 
-def test_lcm_seed_no_longer_changes_any_output(capsys, monkeypatch):
-    # The adversary's screen draws from a fixed seed and `invariance --seed`
-    # defaults to 0, so no environment variable reaches a report.
+def test_bad_lcm_seed_is_ignored(capsys, monkeypatch):
+    # The adversary's screen draws from a fixed seed, so no environment
+    # variable reaches its report, and a non-integer LCM_SEED is no error.
     runs = (
         ("adversary", "--robogram", "broken-id-leak", "--n", "3", "--horizon", "4"),
         ("adversary", "--robogram", "center-of-mass", "--n", "3", "--horizon", "4"),
-        ("invariance", "--robogram", "broken-id-leak", "--samples", "50"),
+        ("invariance", "--robogram", "stay", "--samples", "2"),
     )
     monkeypatch.delenv("LCM_SEED", raising=False)
     unset = [_run(capsys, *argv)[:2] for argv in runs]
@@ -433,6 +433,15 @@ def test_invariance_is_seed_deterministic(capsys):
     two = _run(capsys, "invariance", "--robogram", "broken-id-leak",
                "--samples", "50", "--seed", "3")
     assert one == two
+
+
+def test_invariance_ignores_lcm_seed_env(capsys, monkeypatch):
+    # `invariance --seed` defaults to 0 whatever LCM_SEED holds.
+    argv = ("invariance", "--robogram", "broken-id-leak", "--samples", "50")
+    monkeypatch.setenv("LCM_SEED", "7")
+    from_env = _run(capsys, *argv)
+    monkeypatch.delenv("LCM_SEED")
+    assert from_env == _run(capsys, *argv, "--seed", "0") == _run(capsys, *argv)
 
 
 def test_invariance_usage_errors(capsys):
