@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -341,25 +341,43 @@ class Similarity:
     def map_position(self, view: Position | Mapping[Fraction, int]) -> Position | Spectrum:
         """The view in this frame: a Position as the same slots over the
         images of its points, or a location -> count mapping (a spectrum) as
-        a Spectrum of the images of its distinct locations.  A similarity is
+        a framed Spectrum with the same counts, which builds the images of
+        its locations when a robogram first reads them.  A similarity is
         injective, so slots, counts and key order carry over unchanged and
         no image is hashed."""
-        # Each image p*(x - c)/q is built from integers and normalized once,
-        # instead of as a subtraction and a product that each normalize.  The
-        # difference is taken over lcm(xd, cd), as Fraction subtraction does:
-        # with plain cross-multiplication the operands of the one gcd grow by
-        # the full size of cd, which is slower on large denominators.
-        p, q = self.factor.numerator, self.factor.denominator
-        cn, cd = self.center.numerator, self.center.denominator
-        images = []
-        for x in view.points if isinstance(view, Position) else view:
-            xd = x.denominator
-            g = gcd(xd, cd)
-            s = xd // g
-            images.append(Fraction(p * (x.numerator * (cd // g) - cn * s), q * s * cd))
         if isinstance(view, Position):
-            return Position._table(view.universe, tuple(images), view.slots)
-        return Spectrum._of(tuple(images), tuple(view.values()))
+            images = self._images(x.as_integer_ratio() for x in view.points)
+            return Position._table(view.universe, images, view.slots)
+        return Spectrum._framed(Spectrum._view(view), self)
+
+    def _images(self, ratios: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
+        """The images of values given as (numerator, denominator) pairs,
+        which need not be in lowest terms."""
+        p, q = self.factor.as_integer_ratio()
+        cn, cd = self.center.as_integer_ratio()
+        return tuple(_image(p, q, cn, cd, xn, xd) for xn, xd in ratios)
+
+
+def _image(p: int, q: int, cn: int, cd: int, xn: int, xd: int) -> Fraction:
+    """p*(x - c)/q for x = xn/xd and c = cn/cd, built from integers and
+    normalized once, instead of as a subtraction and a product that each
+    normalize.  xn/xd need not be in lowest terms.  The difference is taken
+    over lcm(xd, cd), as Fraction subtraction does: with plain
+    cross-multiplication the operands of the one gcd grow by the full size
+    of cd, which is slower on large denominators."""
+    g = gcd(xd, cd)
+    s = xd // g
+    return Fraction(p * (xn * (cd // g) - cn * s), q * s * cd)
+
+
+def _mean_ratio(keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> tuple[int, int]:
+    """The count-weighted mean of `keys` as a numerator and a denominator,
+    not reduced: the numerators summed over the lcm of the denominators,
+    each location's ratio read once, and that lcm times the robot count."""
+    ratios = [x.as_integer_ratio() for x in keys]
+    den = lcm(*(d for _, d in ratios))
+    num = sum(p * (den // d) * count for (p, d), count in zip(ratios, counts))
+    return num, den * sum(counts)
 
 
 class Spectrum(Mapping[Fraction, int]):
@@ -374,28 +392,71 @@ class Spectrum(Mapping[Fraction, int]):
     `Counter(view)` gives a Counter of the same counts.  Hashing a Fraction
     costs a modular inverse of its denominator, so a location -> slot index
     is built only on the first key lookup (`view[x]`, `x in view`, `get`).
+
+    A framed view (what `Similarity.map_position` makes of a spectrum)
+    holds its base spectrum, its frame and the base's counts, and builds its
+    locations when first read.  Its `centroid` is the frame's image of the
+    base's, which each spectrum computes once, so a robogram that reads
+    only the mean builds no location.
     """
 
-    __slots__ = ("_keys", "_counts", "_index")
+    __slots__ = ("_keys", "_counts", "_index", "_base", "_frame", "_ratio")
 
     def __init__(self, locations: Iterable[Fraction]):
         self._keys, slots = tabulate(locations)
         self._counts = _counts(slots)
-        self._index = None
+        self._index = self._base = self._frame = self._ratio = None
 
     @classmethod
-    def _of(cls, keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> Spectrum:
+    def _of(cls, keys: tuple[Fraction, ...] | None, counts: tuple[int, ...]) -> Spectrum:
         """A spectrum from distinct locations and their positive counts,
-        which are not checked again."""
+        which are not checked again; `keys` is None for a framed view."""
         view = cls.__new__(cls)
-        view._keys = keys
-        view._counts = counts
-        view._index = None
+        view._keys, view._counts = keys, counts
+        view._index = view._base = view._frame = view._ratio = None
         return view
+
+    @classmethod
+    def _view(cls, counts: Mapping[Fraction, int]) -> Spectrum:
+        """A location -> count mapping as a Spectrum: itself if it is one,
+        else its keys and counts as they are."""
+        if isinstance(counts, Spectrum):
+            return counts
+        return cls._of(tuple(counts), tuple(counts.values()))
+
+    @classmethod
+    def _framed(cls, base: Spectrum, frame: Similarity) -> Spectrum:
+        """`base` seen through `frame`, its locations not yet built."""
+        view = cls._of(None, base._counts)
+        view._base, view._frame = base, frame
+        return view
+
+    @property
+    def _locations(self) -> tuple[Fraction, ...]:
+        if self._keys is None:
+            ratios = (x.as_integer_ratio() for x in self._base._locations)
+            self._keys = self._frame._images(ratios)
+        return self._keys
+
+    def centroid(self) -> Fraction:
+        """The mean location, each location weighted by its count."""
+        if self._frame is not None:
+            return self._frame._images((self._base._centroid_ratio(),))[0]
+        return Fraction(*self._centroid_ratio())
+
+    def _centroid_ratio(self) -> tuple[int, int]:
+        """The centroid as a numerator and a denominator, not reduced,
+        computed once."""
+        if self._ratio is None:
+            if self._frame is not None:
+                self._ratio = self.centroid().as_integer_ratio()
+            else:
+                self._ratio = _mean_ratio(self._keys, self._counts)
+        return self._ratio
 
     def _slot(self, location: Fraction) -> int | None:
         if self._index is None:
-            self._index = {x: i for i, x in enumerate(self._keys)}
+            self._index = {x: i for i, x in enumerate(self._locations)}
         return self._index.get(location)
 
     def __getitem__(self, location: Fraction) -> int:
@@ -410,21 +471,21 @@ class Spectrum(Mapping[Fraction, int]):
         return self._slot(location) is not None
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._keys)
+        return iter(self._locations)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._counts)
 
     def values(self) -> tuple[int, ...]:
         return self._counts
 
     def items(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple(zip(self._keys, self._counts))
+        return tuple(zip(self._locations, self._counts))
 
     def most_common(self, n: int | None = None) -> list[tuple[Fraction, int]]:
         """(location, count) pairs by decreasing count, ties in key order,
         as Counter.most_common lists them."""
-        pairs = sorted(zip(self._keys, self._counts), key=itemgetter(1), reverse=True)
+        pairs = sorted(self.items(), key=itemgetter(1), reverse=True)
         return pairs if n is None else pairs[: max(n, 0)]
 
     def total(self) -> int:
@@ -433,7 +494,7 @@ class Spectrum(Mapping[Fraction, int]):
 
     def elements(self) -> Iterator[Fraction]:
         """Each location repeated by its count, in key order."""
-        return chain.from_iterable(map(repeat, self._keys, self._counts))
+        return chain.from_iterable(map(repeat, self._locations, self._counts))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{format_scalar(x)}: {c}" for x, c in self.items())

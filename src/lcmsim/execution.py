@@ -114,9 +114,11 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     deterministic), and equal destinations share one point of the new
     table.  Each robot's key is its (factor slot, point slot) pair as one
     int, so no Fraction is read or hashed per robot.  A spectrum robogram's
-    view is the round's spectrum, built once, with only its distinct
-    locations carried through each frame into a read-only Spectrum that no
-    built-in robogram hashes; a raw robogram sees the whole position.
+    view is the round's spectrum, built once, seen through each frame as a
+    read-only Spectrum that builds its locations only when the robogram
+    reads them; its centroid is the frame's image of the round's, which is
+    computed once.  A raw robogram sees the whole position.  The new
+    position keeps the old one's slot tuple when the two are equal.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
@@ -132,7 +134,10 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
         return point + local / f  # the inverse frame, y -> y/f + point
 
     keys = [f * width + p for f, p in zip(action.slots, position.slots)]
-    return Position._table(position.universe, *tabulate_keys(keys, destination))
+    points, slots = tabulate_keys(keys, destination)
+    if slots == position.slots:
+        slots = position.slots
+    return Position._table(position.universe, points, slots)
 
 
 def _rounds(
@@ -221,17 +226,29 @@ def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, s
     try:
         points, slots = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
     except (ValueError, TypeError) as exc:
-        # Only a refused map looks for a value that is not a string to name;
-        # `reprlib` bounds how much of a list or object is shown.
-        why = str(exc)
-        for name, value in raw.items():
-            if not isinstance(value, str):
-                container = isinstance(value, (list, dict))
-                shown = reprlib.repr(value) if container else json.dumps(value)
-                why = f"{name} has {shown}: expected a 'num/den' string"
-                break
-        raise TraceFormatError(f"bad {what}: {why}") from exc
+        raise TraceFormatError(f"bad {what}: {_refused_value(raw, names, exc)}") from exc
     return cls._table(universe, points, shared.setdefault(slots, slots))
+
+
+def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
+    """Why a map's values were refused (`exc`), naming the first robot, in
+    robot order, whose value fails.  Only a refused map is searched, each
+    distinct text parsed once more; `reprlib` bounds how much of a list or
+    object is shown."""
+    checked = set()
+    for name in names:
+        value = raw[name]
+        if not isinstance(value, str):
+            container = isinstance(value, (list, dict))
+            shown = reprlib.repr(value) if container else json.dumps(value)
+            return f"{name} has {shown}: expected a 'num/den' string"
+        if value not in checked:
+            checked.add(value)
+            try:
+                parse_scalar(value)
+            except ValueError as bad:
+                return f"{name} has {bad}"
+    return str(exc)
 
 
 def read_trace(lines: Iterable[str]) -> Trace:
@@ -256,7 +273,10 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
     shared: dict[tuple, tuple] = {}
-    p0 = _parse_row(Position, universe, header["p0"], "p0", shared)
+    try:
+        p0 = _parse_row(Position, universe, header["p0"], "p0", shared)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"line 1: {exc}") from exc
 
     rounds = []
     for lineno, line in enumerate(it, start=1):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from .core import (
@@ -108,10 +107,12 @@ def spectrum_robogram(name: str, fn: Callable[[Spectrum], Fraction]) -> Robogram
     in order of their first robot, so a result that depends on that order
     (the first key, say) leaks a name.  `fn` gets a read-only
     Spectrum: it may iterate, look up (a missing location counts 0), call
-    `most_common`, `total` and `elements`, and compare it, but not assign to
-    it; it has no `copy` and no Counter arithmetic (`Counter(view)` gives
-    one).  Iterating costs no hashing; the first lookup hashes every
-    location once."""
+    `most_common`, `total`, `elements` and `centroid`, and compare it, but
+    not assign to it; it has no `copy` and no Counter arithmetic
+    (`Counter(view)` gives one).  In a round the view is framed: it builds
+    its locations when first read, and its `centroid` builds none.
+    Iterating costs no hashing; the first lookup hashes every location
+    once."""
     return Robogram(name, SPECTRUM_BASED, fn)
 
 
@@ -121,13 +122,10 @@ def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:
     return Robogram(name, RAW, fn)
 
 
-def _mean(view: Spectrum) -> Fraction:
-    # Numerators are summed over the lcm of the denominators and the result
-    # is normalized once, instead of one Fraction product and sum per location.
-    ratios = [x.as_integer_ratio() for x in view]
-    den = lcm(*(d for _, d in ratios))
-    num = sum(p * (den // d) * count for (p, d), count in zip(ratios, view.values()))
-    return Fraction(num, den * sum(view.values()))
+def _mean(view: Mapping[Fraction, int]) -> Fraction:
+    # A framed view's centroid is its frame's image of the round's centroid,
+    # so no location of the view is built.
+    return Spectrum._view(view).centroid()
 
 
 def _other_occupied(view: Spectrum) -> Fraction:

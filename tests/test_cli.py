@@ -338,11 +338,14 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (text.replace('"round": 0', f'"round": {deep}'), "line 2 is not JSON"),
         (text.replace('"round": 0', f'"round": {long}'), "line 2 is not JSON"),
         # only canonical robot ids are read, and the refusal names the key
-        (text.replace('"L0"', '"L00"', 1), "p0 has unknown robot id 'L00'"),
+        (text.replace('"L0"', '"L00"', 1), "line 1: p0 has unknown robot id 'L00'"),
         (text.replace('"frames": {"L0"', '"frames": {" L0 "'), "line 2: frames has unknown robot id ' L0 '"),
-        # a row's bad value is refused with the row's line
-        (head + row.replace('"R0": "1/1"', '"R0": "x"', 1), "line 3: bad frames: invalid scalar 'x'"),
+        # a bad value is refused with its line and the robot that holds it
+        (head + row.replace('"R0": "1/1"', '"R0": "x"', 1), "line 3: bad frames: R0 has invalid scalar 'x'"),
         (head + row.replace('"L0": "0/1"', '"L0": [1]', 1), "line 3: bad post: L0 has [1]"),
+        (text.replace('"R0": "1/1"', '"R0": "1/0"', 1), "line 1: bad p0: R0 has invalid scalar '1/0'"),
+        (text.replace('"L0": "0/1"', '"L0": null', 1), "line 1: bad p0: L0 has null"),
+        (text.replace('"p0": {', '"p0": {"L1": "0/1", ', 1), "line 1: p0 does not cover"),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(mangled)

@@ -9,22 +9,26 @@ or by several, and on spectrum and raw robograms alike.
 
 The layers rewritten in integer form are checked the same way: a mapped
 spectrum against `Similarity.apply` location by location, the mean against
-a plain Fraction sum, and the random k-fair demon against
-`reference_random_kfair`, the set-based demon as it stood before.
+a plain Fraction sum, a framed view's centroid against the mean of its
+images, and the random k-fair demon against `reference_random_kfair`, the
+set-based demon as it stood before.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
 from fractions import Fraction
 
+from helpers import iterated_convex, random_nonzero_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmsim import core
 from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum
 from lcmsim.demons import Demon, DemonicAction, make_random_kfair
-from lcmsim.execution import round_step
+from lcmsim.execution import execute_prefix, round_step, write_trace
 from lcmsim.robograms import (
     _mean,
     broken_id_leak,
@@ -215,6 +219,109 @@ def test_a_spectrum_maps_as_each_location_would(case, factor, data):
     assert [(x.numerator, x.denominator) for x in mapped] == [
         (x.numerator, x.denominator) for x in expected
     ]
+
+
+def _scattered(rng, count):
+    """`count` distinct seeded rationals, as `simulate-scatter` draws them."""
+    points = set()
+    while len(points) < count:
+        points.add(Fraction(rng.randint(-1000, 1000), rng.randint(1, 9)))
+    return sorted(points)
+
+
+def _counter_mean(counts):
+    return sum((x * c for x, c in counts.items()), Fraction(0)) / sum(counts.values())
+
+
+def _assert_reads_as(view, counter):
+    assert type(view) is Spectrum
+    assert list(view.items()) == list(counter.items())
+    assert list(view) == list(counter) and list(view.values()) == list(counter.values())
+    assert view.most_common() == counter.most_common()
+    assert list(view.elements()) == list(counter.elements())
+    assert view == counter and Counter(view) == counter
+    assert all(view[x] == c for x, c in counter.items())
+    assert repr(view) == repr(Spectrum(counter.elements()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _big_view(),
+    _nonzero,
+    st.data(),
+    st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(-5, 3), Fraction(7, 2**80))),
+    st.booleans(),
+)
+def test_a_framed_view_averages_and_reads_as_the_counter_of_its_images(
+    case, factor, data, lam, centroid_first
+):
+    counts, base = case
+    center = data.draw(
+        st.one_of(
+            st.sampled_from(list(counts)),
+            st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+            st.builds(lambda num: Fraction(num, base), st.integers(-_BIG, _BIG)),
+        )
+    )
+    frame = Similarity(factor, center)
+    world = Spectrum(counts.elements())
+    images = Counter({frame.apply(x): c for x, c in counts.items()})
+    # a view of a framed view: its centroid is carried through both frames
+    again = Similarity(data.draw(_nonzero), data.draw(st.sampled_from(list(images))))
+    twice = Counter({again.apply(x): c for x, c in images.items()})
+    for robogram, scale in ((center_of_mass, 1), (convex(lam), lam)):
+        view = frame.map_position(world)
+        if not centroid_first:
+            _assert_reads_as(view, images)
+        assert evaluate(robogram, view) == scale * _counter_mean(images)
+        _assert_reads_as(view, images)
+        seen_again = again.map_position(view)
+        assert evaluate(robogram, seen_again) == scale * _counter_mean(twice)
+        _assert_reads_as(seen_again, twice)
+
+
+def test_a_framed_view_averages_without_building_an_image(monkeypatch):
+    # 64 locations seen through k frames: the world's mean is computed
+    # once, and each view's mean is one image, its centroid's.
+    rng = random.Random(14)
+    points = _scattered(rng, 64)
+    counts = Counter({x: rng.randint(1, 3) for x in points})
+    world = Spectrum(counts.elements())
+    frames = [Similarity(random_nonzero_scalar(rng, 50, 12), x) for x in points[::4]]
+    sums, images = [], []
+    mean_ratio, image = core._mean_ratio, core._image
+    monkeypatch.setattr(core, "_mean_ratio", lambda *a: sums.append(a) or mean_ratio(*a))
+    monkeypatch.setattr(core, "_image", lambda *a: images.append(a) or image(*a))
+    views = [frame.map_position(world) for frame in frames]
+    got = [evaluate(robogram, view) for view in views for robogram in (center_of_mass, convex("1/3"))]
+    assert len(sums) == 1
+    assert len(images) == 2 * len(frames)  # one per evaluation, no location
+    list(views[0])  # reading a view builds every one of its 64 images, once
+    list(views[0])
+    assert len(images) == 2 * len(frames) + 64
+    monkeypatch.undo()
+    expected = []
+    for frame in frames:
+        mean = _counter_mean(Counter({frame.apply(x): c for x, c in counts.items()}))
+        expected += [mean, Fraction(1, 3) * mean]
+    assert got == expected
+
+
+def test_convex_runs_write_the_bytes_of_the_iterated_mean():
+    # Whole runs from scattered points under a random 1-fair demon: the
+    # centroid carried through each frame writes the same trace, byte for
+    # byte, as a robogram that iterates every view and averages its images.
+    for seed in range(6):
+        universe = RobotUniverse(3 + seed % 3)
+        points = _scattered(random.Random(seed), universe.m)
+        p0 = Position(universe, dict(zip(universe.robots, points)))
+        texts = []
+        for robogram in (convex("1/2"), iterated_convex("1/2")):
+            demon = make_random_kfair(universe, 1, 1, seed)
+            out = io.StringIO()
+            write_trace(execute_prefix(robogram, demon, p0, 40), out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1], seed
 
 
 # --- compute: the mean normalized once ---------------------------------------
