@@ -37,7 +37,7 @@ from .core import (
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
-from .properties import GatherVerdict, check_always_split, check_will_gather
+from .properties import check_always_split, check_will_gather
 from .robograms import SPECTRUM_BASED, Robogram, check_invariance, evaluate
 from .sampling import random_permutation
 
@@ -184,7 +184,7 @@ class ImpossibilityReport:
     probe: FirstMoveProbe
     invariance_ok: bool
     split: Verdict
-    gather: GatherVerdict
+    gather: Verdict
     fairness: dict[int, Verdict]
     bivalence_failures: tuple[int, ...]
     trace: Trace
@@ -197,7 +197,7 @@ class ImpossibilityReport:
     def certified(self) -> bool:
         return (
             self.split.ok
-            and not self.gather.gathered
+            and not self.gather.ok
             and self.fairness[1].ok
             and self.invariance_ok
             and self.bivalence_complete
@@ -249,9 +249,9 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
         )
 
     actions = trace.actions()
-    fairness = {k: check_kfair(actions, k) for k in (0, 1)} if actions else {
-        0: Verdict.no_violation_up_to(0),
-        1: Verdict.no_violation_up_to(0),
+    fairness = {
+        k: check_kfair(actions, k) if actions else Verdict.no_violation_up_to(0)
+        for k in (0, 1)
     }
     failures = tuple(
         i for i, p in enumerate(trace.positions()) if not _balanced_bivalent(p, n)

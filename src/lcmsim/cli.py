@@ -13,10 +13,11 @@ import argparse
 import json
 import random
 import sys
+from typing import Callable
 
 from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
 from .core import Position, RobotUniverse, Side, format_scalar, parse_scalar
-from .demons import Demon, check_kfair, make_fsync, make_random_kfair, make_round_robin
+from .demons import Demon, Verdict, check_kfair, make_fsync, make_random_kfair, make_round_robin
 from .execution import (
     ExecutionError,
     ReplayMismatchError,
@@ -165,9 +166,12 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
-def _parse_property(text: str) -> tuple[str, int | None]:
-    if text == "will-gather" or text == "always-split":
-        return text, None
+def _parse_property(text: str) -> tuple[str, Callable[[Trace], Verdict]]:
+    """The property's reported name and its checker over a replayed trace."""
+    if text == "will-gather":
+        return text, check_will_gather
+    if text == "always-split":
+        return text, check_always_split
     if text.startswith("kfair:"):
         try:
             k = int(text.removeprefix("kfair:"))
@@ -175,14 +179,20 @@ def _parse_property(text: str) -> tuple[str, int | None]:
             raise UsageError(f"bad property {text!r}: {exc}") from exc
         if k < 0:
             raise UsageError("kfair budget must be >= 0")
-        return "kfair", k
+
+        def kfair(trace: Trace) -> Verdict:
+            if trace.horizon == 0:
+                raise UsageError("kfair needs a trace with at least one round")
+            return check_kfair(trace.actions(), k)
+
+        return f"kfair:{k}", kfair
     raise UsageError(
         f"unknown property {text!r}; expected kfair:<k>, will-gather or always-split"
     )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    prop, k = _parse_property(args.property)
+    name, judge = _parse_property(args.property)
     try:
         trace = read_trace_file(args.trace)
     except OSError as exc:
@@ -202,23 +212,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"corrupt trace: {exc}", file=sys.stderr)
         return 3
 
-    if prop == "kfair":
-        if trace.horizon == 0:
-            raise UsageError("kfair needs a trace with at least one round")
-        verdict = check_kfair(trace.actions(), k)
-        report = {"property": f"kfair:{k}", **verdict.to_json_dict()}
-        ok = verdict.ok
-    elif prop == "will-gather":
-        gather = check_will_gather(trace)
-        report = {"property": "will-gather", **gather.to_json_dict()}
-        ok = gather.gathered
-    else:
-        verdict = check_always_split(trace)
-        report = {"property": "always-split", **verdict.to_json_dict()}
-        ok = verdict.ok
+    verdict = judge(trace)
+    report = {"property": name, **verdict.to_json_dict()}
     report.setdefault("horizon", trace.horizon)
     print(json.dumps(report))
-    return 0 if ok else 1
+    return 0 if verdict.ok else 1
 
 
 def cmd_invariance(args: argparse.Namespace) -> int:

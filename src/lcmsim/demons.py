@@ -9,17 +9,20 @@ position, so a demon instance must be owned by a single run.  Checkers, by
 contrast, are pure functions over recorded action prefixes and can be run
 in parallel freely.
 
-Verdicts are three-valued by design.  The per-pair waiting property can be
-*proven* on a finite prefix (the watched robot was activated in time), but
-k-fairness of a whole demon is a property of all suffixes of an infinite
-stream: a finite prefix can only refute it or fail to refute it.  Checkers
-therefore never answer "proven" for k-fairness, only "violated" or
-"no violation up to the horizon".
+Every bounded checker, here and in `properties`, answers with one `Verdict`
+type, and no verdict claims more than a finite prefix supports.  The
+per-pair waiting property can be *proven* on a prefix (the watched robot
+was activated in time), but k-fairness of a whole demon is a property of
+all suffixes of an infinite stream: a prefix can only refute it or fail to
+refute it, so checkers answer "violated" or "no violation up to the
+horizon", never "proven".  Gathering is likewise only *tentative*: stacked
+from some round through the horizon.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -38,6 +41,8 @@ from .core import (
 __all__ = [
     "Demon",
     "DemonicAction",
+    "GATHERED",
+    "NOT_WITHIN_HORIZON",
     "NO_VIOLATION",
     "PROVEN",
     "UNKNOWN",
@@ -54,6 +59,8 @@ PROVEN = "proven"
 VIOLATED = "violated"
 NO_VIOLATION = "no-violation-up-to"
 UNKNOWN = "unknown"
+GATHERED = "tentatively-gathered"
+NOT_WITHIN_HORIZON = "not-within-horizon"
 
 
 class DemonicAction(_Table):
@@ -110,11 +117,17 @@ class Verdict:
     - no-violation-up-to(horizon): nothing refuted the property on the prefix
       (the strongest claim a finite prefix supports for a coinductive one).
     - unknown(horizon): the prefix ended before the property could close.
+    - tentatively-gathered(round, point, horizon): stacked at `point` from
+      position index `round` through the horizon; a prefix cannot promise more.
+    - not-within-horizon(horizon): no such suffix exists in the prefix.
+
+    `ok` says the property held as far as the prefix shows.
     """
 
     kind: str
     round: int | None = None
     horizon: int | None = None
+    point: Fraction | None = None
 
     @classmethod
     def proven(cls) -> Verdict:
@@ -132,16 +145,28 @@ class Verdict:
     def unknown(cls, horizon: int) -> Verdict:
         return cls(UNKNOWN, horizon=horizon)
 
+    @classmethod
+    def tentatively_gathered(cls, round_index: int, point: Fraction, horizon: int) -> Verdict:
+        return cls(GATHERED, round=round_index, horizon=horizon, point=point)
+
+    @classmethod
+    def not_within_horizon(cls, horizon: int) -> Verdict:
+        return cls(NOT_WITHIN_HORIZON, horizon=horizon)
+
     @property
     def ok(self) -> bool:
-        return self.kind in (PROVEN, NO_VIOLATION)
+        return self.kind in (PROVEN, NO_VIOLATION, GATHERED)
 
     def to_json_dict(self) -> dict:
+        """The kind, then each field that is set; only a gathering verdict
+        has more than one."""
         out: dict = {"verdict": self.kind}
-        if self.round is not None:
-            out["round"] = self.round
         if self.horizon is not None:
             out["horizon"] = self.horizon
+        if self.round is not None:
+            out["round"] = self.round
+        if self.point is not None:
+            out["point"] = format_scalar(self.point)
         return out
 
 
@@ -181,7 +206,7 @@ def make_random_kfair(
 
     Each round starts from a random nonempty subset; any robot whose waiting
     budget against an activated robot is already exhausted is forced into the
-    round (for k = 0 this cascades to all-active rounds).  Deterministic for a
+    round (for k = 0 that makes every round all-active).  Deterministic for a
     given seed.
     """
     if k < 0:
@@ -193,35 +218,34 @@ def make_random_kfair(
     m = universe.m
     by_flag = (Fraction(0), f).__getitem__
     rng = random.Random(seed)
-    # waited[g][h]: activations of robot h since robot g's last activation
-    # (or the start), robots by their place; waited[g][g] stays 0
-    waited = [[0] * m for _ in range(m)]
+    # Robots by their place: each one's last activation round (-1 before its
+    # first) and its k latest activation rounds.  Robot h has been activated
+    # k times since g's last activation iff its k-th latest came after it.
+    last = [-1] * m
+    latest = [deque(maxlen=k) for _ in range(m)]
 
     def step(round_index: int, position: Position) -> DemonicAction:
         # One draw per robot in robot order, then one choice if none was
         # drawn: the seed's action sequence depends on this exact order.
         # Choosing from range(m) draws as choosing from the robots would.
         active = [rng.random() < 0.5 for _ in range(m)]
-        chosen = [i for i in range(m) if active[i]]
-        if not chosen:
-            i = rng.choice(range(m))
-            active[i] = True
-            chosen = [i]
-        # Force in every robot whose budget against an active robot is spent.
-        # Adding robots only adds reasons to add more, so the closure is the
-        # same whatever the order; each robot is scanned for once, as it joins.
-        for h in chosen:  # grows while it is scanned
-            for g in range(m):
-                if not active[g] and waited[g][h] >= k:
-                    active[g] = True
-                    chosen.append(g)
+        if not any(active):
+            active[rng.choice(range(m))] = True
+        # Force in every robot that has waited k activations of a drawn robot:
+        # one last activated before the cutoff, the latest k-th latest
+        # activation of a drawn robot (with k = 0, this round).  A forced
+        # robot was itself last activated before the cutoff, so every robot
+        # it keeps waiting is forced already: one pass closes the round.
+        if k == 0:
+            cutoff = round_index
+        else:
+            drawn = [latest[h] for h in range(m) if active[h]]
+            cutoff = max((d[0] for d in drawn if len(d) == k), default=-1)
+        active = [a or t < cutoff for a, t in zip(active, last)]
         for g in range(m):
             if active[g]:
-                waited[g] = [0] * m
-            else:
-                row = waited[g]
-                for h in chosen:
-                    row[h] += 1
+                last[g] = round_index
+                latest[g].append(round_index)
         return DemonicAction._table(universe, *tabulate_keys(active, by_flag))
 
     return Demon(f"random-kfair:{k}:{seed}", step)

@@ -251,6 +251,22 @@ def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
     return str(exc)
 
 
+def _json_object(text: str, where: str, fields: tuple[str, ...]) -> dict:
+    """One trace line as a JSON object that has every one of `fields`;
+    `where` ("header" or "line N") begins each error message."""
+    try:
+        obj = json.loads(text)
+    # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(f"{where} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"{where} must be a JSON object")
+    for field_name in fields:
+        if field_name not in obj:
+            raise TraceFormatError(f"{where} is missing {field_name!r}")
+    return obj
+
+
 def read_trace(lines: Iterable[str]) -> Trace:
     """Parse the JSONL trace format; raises TraceFormatError on any defect."""
     it = iter(lines)
@@ -258,16 +274,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
         first = next(it)
     except StopIteration:
         raise TraceFormatError("empty trace file") from None
-    try:
-        header = json.loads(first)
-    # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
-    except (ValueError, RecursionError) as exc:
-        raise TraceFormatError(f"header is not JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise TraceFormatError("header must be a JSON object")
-    for field_name in ("robogram", "demon", "n", "p0"):
-        if field_name not in header:
-            raise TraceFormatError(f"header is missing {field_name!r}")
+    header = _json_object(first, "header", ("robogram", "demon", "n", "p0"))
     # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
@@ -279,29 +286,19 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError(f"line 1: {exc}") from exc
 
     rounds = []
-    for lineno, line in enumerate(it, start=1):
+    for lineno, line in enumerate(it, start=2):
         if not line.strip():
             continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise TraceFormatError(f"line {lineno + 1} is not JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise TraceFormatError(f"line {lineno + 1} must be a JSON object")
-        for field_name in ("round", "frames", "post"):
-            if field_name not in row:
-                raise TraceFormatError(f"line {lineno + 1} is missing {field_name!r}")
+        row = _json_object(line, f"line {lineno}", ("round", "frames", "post"))
         if type(row["round"]) is not int:
-            raise TraceFormatError(f"line {lineno + 1}: round must be an integer")
+            raise TraceFormatError(f"line {lineno}: round must be an integer")
         if row["round"] != len(rounds):
-            raise TraceFormatError(
-                f"line {lineno + 1}: round index {row['round']} out of order"
-            )
+            raise TraceFormatError(f"line {lineno}: round index {row['round']} out of order")
         try:
             action = _parse_row(DemonicAction, universe, row["frames"], "frames", shared)
             post = _parse_row(Position, universe, row["post"], "post", shared)
         except TraceFormatError as exc:
-            raise TraceFormatError(f"line {lineno + 1}: {exc}") from exc
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
         rounds.append(TraceRound(len(rounds), action, post))
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))

@@ -7,65 +7,24 @@ piles apart at every step, is likewise only refutable on a prefix.  The two
 are mutually exclusive pointwise: an inhabited position that is split cannot
 be gathered, since a gathering point would be shared across the piles.
 
-All checkers are pure over immutable traces.
+Both checkers answer with the bounded `demons.Verdict` the fairness checker
+uses, and all checkers are pure over immutable traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Position, format_scalar
+from .core import Position
 from .demons import Verdict
 from .execution import Trace
 
 __all__ = [
-    "GATHERED",
-    "NOT_WITHIN_HORIZON",
-    "GatherVerdict",
     "check_always_split",
     "check_will_gather",
     "gathered_location",
     "split",
 ]
-
-GATHERED = "tentatively-gathered"
-NOT_WITHIN_HORIZON = "not-within-horizon"
-
-
-@dataclass(frozen=True)
-class GatherVerdict:
-    """Bounded answer for "will the robots gather and stay gathered".
-
-    tentatively-gathered(round, point): stacked at `point` from position index
-    `round` through the end of the trace -- a prefix cannot promise more.
-    not-within-horizon(horizon): no such suffix exists in the trace.
-    """
-
-    kind: str
-    round: int | None = None
-    point: Fraction | None = None
-    horizon: int = 0
-
-    @classmethod
-    def tentatively_gathered(cls, round_index: int, point: Fraction, horizon: int) -> GatherVerdict:
-        return cls(GATHERED, round=round_index, point=point, horizon=horizon)
-
-    @classmethod
-    def not_within_horizon(cls, horizon: int) -> GatherVerdict:
-        return cls(NOT_WITHIN_HORIZON, horizon=horizon)
-
-    @property
-    def gathered(self) -> bool:
-        return self.kind == GATHERED
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"verdict": self.kind, "horizon": self.horizon}
-        if self.round is not None:
-            out["round"] = self.round
-        if self.point is not None:
-            out["point"] = format_scalar(self.point)
-        return out
 
 
 def gathered_location(p: Position) -> Fraction | None:
@@ -81,17 +40,17 @@ def split(p: Position) -> bool:
     return set(p.slots[:n]).isdisjoint(p.slots[n:])
 
 
-def check_will_gather(trace: Trace) -> GatherVerdict:
+def check_will_gather(trace: Trace) -> Verdict:
     """Scan for the least position index from which the trace is stacked at
     one common point all the way to the horizon."""
     positions = trace.positions()
     point = gathered_location(positions[-1])
     if point is None:
-        return GatherVerdict.not_within_horizon(trace.horizon)
+        return Verdict.not_within_horizon(trace.horizon)
     first = len(positions) - 1
     while first > 0 and gathered_location(positions[first - 1]) == point:
         first -= 1
-    return GatherVerdict.tentatively_gathered(first, point, trace.horizon)
+    return Verdict.tentatively_gathered(first, point, trace.horizon)
 
 
 def check_always_split(trace: Trace) -> Verdict:

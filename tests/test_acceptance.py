@@ -110,7 +110,7 @@ def test_criterion_1_impossibility_battery(battery):
         expected_split = Verdict.no_violation_up_to(BATTERY_HORIZON)
         if report.split != expected_split:
             failures.append(f"{name} n={n}: split {report.split}")
-        if report.gather.gathered or report.gather.horizon != BATTERY_HORIZON:
+        if report.gather.ok or report.gather.horizon != BATTERY_HORIZON:
             failures.append(f"{name} n={n}: gather {report.gather}")
         if report.fairness[1] != expected_split:
             failures.append(f"{name} n={n}: 1-fairness {report.fairness[1]}")
@@ -189,7 +189,7 @@ def test_criterion_4_demon_choice_necessity(emitted):
     )
     emitted.append(("wrong-branch to-other-occupied", robogram, trace))
     verdict = check_will_gather(trace)
-    ok = verdict.gathered and verdict.round == 1 and verdict.point is not None
+    ok = verdict.ok and verdict.round == 1 and verdict.point is not None
     _report(4, "demon-choice necessity", ok, f"wrong branch gathers: {verdict.kind}")
     assert ok, verdict
 
@@ -198,7 +198,7 @@ def test_criterion_5_mutual_exclusion(battery, emitted, random_scheduler_traces)
     failures = []
     for label, _, trace in emitted:
         split_clean = check_always_split(trace).ok
-        gathered = check_will_gather(trace).gathered
+        gathered = check_will_gather(trace).ok
         if split_clean and gathered:
             failures.append(f"{label}: split-clean and gathered")
 

@@ -164,7 +164,7 @@ def test_alternating_demon_survives_degenerate_positions():
     trace = execute_prefix(
         to_other_occupied, make_alternating_demon(u), Position.from_piles(u, 0, 1), 6
     )
-    assert check_will_gather(trace).gathered
+    assert check_will_gather(trace).ok
     assert all(rd.action.active_robots() for rd in trace.rounds)
 
 
@@ -184,12 +184,12 @@ def test_wrong_branch_would_gather():
         to_other_occupied, make_alternating_demon(u), Position.from_piles(u, 0, 1), 5
     )
     verdict = check_will_gather(alt)
-    assert verdict.gathered and verdict.round == 1 and verdict.point == Fraction(1)
+    assert verdict.ok and verdict.round == 1 and verdict.point == Fraction(1)
 
     swap = execute_prefix(
         center_of_mass, make_swap_fsync_demon(u), Position.from_piles(u, 0, 1), 5
     )
-    assert check_will_gather(swap).gathered
+    assert check_will_gather(swap).ok
 
 
 def test_run_impossibility_certifies_builtins():
@@ -198,7 +198,7 @@ def test_run_impossibility_certifies_builtins():
         assert report.certified
         assert report.invariance_ok
         assert report.split.ok
-        assert not report.gather.gathered
+        assert not report.gather.ok
         assert report.fairness[1].ok
         assert report.bivalence_complete
         assert report.trace.horizon == 40

@@ -153,36 +153,31 @@ def test_adversary_usage_errors(capsys):
 
 
 def test_check_verdict_json_contract(tmp_path, capsys):
-    out_path = tmp_path / "t.jsonl"
+    # Dict equality ignores key order, so the lines are pinned: the verdict's
+    # own fields first, then the trace's horizon when the verdict lacks one.
+    gathers, stays = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
     _run(
         capsys, "simulate", "--robogram", "center-of-mass", "--demon", "fsync",
-        "--n", "1", "--horizon", "4", "--out", str(out_path),
+        "--n", "1", "--horizon", "4", "--out", str(gathers),
     )
-    code, out, _ = _run(capsys, "check", str(out_path), "--property", "will-gather")
-    assert code == 0
-    verdict = json.loads(out)
-    assert verdict == {
-        "property": "will-gather",
-        "verdict": "tentatively-gathered",
-        "horizon": 4,
-        "round": 1,
-        "point": "1/2",
-    }
-    code, out, _ = _run(capsys, "check", str(out_path), "--property", "always-split")
-    assert code == 1
-    assert json.loads(out) == {
-        "property": "always-split",
-        "verdict": "violated",
-        "round": 1,
-        "horizon": 4,
-    }
-    code, out, _ = _run(capsys, "check", str(out_path), "--property", "kfair:0")
-    assert code == 0
-    assert json.loads(out) == {
-        "property": "kfair:0",
-        "verdict": "no-violation-up-to",
-        "horizon": 4,
-    }
+    _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "round-robin:1",
+        "--n", "1", "--horizon", "3", "--out", str(stays),
+    )
+    expected = [
+        (gathers, "will-gather", 0, '{"property": "will-gather", "verdict":'
+         ' "tentatively-gathered", "horizon": 4, "round": 1, "point": "1/2"}'),
+        (stays, "will-gather", 1, '{"property": "will-gather", "verdict":'
+         ' "not-within-horizon", "horizon": 3}'),
+        (gathers, "always-split", 1, '{"property": "always-split", "verdict":'
+         ' "violated", "round": 1, "horizon": 4}'),
+        (gathers, "kfair:0", 0, '{"property": "kfair:0", "verdict":'
+         ' "no-violation-up-to", "horizon": 4}'),
+        (stays, "kfair:0", 1, '{"property": "kfair:0", "verdict": "violated",'
+         ' "round": 0, "horizon": 3}'),
+    ]
+    for path, prop, code, line in expected:
+        assert _run(capsys, "check", str(path), "--property", prop) == (code, line + "\n", "")
 
 
 def test_check_rejects_bad_inputs(tmp_path, capsys):

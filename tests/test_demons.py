@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -318,11 +319,20 @@ def test_fair_demons_reactivate_within_the_shadow_bound():
 
 
 def test_verdict_json_shapes():
-    assert Verdict.proven().to_json_dict() == {"verdict": "proven"}
-    assert Verdict.violated(4).to_json_dict() == {"verdict": "violated", "round": 4}
-    assert Verdict.no_violation_up_to(9).to_json_dict() == {
-        "verdict": "no-violation-up-to",
-        "horizon": 9,
-    }
+    # Dict equality ignores key order, so the text is pinned: the kind, then
+    # horizon, round and point, each when it is set.
+    cases = [
+        (Verdict.proven(), '{"verdict": "proven"}'),
+        (Verdict.violated(4), '{"verdict": "violated", "round": 4}'),
+        (Verdict.no_violation_up_to(9), '{"verdict": "no-violation-up-to", "horizon": 9}'),
+        (Verdict.unknown(9), '{"verdict": "unknown", "horizon": 9}'),
+        (
+            Verdict.tentatively_gathered(2, Fraction(1, 3), 9),
+            '{"verdict": "tentatively-gathered", "horizon": 9, "round": 2, "point": "1/3"}',
+        ),
+        (Verdict.not_within_horizon(4), '{"verdict": "not-within-horizon", "horizon": 4}'),
+    ]
+    for verdict, text in cases:
+        assert json.dumps(verdict.to_json_dict()) == text
+    assert [v.ok for v, _ in cases] == [True, False, True, False, True, False]
     assert Verdict.unknown(9).kind == UNKNOWN
-    assert Verdict.proven().ok and not Verdict.violated(0).ok

@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 
 from helpers import iterated_convex, random_nonzero_scalar
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmsim import core
@@ -394,10 +394,16 @@ def _assert_same_actions(n, k, seed, factor=Fraction(1)):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 8),
-    st.integers(0, 3),
+    st.integers(0, 6),
     st.integers(-(2**64), 2**64),
     st.sampled_from((Fraction(1), Fraction(-3, 2), Fraction(7, 2**70))),
 )
+# 128 robots force many robots into a round; a budget of 10**9 forces none.
+@example(64, 0, 7, Fraction(1))
+@example(64, 1, 7, Fraction(1))
+@example(64, 3, 7, Fraction(1))
+@example(64, 10**9, 7, Fraction(1))
+@example(2, 10**9, 7, Fraction(1))
 def test_random_kfair_matches_the_reference(n, k, seed, factor):
     _assert_same_actions(n, k, seed, factor)
 

@@ -9,7 +9,6 @@ from lcmsim.core import EmptyUniverse, Position, RobotId, RobotUniverse, Side
 from lcmsim.demons import DemonicAction, Verdict, make_random_kfair
 from lcmsim.execution import Trace, TraceRound, execute_prefix
 from lcmsim.properties import (
-    GatherVerdict,
     check_always_split,
     check_will_gather,
     gathered_location,
@@ -88,15 +87,15 @@ def test_will_gather_anchors_at_the_stable_suffix():
     here = Position.from_piles(u, 1, 1)
     trace = _fabricated_trace(u, [apart, apart, here, here])
     verdict = check_will_gather(trace)
-    assert verdict == GatherVerdict.tentatively_gathered(2, Fraction(1), 3)
-    assert verdict.gathered
+    assert verdict == Verdict.tentatively_gathered(2, Fraction(1), 3)
+    assert verdict.ok
 
 
 def test_will_gather_from_the_start():
     u = RobotUniverse(2)
     here = Position.from_piles(u, "1/2", "1/2")
     trace = _fabricated_trace(u, [here, here, here])
-    assert check_will_gather(trace) == GatherVerdict.tentatively_gathered(
+    assert check_will_gather(trace) == Verdict.tentatively_gathered(
         0, Fraction(1, 2), 2
     )
 
@@ -106,7 +105,7 @@ def test_will_gather_requires_staying_gathered():
     apart = Position.from_piles(u, 0, 1)
     here = Position.from_piles(u, 1, 1)
     trace = _fabricated_trace(u, [apart, here, apart])
-    assert check_will_gather(trace) == GatherVerdict.not_within_horizon(2)
+    assert check_will_gather(trace) == Verdict.not_within_horizon(2)
 
 
 def test_will_gather_distinguishes_late_regathering():
@@ -114,18 +113,18 @@ def test_will_gather_distinguishes_late_regathering():
     at1 = Position.from_piles(u, 1, 1)
     at2 = Position.from_piles(u, 2, 2)
     trace = _fabricated_trace(u, [at1, at2, at2])
-    assert check_will_gather(trace) == GatherVerdict.tentatively_gathered(1, Fraction(2), 2)
+    assert check_will_gather(trace) == Verdict.tentatively_gathered(1, Fraction(2), 2)
 
 
 def test_will_gather_on_zero_round_trace():
     u = RobotUniverse(1)
     here = Position.from_piles(u, 0, 0)
     assert check_will_gather(_fabricated_trace(u, [here])) == (
-        GatherVerdict.tentatively_gathered(0, Fraction(0), 0)
+        Verdict.tentatively_gathered(0, Fraction(0), 0)
     )
     apart = Position.from_piles(u, 0, 1)
     assert check_will_gather(_fabricated_trace(u, [apart])) == (
-        GatherVerdict.not_within_horizon(0)
+        Verdict.not_within_horizon(0)
     )
 
 
@@ -139,9 +138,9 @@ def test_will_gather_matches_oracle_on_random_traces():
         verdict = check_will_gather(trace)
         expected = _gather_oracle(trace)
         if expected is None:
-            assert verdict == GatherVerdict.not_within_horizon(trace.horizon)
+            assert verdict == Verdict.not_within_horizon(trace.horizon)
         else:
-            assert verdict == GatherVerdict.tentatively_gathered(
+            assert verdict == Verdict.tentatively_gathered(
                 expected[0], expected[1], trace.horizon
             )
 
@@ -166,19 +165,19 @@ def test_trace_level_mutual_exclusion_on_executions():
         p0 = random_position(u, rng, max_abs=3, max_den=3)
         trace = execute_prefix(rng.choice(robograms), demon, p0, rng.randint(1, 15))
         split_clean = check_always_split(trace).ok
-        gathered = check_will_gather(trace).gathered
+        gathered = check_will_gather(trace).ok
         assert not (split_clean and gathered)
 
 
 def test_gather_verdict_json_shapes():
-    v = GatherVerdict.tentatively_gathered(2, Fraction(1, 3), 9)
+    v = Verdict.tentatively_gathered(2, Fraction(1, 3), 9)
     assert v.to_json_dict() == {
         "verdict": "tentatively-gathered",
         "horizon": 9,
         "round": 2,
         "point": "1/3",
     }
-    assert GatherVerdict.not_within_horizon(4).to_json_dict() == {
+    assert Verdict.not_within_horizon(4).to_json_dict() == {
         "verdict": "not-within-horizon",
         "horizon": 4,
     }
