@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     Position,
@@ -91,9 +90,7 @@ def probe_first_move(robogram: Robogram, universe: RobotUniverse) -> FirstMovePr
     return FirstMoveProbe(evaluate(robogram, canonical_view(universe)))
 
 
-def _canonical_action(
-    position: Position, sides: tuple[Side, ...], previous: tuple[int, ...] = ()
-) -> DemonicAction:
+def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAction:
     """One round's action: robots on `sides` get the factor 1/(v - u) that
     shows the opposite pile (stacked at v) at 1 in their local view, every
     other robot gets 0.  The factor falls back to 1 (an arbitrary nonzero
@@ -103,8 +100,8 @@ def _canonical_action(
     The opposite pile's location is read once per side and each factor is
     computed once per (side, point) pair, keyed by the point slot, offset
     by the number of points on the right pile; a round costs O(m) int work.
-    The action keeps the `previous` action's slot tuple when they are equal,
-    as they are round after round while the piles stay stacked.
+    Built like the position, the action keeps its slot tuple while the piles
+    stay stacked: both are `(0,)*n + (1,)*n`.
     """
     n, points = position.universe.pile_size, position.points
     width = len(points)
@@ -118,38 +115,22 @@ def _canonical_action(
         return Fraction(1) / (v - u) if v is not None and v != u else Fraction(1)
 
     keys = position.slots[:n] + tuple(width + s for s in position.slots[n:])
-    factors, slots = tabulate_keys(keys, factor)
-    if slots == previous:
-        slots = previous
-    return DemonicAction._table(position.universe, factors, slots)
-
-
-def _canonical_demon(name: str, sides_of: Callable[[int], tuple[Side, ...]]) -> Demon:
-    """The demon whose round i is `_canonical_action` for `sides_of(i)`."""
-    previous: tuple[int, ...] = ()
-
-    def step(round_index: int, position: Position) -> DemonicAction:
-        nonlocal previous
-        action = _canonical_action(position, sides_of(round_index), previous)
-        previous = action.slots
-        return action
-
-    return Demon(name, step)
+    return DemonicAction._table(position.universe, *tabulate_keys(keys, factor, position.slots))
 
 
 def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
     """Every round activates every robot with the canonical-view factor."""
     universe.require_inhabited()
-    return _canonical_demon("adversary-swap-fsync", lambda i: (Side.LEFT, Side.RIGHT))
+    both = (Side.LEFT, Side.RIGHT)
+    return Demon("adversary-swap-fsync", lambda i, p: _canonical_action(p, both))
 
 
 def make_alternating_demon(universe: RobotUniverse) -> Demon:
     """Even rounds activate exactly the left pile, odd rounds exactly the
     right pile, activated robots getting the canonical-view factor."""
     universe.require_inhabited()
-    return _canonical_demon(
-        "adversary-alternating", lambda i: (Side.LEFT,) if i % 2 == 0 else (Side.RIGHT,)
-    )
+    turns = ((Side.LEFT,), (Side.RIGHT,))
+    return Demon("adversary-alternating", lambda i, p: _canonical_action(p, turns[i % 2]))
 
 
 def build_adversary_demon(

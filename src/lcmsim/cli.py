@@ -3,14 +3,15 @@
 Machine-readable output (traces, reports, verdicts) goes to stdout or the
 requested file; diagnostics go to stderr.  Exit codes: 0 success / property
 holds, 1 property fails, 2 usage error or malformed input, 3 runtime error
-(bad robogram arithmetic, corrupt trace).  Rationals cross the CLI as
-"num/den" strings only.
+(bad robogram arithmetic, corrupt trace, stdout closed early).  Rationals
+cross the CLI as "num/den" strings only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Callable
@@ -46,6 +47,17 @@ class UsageError(Exception):
     pass
 
 
+def _selector_int(text: str, field: str) -> int:
+    """A selector's integer field, in canonical decimal text only (as `str`
+    writes it), so the name reported is the one typed."""
+    try:
+        if text == str(int(text)):
+            return int(text)
+    except ValueError:
+        pass
+    raise UsageError(f"bad {field} {text!r}: expected a decimal integer like 3 or -3")
+
+
 def _resolve_robogram(selector: str) -> Robogram:
     try:
         return resolve_robogram(selector)
@@ -69,10 +81,8 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
         parts = sel.split(":")
         if len(parts) != 3:
             raise UsageError("random-kfair selector must be random-kfair:<k>:<seed>")
-        try:
-            k, seed = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise UsageError(f"bad random-kfair selector: {exc}") from exc
+        k = _selector_int(parts[1], "random-kfair budget k")
+        seed = _selector_int(parts[2], "random-kfair seed")
         if k < 0:
             raise UsageError("random-kfair budget k must be >= 0")
         return make_random_kfair(universe, k, 1, seed)
@@ -100,7 +110,7 @@ def _parse_init(text: str, universe: RobotUniverse) -> Position:
             return Position.from_piles(universe, parse_scalar(parts[1]), parse_scalar(parts[2]))
         raw = json.loads(text)
         if isinstance(raw, dict):
-            return _parse_row(Position, universe, raw, "--init", {})
+            return _parse_row(Position, universe, raw, "--init")
     # ValueError: bad JSON, too many digits or a malformed map (TraceFormatError
     # from the trace's own row reader); RecursionError: nested too deep.
     except (ValueError, RecursionError) as exc:
@@ -126,8 +136,6 @@ def _check_writable(path: str) -> None:
     """Refuse an unwritable trace path before the run rather than after it.
     Opening for append truncates nothing, and a file the probe created is
     removed again, so a run that fails later leaves no empty trace behind."""
-    import os  # only this probe needs it
-
     existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
@@ -173,10 +181,7 @@ def _parse_property(text: str) -> tuple[str, Callable[[Trace], Verdict]]:
     if text == "always-split":
         return text, check_always_split
     if text.startswith("kfair:"):
-        try:
-            k = int(text.removeprefix("kfair:"))
-        except ValueError as exc:
-            raise UsageError(f"bad property {text!r}: {exc}") from exc
+        k = _selector_int(text.removeprefix("kfair:"), "kfair budget")
         if k < 0:
             raise UsageError("kfair budget must be >= 0")
 
@@ -293,7 +298,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away (`| head`): shutdown flushes into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 3
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -214,17 +214,22 @@ def tabulate(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[in
 
 
 def tabulate_keys(
-    keys: Iterable[Hashable], value_of: Callable[[Hashable], Fraction]
+    keys: Iterable[Hashable], value_of: Callable[[Hashable], Fraction], like: tuple[int, ...] = ()
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The canonical table of one value per robot, given as one key per robot
     in robot order: `value_of` runs once per distinct key, in order of its
     first robot, and `tabulate` groups those values.  Keys are ints or
-    strings, which hash in C, so no Fraction is touched per robot."""
+    strings, which hash in C, so no Fraction is touched per robot.  The one
+    rule for sharing slot tuples: a table built like another (an action or
+    post-position like its pre-position, a trace row like the one before)
+    takes that table's slots as `like`, and the result keeps `like` itself
+    when its slots equal it, so a repeating pattern is one tuple."""
     keys = tuple(keys)
     distinct = dict.fromkeys(keys)
     points, index = tabulate(map(value_of, distinct))
     slot_of = dict(zip(distinct, index))
-    return points, tuple(map(slot_of.__getitem__, keys))
+    slots = tuple(map(slot_of.__getitem__, keys))
+    return points, like if slots == like else slots
 
 
 def _counts(slots: tuple[int, ...]) -> tuple[int, ...]:

@@ -118,7 +118,7 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     read-only Spectrum that builds its locations only when the robogram
     reads them; its centroid is the frame's image of the round's, which is
     computed once.  A raw robogram sees the whole position.  The new
-    position keeps the old one's slot tuple when the two are equal.
+    position is built like the old one (`tabulate_keys`).
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
@@ -134,10 +134,7 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
         return point + local / f  # the inverse frame, y -> y/f + point
 
     keys = [f * width + p for f, p in zip(action.slots, position.slots)]
-    points, slots = tabulate_keys(keys, destination)
-    if slots == position.slots:
-        slots = position.slots
-    return Position._table(position.universe, points, slots)
+    return Position._table(position.universe, *tabulate_keys(keys, destination, position.slots))
 
 
 def _rounds(
@@ -200,15 +197,16 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fp)
 
 
-def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, shared: dict) -> _T:
+def _parse_row(
+    cls: type[_T], universe: RobotUniverse, raw: object, what: str, like: tuple[int, ...] = ()
+) -> _T:
     """One id -> "num/den" map, a trace row or a `simulate --init` map, as a
-    `cls` table (a Position or a DemonicAction).  The keys must be exactly
-    the universe's canonical names ("L0", not "L00" or " L0 ").  Texts equal
-    in value ("1/2", "2/4") share a point, and each distinct text is parsed
-    once, in order of its first robot.  Rows of one trace share equal slot
-    tuples through `shared`; a bivalent run has only a few slot patterns.
-    Raises TraceFormatError on any defect: the size is checked first, then
-    every id, then the texts."""
+    `cls` table (a Position or a DemonicAction), built like the slot tuple
+    `like` (`tabulate_keys`).  The keys must be exactly the universe's
+    canonical names ("L0", not "L00" or " L0 ").  Texts equal in value
+    ("1/2", "2/4") share a point, and each distinct text is parsed once, in
+    order of its first robot.  Raises TraceFormatError on any defect: the
+    size is checked first, then every id, then the texts."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
@@ -224,10 +222,10 @@ def _parse_row(cls: type[_T], universe: RobotUniverse, raw: object, what: str, s
             f" with 0 <= i < {universe.pile_size}, no sign, space or leading zero"
         )
     try:
-        points, slots = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
+        table = tabulate_keys(map(raw.__getitem__, names), parse_scalar, like)
     except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"bad {what}: {_refused_value(raw, names, exc)}") from exc
-    return cls._table(universe, points, shared.setdefault(slots, slots))
+    return cls._table(universe, *table)
 
 
 def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
@@ -279,13 +277,13 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
-    shared: dict[tuple, tuple] = {}
     try:
-        p0 = _parse_row(Position, universe, header["p0"], "p0", shared)
+        p0 = _parse_row(Position, universe, header["p0"], "p0")
     except TraceFormatError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
 
-    rounds = []
+    # Each row is parsed like the post-position before it (p0 for the first).
+    rounds, like = [], p0.slots
     for lineno, line in enumerate(it, start=2):
         if not line.strip():
             continue
@@ -295,11 +293,12 @@ def read_trace(lines: Iterable[str]) -> Trace:
         if row["round"] != len(rounds):
             raise TraceFormatError(f"line {lineno}: round index {row['round']} out of order")
         try:
-            action = _parse_row(DemonicAction, universe, row["frames"], "frames", shared)
-            post = _parse_row(Position, universe, row["post"], "post", shared)
+            action = _parse_row(DemonicAction, universe, row["frames"], "frames", like)
+            post = _parse_row(Position, universe, row["post"], "post", like)
         except TraceFormatError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         rounds.append(TraceRound(len(rounds), action, post))
+        like = post.slots
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))
 

@@ -29,7 +29,7 @@ from lcmsim.core import (
     spectrum,
 )
 from lcmsim.demons import DemonicAction, check_kfair
-from lcmsim.execution import execute_prefix
+from lcmsim.execution import execute_prefix, read_trace_file, write_trace_file
 from lcmsim.properties import check_will_gather
 from lcmsim.robograms import (
     BUILTIN_SELECTORS,
@@ -317,6 +317,36 @@ def test_run_impossibility_shares_one_universe():
     assert canonical_view(u).universe is u
     demon = build_adversary_demon(center_of_mass, u, 0, 1)
     assert demon.action(0, Position.from_piles(u, 0, 1)).universe is u
+
+
+def test_an_adversary_trace_holds_one_slot_tuple(tmp_path):
+    # While the piles stay stacked, every position and every action has the
+    # pattern (0,)*n + (1,)*n, and each is built like the position before
+    # it, so the whole trace holds p0's slot tuple, executed or read back.
+    trace = run_impossibility(center_of_mass, 3, 50).trace
+    path = str(tmp_path / "t.jsonl")
+    write_trace_file(trace, path)
+    for t in (trace, read_trace_file(path)):
+        tables = t.positions() + t.actions()
+        assert len(tables) == 101
+        assert len({id(table.slots) for table in tables}) == 1
+        assert t.p0.slots == (0, 0, 0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("robogram,branch", [(center_of_mass, ALTERNATING), (to_max, SWAP_FSYNC)])
+def test_an_adversary_demon_keeps_no_state(robogram, branch):
+    # A demon that has run answers every (round, position) as a fresh one
+    # does, in any order, on stacked and on scattered positions.
+    u = RobotUniverse(2)
+    used = build_adversary_demon(robogram, u, 0, 1)
+    trace = execute_prefix(robogram, used, canonical_view(u), 12)
+    assert trace.demon_name == f"adversary-{branch}"
+    scattered = Position(u, dict(zip(u.robots, map(Fraction, (0, 2, 1, 5)))))
+    asked = list(enumerate(trace.positions()[:-1])) + [(3, scattered), (4, scattered)]
+    for i, p in reversed(asked):
+        fresh = build_adversary_demon(robogram, u, 0, 1)
+        assert used.action(i, p) == fresh.action(i, p)
+    assert [used.action(i, p) for i, p in asked[:-2]] == list(trace.actions())
 
 
 @pytest.mark.parametrize("robogram,branch", [(center_of_mass, ALTERNATING), (to_max, SWAP_FSYNC)])

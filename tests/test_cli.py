@@ -278,6 +278,66 @@ def test_check_kfair_rejects_zero_round_trace(tmp_path, capsys):
     assert code == 2
 
 
+NON_CANONICAL_INTS = (" 1", "1 ", "+1", "01", "1_0", "-0", "", "x")
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_INTS)
+def test_kfair_budget_must_be_canonical_decimal(tmp_path, capsys, text):
+    out_path = tmp_path / "t.jsonl"
+    _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "fsync",
+        "--n", "1", "--horizon", "2", "--out", str(out_path),
+    )
+    code, out, err = _run(capsys, "check", str(out_path), "--property", f"kfair:{text}")
+    assert code == 2 and not out
+    assert _one_line(err) and f"bad kfair budget {text!r}" in err
+
+
+# The demon selector is stripped as a whole, as a robogram selector is, so
+# a space after the seed is outside the field; every other text is inside.
+@pytest.mark.parametrize(
+    "field, text",
+    [("budget k", t) for t in NON_CANONICAL_INTS]
+    + [("seed", t) for t in NON_CANONICAL_INTS if not t.endswith(" ")],
+)
+def test_random_kfair_integers_must_be_canonical_decimal(capsys, field, text):
+    k, seed = (text, "3") if field == "budget k" else ("1", text)
+    code, out, err = _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", f"random-kfair:{k}:{seed}",
+        "--n", "1", "--horizon", "1",
+    )
+    assert code == 2 and not out
+    assert _one_line(err) and f"bad random-kfair {field} {text!r}" in err
+
+
+def test_canonical_selector_integers_are_echoed_as_typed(tmp_path, capsys):
+    out_path = tmp_path / "t.jsonl"
+    code, *_ = _run(
+        capsys, "simulate", "--robogram", "stay", "--demon", "random-kfair:10:-3",
+        "--n", "1", "--horizon", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    assert read_trace_file(str(out_path)).demon_name == "random-kfair:10:-3"
+    code, out, _ = _run(capsys, "check", str(out_path), "--property", "kfair:10")
+    assert code == 0 and json.loads(out)["property"] == "kfair:10"
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    # The trace is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader closes the pipe after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lcmsim.cli", "simulate", "--robogram", "stay",
+         "--demon", "fsync", "--n", "1", "--horizon", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert json.loads(proc.stdout.readline())["robogram"] == "stay"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert _one_line(err) and err.startswith("error: stdout was closed")
+
+
 def _one_line(err):
     return len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

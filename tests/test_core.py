@@ -24,6 +24,7 @@ from lcmsim.core import (
     parse_scalar,
     permute_position,
     spectrum,
+    tabulate_keys,
 )
 from lcmsim.sampling import random_permutation, random_position, random_scalar
 
@@ -208,6 +209,18 @@ def test_position_map_and_equality():
     assert q == Position.from_piles(u, 1, 2)
     assert q != p
     assert p == Position.from_piles(u, 0, 1)
+
+
+def test_tabulate_keys_reuses_an_equal_slot_tuple():
+    like = (0, 0, 1, 1)
+    value_of = {"a": Fraction(3), "b": Fraction(1, 2), "c": Fraction(6, 2)}.__getitem__
+    points, slots = tabulate_keys(["a", "a", "b", "b"], value_of, like)
+    assert points == (3, Fraction(1, 2)) and slots is like
+    # keys with equal values share a slot, so the pattern is the values'
+    assert tabulate_keys(["a", "c", "b", "b"], value_of, like)[1] is like
+    points, slots = tabulate_keys(["b", "a", "a", "b"], value_of, like)
+    assert slots == (0, 1, 1, 0) and slots is not like
+    assert tabulate_keys(["a", "b"], value_of) == ((3, Fraction(1, 2)), (0, 1))
 
 
 def test_spectrum_counts_multiplicities():
