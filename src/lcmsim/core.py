@@ -13,7 +13,6 @@ checks where it applies it.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -44,8 +43,6 @@ __all__ = [
 
 ScalarLike = int | str | Fraction
 _T = TypeVar("_T", bound="_Table")
-
-_SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class EmptyUniverse(ValueError):
@@ -81,16 +78,19 @@ def _digits_of(x: int) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer).  Decimal notation is rejected:
-    values cross every interface in exact form.  Numerator and denominator
-    may each have up to MAX_SCALAR_DIGITS digits."""
+    """Parse "num/den" (or a bare integer), with an optional sign and
+    surrounding whitespace, in terms that need not be lowest.  Decimal
+    notation is rejected: values cross every interface in exact form.  Only
+    ASCII digits are read (`str.isdigit` alone also takes other scripts'
+    digits).  Numerator and denominator may each have up to
+    MAX_SCALAR_DIGITS digits."""
     if not isinstance(text, str):
         raise TypeError(f"invalid scalar {text!r}: expected a 'num/den' string")
     s = text.strip()
-    if not _SCALAR_RE.match(s):
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"invalid scalar {text!r}: expected 'num' or 'num/den'")
-    num, _, den = s.partition("/")
-    digits = num.lstrip("+-")
     if max(len(digits), len(den)) > MAX_SCALAR_DIGITS:
         raise ValueError(f"invalid scalar: more than {MAX_SCALAR_DIGITS} digits")
     numerator = _int_from_digits(digits)

@@ -14,6 +14,13 @@ back by one pair of functions.  The reader accepts only the canonical ids
 (no sign, space or leading zero) and also reads `simulate --init` maps.
 Only post-positions are stored; pre-positions are recovered by chaining,
 and `replay` re-derives every round to certify a file.
+
+Trace IO works once per distinct scalar of a row, not once per robot.  The
+writer builds each line's text itself, byte for byte in `json.dumps`'
+layout, and takes a point's text from the row before when that row had the
+same point; the reader takes a text's point from the row before when that
+row had the same text.  Both keep one row, so memory does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import json
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .core import (
@@ -169,27 +177,47 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 
-def _table_to_json(table: Position | DemonicAction) -> dict[str, str]:
-    """A table's name -> "num/den" map, each point formatted once."""
-    text = [format_scalar(x) for x in table.points]
-    return dict(zip(table.universe.places_by_name, map(text.__getitem__, table.slots)))
+class _TableWriter:
+    """A universe's tables as JSON object text in `json.dumps`' layout,
+    `{"L0": "1/2", "L1": "0/1"}`, each distinct point formatted and quoted
+    once per row.  A point with the same (numerator, denominator) as one of
+    the row before takes that row's text, so a scalar that stays put from
+    round to round is formatted once.  Scalar texts need no JSON escaping."""
+
+    def __init__(self, universe: RobotUniverse):
+        # The text before each robot's value, in robot order.
+        self.prefixes = [
+            f'{", " if i else ""}"{name}": ' for i, name in enumerate(universe.places_by_name)
+        ]
+        self.last: dict[tuple[int, int], str] = {}
+        self.row: dict[tuple[int, int], str] = {}
+
+    def text(self, table: Position | DemonicAction) -> str:
+        texts = []
+        for x in table.points:
+            ratio = x.as_integer_ratio()
+            text = self.row.get(ratio) or self.last.get(ratio) or f'"{format_scalar(x)}"'
+            self.row[ratio] = text
+            texts.append(text)
+        values = map(texts.__getitem__, table.slots)
+        return "{" + "".join(chain.from_iterable(zip(self.prefixes, values))) + "}"
+
+    def next_row(self) -> None:
+        self.last, self.row = self.row, {}
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
-    header = {
-        "robogram": trace.robogram_name,
-        "demon": trace.demon_name,
-        "n": trace.universe.pile_size,
-        "p0": _table_to_json(trace.p0),
-    }
-    fp.write(json.dumps(header) + "\n")
+    """The header and one line per round, each the bytes `json.dumps` writes
+    for it, with the tables' text built by a `_TableWriter`."""
+    tables = _TableWriter(trace.universe)
+    fp.write(
+        f'{{"robogram": {json.dumps(trace.robogram_name)}, "demon": {json.dumps(trace.demon_name)},'
+        f' "n": {trace.universe.pile_size}, "p0": {tables.text(trace.p0)}}}\n'
+    )
     for rd in trace.rounds:
-        row = {
-            "round": rd.index,
-            "frames": _table_to_json(rd.action),
-            "post": _table_to_json(rd.post),
-        }
-        fp.write(json.dumps(row) + "\n")
+        tables.next_row()
+        frames = tables.text(rd.action)
+        fp.write(f'{{"round": {rd.index}, "frames": {frames}, "post": {tables.text(rd.post)}}}\n')
 
 
 def write_trace_file(trace: Trace, path: str) -> None:
@@ -197,16 +225,45 @@ def write_trace_file(trace: Trace, path: str) -> None:
         write_trace(trace, fp)
 
 
+class _TextMemo:
+    """The scalar texts of the trace row being read, each with its point.
+    A text that this row or the row before already had takes its point
+    from there instead of being parsed again; `next_row` forgets all but
+    the row just read, so memory stays at one row."""
+
+    def __init__(self) -> None:
+        self.last: dict[str, Fraction] = {}
+        self.row: dict[str, Fraction] = {}
+
+    def point(self, text: str) -> Fraction:
+        point = self.row.get(text)
+        if point is None:
+            point = self.last.get(text)
+        if point is None:
+            point = parse_scalar(text)
+        self.row[text] = point
+        return point
+
+    def next_row(self) -> None:
+        self.last, self.row = self.row, {}
+
+
 def _parse_row(
-    cls: type[_T], universe: RobotUniverse, raw: object, what: str, like: tuple[int, ...] = ()
+    cls: type[_T],
+    universe: RobotUniverse,
+    raw: object,
+    what: str,
+    like: tuple[int, ...] = (),
+    point_of: Callable[[str], Fraction] = parse_scalar,
 ) -> _T:
     """One id -> "num/den" map, a trace row or a `simulate --init` map, as a
     `cls` table (a Position or a DemonicAction), built like the slot tuple
     `like` (`tabulate_keys`).  The keys must be exactly the universe's
     canonical names ("L0", not "L00" or " L0 ").  Texts equal in value
-    ("1/2", "2/4") share a point, and each distinct text is parsed once, in
-    order of its first robot.  Raises TraceFormatError on any defect: the
-    size is checked first, then every id, then the texts."""
+    ("1/2", "2/4") share a point, and `point_of` (`parse_scalar`, or a
+    `_TextMemo`'s) runs once per distinct text, in order of its first
+    robot.  Raises TraceFormatError on any defect: the size is checked
+    first, then every id, then the texts."""
     if not isinstance(raw, dict):
         raise TraceFormatError(f"{what} must be an object of id -> scalar")
     # Checked first: a short map under a header with a huge n must not make
@@ -222,7 +279,7 @@ def _parse_row(
             f" with 0 <= i < {universe.pile_size}, no sign, space or leading zero"
         )
     try:
-        table = tabulate_keys(map(raw.__getitem__, names), parse_scalar, like)
+        table = tabulate_keys(map(raw.__getitem__, names), point_of, like)
     except (ValueError, TypeError) as exc:
         raise TraceFormatError(f"bad {what}: {_refused_value(raw, names, exc)}") from exc
     return cls._table(universe, *table)
@@ -277,12 +334,14 @@ def read_trace(lines: Iterable[str]) -> Trace:
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
+    texts = _TextMemo()
     try:
-        p0 = _parse_row(Position, universe, header["p0"], "p0")
+        p0 = _parse_row(Position, universe, header["p0"], "p0", (), texts.point)
     except TraceFormatError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
 
-    # Each row is parsed like the post-position before it (p0 for the first).
+    # Each row is parsed like the post-position before it (p0 for the first),
+    # and takes the points of the texts that the row before had.
     rounds, like = [], p0.slots
     for lineno, line in enumerate(it, start=2):
         if not line.strip():
@@ -292,9 +351,10 @@ def read_trace(lines: Iterable[str]) -> Trace:
             raise TraceFormatError(f"line {lineno}: round must be an integer")
         if row["round"] != len(rounds):
             raise TraceFormatError(f"line {lineno}: round index {row['round']} out of order")
+        texts.next_row()
         try:
-            action = _parse_row(DemonicAction, universe, row["frames"], "frames", like)
-            post = _parse_row(Position, universe, row["post"], "post", like)
+            action = _parse_row(DemonicAction, universe, row["frames"], "frames", like, texts.point)
+            post = _parse_row(Position, universe, row["post"], "post", like, texts.point)
         except TraceFormatError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         rounds.append(TraceRound(len(rounds), action, post))

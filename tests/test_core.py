@@ -42,6 +42,8 @@ def test_parse_scalar_accepts_exact_forms():
 @pytest.mark.parametrize(
     "bad",
     ["0.5", "1e3", "", "/", "3/", "/4", "1/0", "one", "1 / 2", "1/-2", "nan"]
+    # digits of other scripts: Arabic-Indic 3/4, a fullwidth 1
+    + ["\u0663/\u0664", "\uff11/2"]
     + [
         pytest.param("1" * (MAX_SCALAR_DIGITS + 1), id="numerator-past-digit-bound"),
         pytest.param("1/1" + "0" * MAX_SCALAR_DIGITS, id="denominator-past-digit-bound"),

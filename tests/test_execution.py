@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import random
@@ -7,11 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsim.core import EmptyUniverse, Position, RobotUniverse, parse_scalar
-from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair
+from lcmsim.adversary import run_impossibility
+from lcmsim.cli import main
+from lcmsim.core import EmptyUniverse, Position, RobotUniverse, format_scalar, parse_scalar
+from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair, make_round_robin
 from lcmsim.execution import (
     ExecutionError,
     ReplayMismatchError,
+    Trace,
     TraceFormatError,
     execute_prefix,
     read_trace,
@@ -22,12 +26,15 @@ from lcmsim.execution import (
     write_trace_file,
 )
 from lcmsim.robograms import (
+    broken_id_leak,
     center_of_mass,
+    convex,
     evaluate,
     raw_robogram,
     resolve_robogram,
     spectrum_robogram,
     stay,
+    to_other_occupied,
 )
 from lcmsim.sampling import random_position, random_scalar
 
@@ -216,6 +223,140 @@ def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
     assert json.loads(buffer.getvalue().splitlines()[0])["p0"] == {
         "L0": "1/2", "L1": "1/2", "L2": "0/1", "R0": "1/2", "R1": "0/1", "R2": "7/1",
     }
+
+
+def _dumps_trace(trace: Trace) -> str:
+    """The reference writer: one `json.dumps` of a dict per line, each
+    table a name -> "num/den" map.  `write_trace` must match it byte for
+    byte."""
+
+    def table(t):
+        text = [format_scalar(x) for x in t.points]
+        return dict(zip(t.universe.places_by_name, map(text.__getitem__, t.slots)))
+
+    header = {
+        "robogram": trace.robogram_name,
+        "demon": trace.demon_name,
+        "n": trace.universe.pile_size,
+        "p0": table(trace.p0),
+    }
+    lines = [json.dumps(header)]
+    for rd in trace.rounds:
+        lines.append(json.dumps({"round": rd.index, "frames": table(rd.action), "post": table(rd.post)}))
+    return "".join(line + "\n" for line in lines)
+
+
+def _scattered_init_trace(tmp_path) -> Trace:
+    """`simulate --init` with every robot on its own point, as written by the CLI."""
+    rng = random.Random(17)
+    u = RobotUniverse(4)
+    points = {str(r): format_scalar(Fraction(rng.randint(-99, 99), rng.randint(1, 50)) + i)
+              for i, r in enumerate(u.robots)}
+    path = tmp_path / "scattered.jsonl"
+    code = main(["simulate", "--robogram", "convex:1/2", "--demon", "random-kfair:1:5", "--n", "4",
+                 "--horizon", "12", "--init", json.dumps(points), "--out", str(path)])
+    assert code == 0
+    trace = read_trace_file(str(path))
+    assert len(trace.p0.points) == u.m
+    return trace
+
+
+def _oracle_traces(tmp_path) -> dict[str, Trace]:
+    u = RobotUniverse(3)
+    piles = Position.from_piles(u, 0, 1)
+    # 3**9500 has 4533 digits, past CPython's default int <-> str limit, so
+    # format_scalar converts it piecewise; round-robin moves one robot per
+    # round, so each row formats new huge points and takes the rest from
+    # the row before.
+    huge = Position.from_piles(u, 0, Fraction(1, 3**9500))
+    deep = execute_prefix(center_of_mass, make_round_robin(u, 1), huge, 8)
+    assert max(x.denominator for x in deep.rounds[-1].post.points) > 10**4300
+    alternating = run_impossibility(center_of_mass, 3, 40).trace
+    swap = run_impossibility(to_other_occupied, 3, 40).trace
+    assert (alternating.demon_name, swap.demon_name) == ("adversary-alternating", "adversary-swap-fsync")
+    return {
+        "adversary-alternating": alternating,
+        "adversary-swap": swap,
+        "broken-id-leak": run_impossibility(broken_id_leak, 3, 10).trace,
+        "random-kfair": execute_prefix(convex("1/3"), make_random_kfair(u, 1, 1, seed=7), piles, 30),
+        "round-robin": execute_prefix(convex("1/3"), make_round_robin(u, "1/2"), piles, 30),
+        "fsync": execute_prefix(center_of_mass, make_fsync(u), piles, 5),
+        "scattered-init": _scattered_init_trace(tmp_path),
+        "past-int-str-limit": deep,
+        "names-json-escapes": dataclasses.replace(
+            alternating, robogram_name='odd "name" \\ é', demon_name="dé\tmon"
+        ),
+    }
+
+
+def test_write_trace_matches_json_dumps_byte_for_byte(tmp_path):
+    for name, trace in _oracle_traces(tmp_path).items():
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        assert buffer.getvalue() == _dumps_trace(trace), name
+        assert read_trace(buffer.getvalue().splitlines()) == trace, name
+
+
+def _expected_tables(lines: list[str]):
+    """Each row's frames and post, built per robot from its own text."""
+    rows = [json.loads(line) for line in lines]
+    u = RobotUniverse(rows[0]["n"])
+    def parsed(raw):
+        return {r: parse_scalar(raw[str(r)]) for r in u.robots}
+    return [(DemonicAction(u, parsed(row["frames"])), Position(u, parsed(row["post"])))
+            for row in rows[1:]]
+
+
+def _row(frames: dict, post: dict, index: int = 0) -> str:
+    return json.dumps({"round": index, "frames": frames, "post": post})
+
+
+_P0 = {"L0": "1/3", "L1": "1/3", "R0": "5/7", "R1": "5/7"}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(  # the previous row's texts, under other robots
+            [{"L0": "5/7", "L1": "1/3", "R0": "0/1", "R1": "1/3"},
+             {"L0": "5/7", "L1": "1/3", "R0": "1/3", "R1": "5/7"},
+             {"L0": "1/3", "L1": "5/7", "R0": "5/7", "R1": "0/1"},
+             {"L0": "1/3", "L1": "1/3", "R0": "5/7", "R1": "5/7"}],
+            id="texts-under-other-robots",
+        ),
+        pytest.param(  # equal in value, not in text
+            [{"L0": "1/2", "L1": "1/2", "R0": "1/2", "R1": "0/1"},
+             {"L0": "1/2", "L1": "1/2", "R0": "1/2", "R1": "1/2"},
+             {"L0": "2/4", "L1": "0/1", "R0": "2/4", "R1": "0/1"},
+             {"L0": "2/4", "L1": "1/2", "R0": "2/4", "R1": "1/2"}],
+            id="one-half-then-two-quarters",
+        ),
+    ],
+)
+def test_read_trace_memo_gives_each_row_its_own_texts(rows):
+    header = json.dumps({"robogram": "stay", "demon": "scripted", "n": 2, "p0": _P0})
+    lines = [header, _row(rows[0], rows[1], 0), _row(rows[2], rows[3], 1)]
+    trace = read_trace(lines)
+    expected = _expected_tables(lines)
+    for rd, (action, post) in zip(trace.rounds, expected):
+        assert (rd.action, rd.post) == (action, post)
+        assert rd.action.points == action.points and rd.post.points == post.points
+
+
+@pytest.mark.parametrize("field", ["frames", "post"])
+@pytest.mark.parametrize("bad", ["1/2x", "٣/٤", "１/2", "5/0"])
+def test_read_trace_memo_keeps_the_error_of_the_only_new_text(field, bad):
+    # Line 3 reuses every text of line 2 but one, and that one is malformed.
+    row0 = {"L0": "5/7", "L1": "1/3", "R0": "0/1", "R1": "1/3"}
+    row1 = {"L0": "0/1", "L1": "5/7", "R0": bad, "R1": "1/3"}
+    header = json.dumps({"robogram": "stay", "demon": "scripted", "n": 2, "p0": _P0})
+    tables = {"frames": row0, "post": row0} | {field: row1}
+    lines = [header, _row(row0, row0, 0), _row(tables["frames"], tables["post"], 1)]
+    with pytest.raises(ValueError) as alone:
+        parse_scalar(bad)
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(lines)
+    assert str(err.value) == f"line 3: bad {field}: R0 has {alone.value}"
 
 
 def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch):
