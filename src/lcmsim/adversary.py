@@ -22,8 +22,10 @@ construction and certifies the trace with the bounded checkers.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     Position,
@@ -32,7 +34,6 @@ from .core import (
     Side,
     as_scalar,
     format_scalar,
-    tabulate_keys,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
 from .execution import Trace, execute_prefix
@@ -98,24 +99,24 @@ def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAct
     keeping the demon total.
 
     The opposite pile's location is read once per side and each factor is
-    computed once per (side, point) pair, keyed by the point slot, offset
-    by the number of points on the right pile; a round costs O(m) int work.
-    Built like the position, the action keeps its slot tuple while the piles
-    stay stacked: both are `(0,)*n + (1,)*n`.
+    computed once per (side, point slot) pair.  Which robots share a pair
+    is a fact of the position's slot pattern and the universe's `sides`
+    pattern, kept with the pattern (`_Slots.tabulate_with`), so while the
+    piles stay stacked a round costs O(points), not O(robots).  Built like
+    the position, the action then keeps its slot tuple: both are
+    `(0,)*n + (1,)*n`.
     """
-    n, points = position.universe.pile_size, position.points
-    width = len(points)
+    universe, points = position.universe, position.points
     # left pile, then right: whether it is activated, and the opposite pile's location
     piles = [(side in sides, position.pile_location(side.other)) for side in Side]
 
-    def factor(key: int) -> Fraction:
-        (active, v), u = piles[key // width], points[key % width]
+    def factor(pair: tuple[int, int]) -> Fraction:
+        (active, v), u = piles[pair[0]], points[pair[1]]
         if not active:
             return Fraction(0)
         return Fraction(1) / (v - u) if v is not None and v != u else Fraction(1)
 
-    keys = position.slots[:n] + tuple(width + s for s in position.slots[n:])
-    return DemonicAction._table(position.universe, *tabulate_keys(keys, factor, position.slots))
+    return DemonicAction._table(universe, *position.slots.tabulate_with(universe.sides, factor))
 
 
 def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
@@ -202,9 +203,29 @@ class ImpossibilityReport:
         }
 
 
+class _PileSwap(Sequence):
+    """The renaming that gives each pile the other's names, the places
+    `(n, ..., 2n-1, 0, ..., n-1)`: robot i goes to place (i + n) mod 2n.  It
+    computes its places instead of storing them: at n = 10**7 a tuple of
+    them holds 2*10**7 int objects, about 800 MB, more than all the rest
+    of the run."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return 2 * self._n
+
+    def __getitem__(self, i: int) -> int:
+        return range(self._n, 3 * self._n)[i] % (2 * self._n)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain(range(self._n, 2 * self._n), range(self._n))
+
+
 def _balanced_bivalent(position: Position, n: int) -> bool:
     """Exactly two occupied points with n robots each."""
-    return len(position.points) == 2 and position.slots.count(0) == n
+    return len(position.points) == 2 and position.slots.counts[0] == n
 
 
 def run_impossibility(robogram: Robogram, n: int, horizon: int) -> ImpossibilityReport:
@@ -220,8 +241,7 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
     demon = build_adversary_demon(robogram, universe, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
-    swap = tuple(range(n, 2 * n)) + tuple(range(n))  # each pile takes the other's names
-    invariance_ok = check_invariance(robogram, p0, swap, probe.delta)
+    invariance_ok = check_invariance(robogram, p0, _PileSwap(n), probe.delta)
     if invariance_ok and robogram.kind != SPECTRUM_BASED:
         rng = random.Random(0)
         invariance_ok = all(

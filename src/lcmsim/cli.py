@@ -3,7 +3,8 @@
 Machine-readable output (traces, reports, verdicts) goes to stdout or the
 requested file; diagnostics go to stderr.  Exit codes: 0 success / property
 holds, 1 property fails, 2 usage error or malformed input, 3 runtime error
-(bad robogram arithmetic, corrupt trace, stdout closed early).  Rationals
+(bad robogram arithmetic, corrupt trace, stdout closed early, out of
+memory).  Rationals
 cross the CLI as "num/den" strings only.
 """
 
@@ -121,6 +122,8 @@ def _parse_init(text: str, universe: RobotUniverse) -> Position:
 def _check_run_size(n: int, horizon: int) -> None:
     if n < 1:
         raise UsageError("n must be an integer >= 1")
+    if 2 * n > sys.maxsize:  # the 2n robots must fit in one tuple's index range
+        raise UsageError(f"n must be at most {sys.maxsize // 2}, so that 2n robots can be indexed")
     if horizon < 0:
         raise UsageError("horizon must be an integer >= 0")
 
@@ -311,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ExecutionError, NonRepresentableDestination, ReplayMismatchError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("runtime error: out of memory", file=sys.stderr)
         return 3
 
 

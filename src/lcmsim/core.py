@@ -3,18 +3,21 @@
 Every location, frame factor and destination is a `fractions.Fraction`, so
 equality and ordering are decidable and all arithmetic is exact.  Values are
 immutable after construction and operations are pure functions, safe to share
-between threads.
+between threads.  The one thing written after construction is a slot
+pattern's facts (`_Slots`): idempotent, lazily filled caches on a shared
+tuple, each a function of what it is keyed on, so two threads that fill
+one at once store equal values, and a reader sees a whole entry or none.
 
 Per-robot state is kept in `RobotUniverse.robots` order: a `Position` as an
-occupancy table, and a renaming of the robots as a plain tuple of places
-(`sigma[i]` is the place robot i is renamed to), which `permute_position`
-checks where it applies it.
+occupancy table, and a renaming of the robots as a sequence of places
+(`sigma[i]` is the place robot i is renamed to; a tuple, or a sequence that
+computes its places), which `permute_position` checks where it applies it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -193,12 +196,119 @@ class RobotUniverse:
         """True iff `mapping`'s keys are exactly the universe's robots."""
         return mapping.keys() == self.places.keys()
 
+    @cached_property
+    def sides(self) -> _Slots:
+        """The slot pattern of two piles stacked on two points,
+        `(0,)*n + (1,)*n`, built once per universe: the tables that
+        `Position.from_piles` builds share it, and so does every table
+        built like one of them."""
+        n = self.pile_size
+        return _Slots(chain(repeat(0, n), repeat(1, n)))
+
     def side_robots(self, side: Side) -> tuple[RobotId, ...]:
         return tuple(r for r in self.robots if r.side is side)
 
     def require_inhabited(self) -> None:
         if self.pile_size < 1:
             raise EmptyUniverse("universe must contain at least one robot per pile")
+
+
+class _Slots(tuple):
+    """A slot pattern: a table's `slots`, one index per robot in robot
+    order, numbered in order of first robot.  A table built like another
+    keeps that table's pattern when its slots are equal (`_like`), so while
+    the piles stay stacked every position and action of a run holds one
+    pattern, round after round.  What follows from the slots alone is
+    therefore derived once and kept with the pattern, in its own
+    `__dict__`, for exactly as long as the tuple lives:
+
+    - `counts`, the robots per slot in slot order, computed when the
+      pattern is built (a position's spectrum needs it, and building the
+      `__dict__` with the tuple keeps the allocator's layout as it was:
+      filled later, in the middle of a round, it left one more pymalloc
+      pool in use after every `check` call);
+    - each pile's slot, whether the piles share a slot, one robot per slot,
+      each filled on first use;
+    - for the last other pattern it was paired with, the joint pattern of
+      the two and the slots of the last grouping of that joint
+      (`tabulate_with`).
+
+    Each fact depends on the tuples alone and never changes once filled.
+    No entry holds the pattern itself, so a pattern is freed by reference
+    counting, not left to the cycle collector.  It compares, hashes and
+    slices as the plain tuple it is; slices are plain tuples."""
+
+    def __new__(cls, slots: Iterable[int] = ()) -> _Slots:
+        pattern = super().__new__(cls, slots)
+        pattern.counts = tuple(Counter(pattern).values())
+        return pattern
+
+    @cached_property
+    def piles(self) -> tuple[int | None, int | None]:
+        """The left and the right pile's slot, each None unless the whole
+        pile has one slot."""
+        n = len(self) // 2
+        return tuple(
+            pile[0] if pile and pile.count(pile[0]) == n else None for pile in (self[:n], self[n:])
+        )
+
+    @cached_property
+    def split(self) -> bool:
+        """No slot holds robots of both piles."""
+        n = len(self) // 2
+        return set(self[:n]).isdisjoint(self[n:])
+
+    @cached_property
+    def representatives(self) -> tuple[int, ...]:
+        """One robot place per slot, in slot order (the last robot of each)."""
+        return tuple(dict(zip(self, range(len(self)))).values())
+
+    def joint(self, other: _Slots) -> tuple[tuple[tuple[int, int], ...], _Slots]:
+        """The pattern of each robot's pair (its slot in `other`, its slot
+        here): the distinct pairs in order of their first robot, and each
+        robot's index into them, which is this pattern itself when equal to
+        it.  A pattern paired with itself is its own joint; otherwise the
+        joint is kept for the last `other`, which the entry holds, so no
+        other tuple can take its identity while it is kept."""
+        width = len(self.counts)
+        if other is self:
+            return tuple((s, s) for s in range(width)), self
+        last = self.__dict__.get("_joint")
+        if last is None or last[0] is not other:
+            keys = [a * width + b for a, b in zip(other, self)]
+            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            joint = _like(tuple(map(index.__getitem__, keys)), self)
+            pairs = tuple(divmod(key, width) for key in index)
+            last = (other, pairs, None if joint is self else joint)
+            self._joint = last
+        return last[1], self if last[2] is None else last[2]
+
+    def tabulate_with(
+        self, other: _Slots, value_of: Callable[[tuple[int, int]], Fraction]
+    ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """The canonical table of one value per robot that depends only on
+        the robot's slot in `other` and its slot here: `value_of` runs once
+        per distinct (other slot, slot) pair, in order of its first robot
+        (`joint`), and the table is built like this pattern.  Its slots
+        follow from the joint and the grouping of the values, and are kept
+        for the last `other` and grouping."""
+        pairs, joint = self.joint(other)
+        points, index = tabulate(map(value_of, pairs))
+        key = None if other is self else other
+        last = self.__dict__.get("_grouped")
+        if last is None or last[0] is not key or last[1] != index:
+            slots = _like(tuple(map(index.__getitem__, joint)), self)
+            last = (key, index, None if slots is self else slots)
+            self._grouped = last
+        return points, self if last[2] is None else last[2]
+
+
+def _like(slots: tuple[int, ...], like: tuple[int, ...]) -> tuple[int, ...]:
+    """The one rule for sharing slot tuples: a table built like another (an
+    action or post-position like its pre-position, a trace row like the one
+    before) takes that table's slots as `like`, and keeps `like` itself
+    when its own slots are equal, so a repeating pattern is one tuple."""
+    return like if slots == like else _Slots(slots)
 
 
 def tabulate(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
@@ -219,22 +329,13 @@ def tabulate_keys(
     """The canonical table of one value per robot, given as one key per robot
     in robot order: `value_of` runs once per distinct key, in order of its
     first robot, and `tabulate` groups those values.  Keys are ints or
-    strings, which hash in C, so no Fraction is touched per robot.  The one
-    rule for sharing slot tuples: a table built like another (an action or
-    post-position like its pre-position, a trace row like the one before)
-    takes that table's slots as `like`, and the result keeps `like` itself
-    when its slots equal it, so a repeating pattern is one tuple."""
+    strings, which hash in C, so no Fraction is touched per robot.  The
+    table is built like `like` (`_like`)."""
     keys = tuple(keys)
     distinct = dict.fromkeys(keys)
     points, index = tabulate(map(value_of, distinct))
     slot_of = dict(zip(distinct, index))
-    slots = tuple(map(slot_of.__getitem__, keys))
-    return points, like if slots == like else slots
-
-
-def _counts(slots: tuple[int, ...]) -> tuple[int, ...]:
-    """Robots per slot of a canonical table, in slot order."""
-    return tuple(Counter(slots).values())
+    return points, _like(tuple(map(slot_of.__getitem__, keys)), like)
 
 
 class _Table:
@@ -254,13 +355,16 @@ class _Table:
             extra = sorted(str(r) for r in values if r not in universe.places)
             raise ValueError(f"{self._partial} (missing {missing}, extra {extra})")
         self.universe = universe
-        self.points, self.slots = tabulate(as_scalar(values[r]) for r in universe.robots)
+        self.points, slots = tabulate(as_scalar(values[r]) for r in universe.robots)
+        self.slots = _Slots(slots)
 
     @classmethod
     def _table(cls: type[_T], universe: RobotUniverse, points: tuple, slots: tuple) -> _T:
-        """A table that is canonical, as the constructors' are."""
+        """A table that is canonical, as the constructors' are.  Its slots
+        are kept as a pattern (`_Slots`)."""
         t = cls.__new__(cls)
-        t.universe, t.points, t.slots = universe, points, slots
+        t.universe, t.points = universe, points
+        t.slots = slots if isinstance(slots, _Slots) else _Slots(slots)
         return t
 
     @classmethod
@@ -298,9 +402,15 @@ class Position(_Table):
     def from_piles(
         cls, universe: RobotUniverse, left: ScalarLike, right: ScalarLike
     ) -> Position:
-        """Left pile stacked at `left`, right pile stacked at `right`."""
-        n = universe.pile_size
-        return cls._of(universe, (as_scalar(left),) * n + (as_scalar(right),) * n)
+        """Left pile stacked at `left`, right pile stacked at `right`: the
+        table is built directly, on the universe's `sides` pattern when the
+        two points differ."""
+        a, b = as_scalar(left), as_scalar(right)
+        if not universe.pile_size:
+            return cls._table(universe, (), universe.sides)
+        if a == b:
+            return cls._table(universe, (a,), _Slots(repeat(0, universe.m)))
+        return cls._table(universe, (a, b), universe.sides)
 
     def items(self) -> tuple[tuple[RobotId, Fraction], ...]:
         return tuple(zip(self.universe.robots, self.locations()))
@@ -314,11 +424,8 @@ class Position(_Table):
 
     def pile_location(self, side: Side) -> Fraction | None:
         """The single location shared by the whole pile, or None if scattered."""
-        n = self.universe.pile_size
-        pile = self.slots[:n] if side is Side.LEFT else self.slots[n:]
-        if pile and pile.count(pile[0]) == n:
-            return self.points[pile[0]]
-        return None
+        slot = self.slots.piles[side is Side.RIGHT]
+        return None if slot is None else self.points[slot]
 
 
 @dataclass(frozen=True)
@@ -409,7 +516,7 @@ class Spectrum(Mapping[Fraction, int]):
 
     def __init__(self, locations: Iterable[Fraction]):
         self._keys, slots = tabulate(locations)
-        self._counts = _counts(slots)
+        self._counts = _Slots(slots).counts
         self._index = self._base = self._frame = self._ratio = None
 
     @classmethod
@@ -508,19 +615,23 @@ class Spectrum(Mapping[Fraction, int]):
 
 def spectrum(p: Position) -> Spectrum:
     """The multiset of `p`'s occupied locations."""
-    return Spectrum._of(p.points, _counts(p.slots))
+    return Spectrum._of(p.points, p.slots.counts)
 
 
-def permute_position(p: Position, sigma: tuple[int, ...]) -> Position:
+def permute_position(p: Position, sigma: Sequence[int]) -> Position:
     """Rename robots: `sigma[i]` is the place robot i is renamed to, so the
     result maps the robot at place sigma[i] to p's location of robot i.
-    `sigma` must be a permutation of range(m); this is where it is checked."""
+    `sigma` must be a permutation of range(m); this is where it is checked,
+    reading it only by `len` and iteration.  The result is built like p."""
     m = p.universe.m
     if len(sigma) != m:
         raise ValueError("permutation and position belong to different universes")
-    if len(set(sigma)) != m or (m and (min(sigma) < 0 or max(sigma) >= m)):
-        raise ValueError(f"renaming must list each of the {m} robot places once")
-    keys = [0] * m  # robot sigma[i]'s key: the slot of robot i
+    refused = ValueError(f"renaming must list each of the {m} robot places once")
+    if m and (min(sigma) < 0 or max(sigma) >= m):
+        raise refused
+    keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
     for slot, place in zip(p.slots, sigma):
         keys[place] = slot
-    return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__))
+    if None in keys:  # m places in range(m) miss one only if one repeats
+        raise refused
+    return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__, p.slots))

@@ -290,17 +290,27 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     instead of robot pairs: robots with the same column are activated
     together and never wait on each other, and every pair drawn from two
     given columns gets the same verdict.  The earliest violating round is
-    therefore unchanged.  Robots with one slot in every round share a
-    column, which is read off the slots against each round's idle slot.
-    The cost is O(m*H) int work to build the columns plus O(c^2*H) for c
-    distinct columns over H rounds, instead of O(m^2*H).
+    therefore unchanged.  Robots with one slot in each of the d distinct
+    slot patterns of the prefix share a column: their classes are the
+    pattern the d patterns form together (`_Slots.joint`), and a class's
+    column is one of its robots' slots read against each round's idle slot
+    (which a pattern does not fix: it depends on the round's factors).  The
+    cost is O(m*d) int work for the classes, none when d = 1 and the
+    pattern has them already, plus O(c*H) to read c classes' columns and
+    O(c^2*H) to scan them, instead of O(m^2*H).
     """
     if not actions:
         raise ValueError("check_kfair needs a nonempty action prefix")
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
     idle = [a._idle_slot() for a in actions]
-    columns = {tuple(map(int.__ne__, c, idle)) for c in set(zip(*(a.slots for a in actions)))}
+    patterns = iter({id(a.slots): a.slots for a in actions}.values())  # distinct, by identity
+    classes = next(patterns)
+    for pattern in patterns:
+        classes = classes.joint(pattern)[1]
+    columns = {
+        tuple(a.slots[r] != i for a, i in zip(actions, idle)) for r in classes.representatives
+    }
     earliest: int | None = None
     for ag in columns:
         for ah in columns:

@@ -30,6 +30,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .core import (
@@ -118,31 +119,46 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     """One synchronous step of the recurrence.
 
     Robots sharing a frame factor and a point see the same local view, so
-    their destination is computed once (sound because robograms are
-    deterministic), and equal destinations share one point of the new
-    table.  Each robot's key is its (factor slot, point slot) pair as one
-    int, so no Fraction is read or hashed per robot.  A spectrum robogram's
-    view is the round's spectrum, built once, seen through each frame as a
-    read-only Spectrum that builds its locations only when the robogram
-    reads them; its centroid is the frame's image of the round's, which is
-    computed once.  A raw robogram sees the whole position.  The new
-    position is built like the old one (`tabulate_keys`).
+    their destination is computed once per distinct (factor slot, point
+    slot) pair (sound because robograms are deterministic), and equal
+    destinations share one point of the new table.  Which robots share a
+    pair, and the new slots for a grouping of the destinations, are facts
+    of the two slot patterns (`_Slots.tabulate_with`), kept with the
+    position's pattern: while the piles stay stacked a round does no work
+    per robot.  A spectrum robogram's view is the round's spectrum, built
+    once from the pattern's counts, seen through each frame as a read-only
+    Spectrum that builds its locations only when the robogram reads them;
+    its centroid is the frame's image of the round's, which is computed
+    once.  A raw robogram sees the whole position.  The new position is
+    built like the old one.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
     world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
-    points, factors, width = position.points, action.points, len(position.points)
+    points, factors = position.points, action.points
 
-    def destination(key: int) -> Fraction:
-        factor_slot, point_slot = divmod(key, width)
-        f, point = factors[factor_slot], points[point_slot]
+    def destination(pair: tuple[int, int]) -> Fraction:
+        f, point = factors[pair[0]], points[pair[1]]
         if not f:  # not activated: stays put
             return point
         local = evaluate(robogram, Similarity(f, point).map_position(world))
-        return point + local / f  # the inverse frame, y -> y/f + point
+        return _moved(point, local, f)
 
-    keys = [f * width + p for f, p in zip(action.slots, position.slots)]
-    return Position._table(position.universe, *tabulate_keys(keys, destination, position.slots))
+    return Position._table(position.universe, *position.slots.tabulate_with(action.slots, destination))
+
+
+def _moved(point: Fraction, local: Fraction, f: Fraction) -> Fraction:
+    """The inverse frame, `point + local/f`, built from integers and
+    normalized once, as `core._image` builds a frame's image: the sum is
+    taken over lcm(pd, ld*fn) for point = pn/pd, local = ln/ld and
+    f = fn/fd, instead of a quotient and a sum that each normalize."""
+    pn, pd = point.as_integer_ratio()
+    ln, ld = local.as_integer_ratio()
+    fn, fd = f.as_integer_ratio()
+    den = ld * fn  # local/f = ln*fd / den; the sign of fn is normalized once, below
+    g = gcd(pd, den)
+    s = pd // g
+    return Fraction(pn * (den // g) + ln * fd * s, s * den)
 
 
 def _rounds(

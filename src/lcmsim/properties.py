@@ -36,8 +36,7 @@ def gathered_location(p: Position) -> Fraction | None:
 def split(p: Position) -> bool:
     """True iff no left-pile robot shares a location with any right-pile robot.
     Collisions within one pile are allowed."""
-    n = p.universe.pile_size
-    return set(p.slots[:n]).isdisjoint(p.slots[n:])
+    return p.slots.split
 
 
 def check_will_gather(trace: Trace) -> Verdict:

@@ -15,7 +15,7 @@ Robograms are immutable and pure; evaluating them concurrently is safe.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -91,10 +91,10 @@ def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fra
 
 
 def check_invariance(
-    robogram: Robogram, p: Position, sigma: tuple[int, ...], destination: Fraction | None = None
+    robogram: Robogram, p: Position, sigma: Sequence[int], destination: Fraction | None = None
 ) -> bool:
-    """True iff renaming the robots by `sigma`, a tuple of robot places (see
-    `permute_position`), leaves the destination unchanged.  A caller that
+    """True iff renaming the robots by `sigma`, a sequence of robot places
+    (see `permute_position`), leaves the destination unchanged.  A caller that
     already holds `evaluate(robogram, p)` passes it as `destination`."""
     if destination is None:
         destination = evaluate(robogram, p)

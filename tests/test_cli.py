@@ -152,6 +152,38 @@ def test_adversary_usage_errors(capsys):
     assert code == 2  # argparse: --n is required
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("adversary", "--robogram", "stay"),
+        ("simulate", "--robogram", "stay", "--demon", "fsync"),
+    ],
+)
+def test_an_n_whose_robots_cannot_be_indexed_exits_2(capsys, argv):
+    # 2 * 10**19 robots do not fit in a tuple's index range: refused as
+    # usage before any table is built, not an OverflowError with exit 1.
+    code, out, err = _run(capsys, *argv, "--n", str(10**19), "--horizon", "1")
+    assert code == 2 and out == ""
+    assert _one_line(err) and err.startswith("error: n must be at most ")
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run_impossibility", ("adversary", "--robogram", "stay")),
+        ("execute_prefix", ("simulate", "--robogram", "stay", "--demon", "fsync")),
+    ],
+)
+def test_running_out_of_memory_exits_3(capsys, monkeypatch, target, argv):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code, out, err = _run(capsys, *argv, "--n", "1", "--horizon", "1")
+    assert code == 3 and out == ""
+    assert _one_line(err) and err == "runtime error: out of memory\n"
+
+
 def test_check_verdict_json_contract(tmp_path, capsys):
     # Dict equality ignores key order, so the lines are pinned: the verdict's
     # own fields first, then the trace's horizon when the verdict lacks one.

@@ -1,0 +1,183 @@
+"""The facts a slot pattern carries (`core._Slots`) against oracles that
+recompute them robot by robot.
+
+A pattern is shared by every table built like another with equal slots,
+so one tuple serves many rounds, actions and runs.  What it keeps must
+depend on the slots alone, or be keyed on everything else it depends on:
+the other pattern of a pair and the grouping of the round's values.  Each
+test here sets up a way for a fact to go stale and compares the result
+with a recomputation that keeps nothing.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import zip_longest
+
+import pytest
+
+from lcmsim import core
+from lcmsim.adversary import (
+    _balanced_bivalent,
+    _PileSwap,
+    build_adversary_demon,
+    run_impossibility,
+)
+from lcmsim.core import Position, RobotUniverse, permute_position
+from lcmsim.demons import DemonicAction, check_kfair, make_fsync, make_round_robin
+from lcmsim.execution import _rounds, round_step
+from lcmsim.robograms import center_of_mass, convex, stay, to_other_occupied
+
+from test_demons import _kfair_oracle
+from test_differential import reference_round_step
+
+F = Fraction
+
+
+def test_a_shared_pair_of_patterns_is_regrouped_by_each_rounds_destinations():
+    # The same position and action objects in every call: the destinations
+    # stay apart under center-of-mass and collide under to-other-occupied,
+    # so a grouping kept from the call before would be stale.
+    u = RobotUniverse(2)
+    p = Position.from_piles(u, 0, 1)
+    left_moves = DemonicAction._table(u, (F(1), F(0)), p.slots)
+    for robogram in (center_of_mass, to_other_occupied, center_of_mass, to_other_occupied):
+        post = round_step(robogram, left_moves, p)
+        assert post == reference_round_step(robogram, left_moves, p)
+    assert len(round_step(to_other_occupied, left_moves, p).points) == 1
+
+    # One position pattern paired with two action patterns whose joints
+    # differ but group alike, (0, 1, 2): the slots kept for one action do
+    # not serve the other.
+    p = Position._of(u, (F(0), F(0), F(0), F(1)))
+    first_moves = DemonicAction._table(u, (F(1), F(0)), (0, 1, 1, 1))
+    two_move = DemonicAction._table(u, (F(1), F(0)), (0, 0, 1, 1))
+    for action in (first_moves, two_move, first_moves, two_move):
+        assert round_step(center_of_mass, action, p) == reference_round_step(
+            center_of_mass, action, p
+        )
+
+
+def test_one_action_pattern_with_its_idle_slot_moving_between_rounds():
+    # The adversary's alternating schedule: one slot tuple, whose factor 0
+    # is slot 1 on even rounds (points (f, 0)) and slot 0 on odd ones
+    # (points (0, f)).  Which slot is idle depends on the round's factors,
+    # not on the pattern.
+    rng = random.Random(18)
+    for n in (1, 2, 3):
+        u = RobotUniverse(n)
+        sides = u.sides
+        lopsided = core._Slots((0,) * (n + 1) + (1,) * (n - 1))
+        for _ in range(40):
+            f = F(rng.choice((1, -2, 3)), rng.choice((1, 5)))
+            tables = [
+                DemonicAction._table(u, rng.choice(((f, F(0)), (F(0), f))), rng.choice((sides, lopsided)))
+                for _ in range(rng.randint(1, 10))
+            ]
+            for k in (0, 1, 2):
+                assert check_kfair(tables, k) == _kfair_oracle(tables, k)
+            for a in tables:
+                assert a.active_robots() == tuple(r for r in u.robots if a.factor(r) != 0)
+                p = Position._table(u, a.points, a.slots)
+                assert _balanced_bivalent(p, n) == (list(Counter(p.locations()).values()) == [n, n])
+
+
+def _run(robogram, demon, p0, horizon):
+    return _rounds(robogram, demon.action, p0, horizon)
+
+
+def _runs():
+    """Pairs of runs: different robograms on different universes, and on
+    one universe, whose `sides` pattern both runs then share."""
+    small, large, shared = RobotUniverse(2), RobotUniverse(3), RobotUniverse(2)
+
+    def adversary(robogram, universe):
+        demon = build_adversary_demon(robogram, universe, 0, 1)
+        return robogram, demon, Position.from_piles(universe, 0, 1)
+
+    return [
+        (adversary(center_of_mass, large), adversary(convex("1/3"), small)),
+        (
+            adversary(center_of_mass, large),
+            (convex("1/3"), make_round_robin(small, 2), Position.from_piles(small, 0, 1)),
+        ),
+        (
+            adversary(center_of_mass, shared),
+            (center_of_mass, make_fsync(shared), Position.from_piles(shared, 0, 1)),
+        ),
+        (
+            adversary(to_other_occupied, shared),
+            (stay, make_round_robin(shared, "1/2"), Position.from_piles(shared, 5, 7)),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_two_runs_advanced_alternately_each_give_their_own_trace(case):
+    # Each round is also checked against the reference step, which keeps
+    # nothing, so a memo shared between runs is caught even when it makes
+    # both the lone and the interleaved runs wrong alike.
+    alone = [list(_run(*run, 12)) for run in _runs()[case]]
+    runs = _runs()[case]
+    interleaved = ([], [])
+    for rounds in zip_longest(*(_run(*run, 12) for run in runs)):
+        for (robogram, _, p0), done, rd in zip(runs, interleaved, rounds):
+            pre = done[-1].post if done else p0
+            assert rd.post == reference_round_step(robogram, rd.action, pre)
+            done.append(rd)
+    assert list(interleaved) == alone
+
+
+def _count_robot_passes(monkeypatch, m):
+    """Count every pass over the robots of an m-robot slot pattern: a new
+    pattern built, an iteration of one (Counter, zip, map, set and dict
+    all start there) and a slice of one.  Patterns over the few distinct
+    values of a round (its grouping) are not per robot."""
+    passes = Counter()
+    build = core._Slots.__new__
+
+    def new(cls, iterable=()):
+        pattern = build(cls, iterable)
+        passes["new"] += len(pattern) == m
+        return pattern
+
+    def iterate(self):
+        passes["iter"] += len(self) == m
+        return tuple.__iter__(self)
+
+    def item(self, i):
+        passes["slice"] += isinstance(i, slice) and len(self) == m
+        return tuple.__getitem__(self, i)
+
+    monkeypatch.setattr(core._Slots, "__new__", new)
+    monkeypatch.setattr(core._Slots, "__iter__", iterate)
+    monkeypatch.setattr(core._Slots, "__getitem__", item)
+    return passes
+
+
+def test_a_certification_makes_as_many_passes_over_its_patterns_at_any_horizon(monkeypatch):
+    # While the piles stay stacked a round does no work per robot, so the
+    # per-robot passes of run_impossibility (building p0, the invariance
+    # screen, the facts of its one pattern) do not grow with the horizon.
+    passes = _count_robot_passes(monkeypatch, 40000)
+    counts = []
+    for horizon in (20, 200):
+        passes.clear()
+        report = run_impossibility(center_of_mass, 20000, horizon)
+        assert report.certified and report.fairness[1].ok
+        counts.append(dict(passes))
+    assert counts[0] == counts[1]
+    assert 0 < sum(counts[0].values()) < 40
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_the_pile_swap_is_the_tuple_of_places_it_computes(n):
+    places = tuple(range(n, 2 * n)) + tuple(range(n))
+    swap = _PileSwap(n)
+    assert len(swap) == len(places) and tuple(swap) == places
+    assert [swap[i] for i in range(-2 * n, 2 * n)] == list(places + places)
+    if n:
+        p = Position.from_piles(RobotUniverse(n), 0, 1)
+        assert permute_position(p, swap) == permute_position(p, places)
