@@ -22,10 +22,8 @@ construction and certifies the trace with the bounded checkers.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .core import (
     Position,
@@ -203,26 +201,6 @@ class ImpossibilityReport:
         }
 
 
-class _PileSwap(Sequence):
-    """The renaming that gives each pile the other's names, the places
-    `(n, ..., 2n-1, 0, ..., n-1)`: robot i goes to place (i + n) mod 2n.  It
-    computes its places instead of storing them: at n = 10**7 a tuple of
-    them holds 2*10**7 int objects, about 800 MB, more than all the rest
-    of the run."""
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return 2 * self._n
-
-    def __getitem__(self, i: int) -> int:
-        return range(self._n, 3 * self._n)[i] % (2 * self._n)
-
-    def __iter__(self) -> Iterator[int]:
-        return chain(range(self._n, 2 * self._n), range(self._n))
-
-
 def _balanced_bivalent(position: Position, n: int) -> bool:
     """Exactly two occupied points with n robots each."""
     return len(position.points) == 2 and position.slots.counts[0] == n
@@ -232,16 +210,17 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
     """Execute the adversary against `robogram` from piles at 0 and 1 (the
     canonical view) and certify the resulting trace.  The invariance screen
     renames p0, which the probe saw unrenamed: under any renaming a spectrum
-    robogram sees keys (0, 1) or (1, 0), so the pile swap decides it.  No
-    finite set of renamings decides a raw robogram; one that passes the swap
-    is also screened with fixed samples."""
+    robogram sees keys (0, 1) or (1, 0), so the pile swap decides it: the
+    reversal of the places, L<i> <-> R<n-1-i>, a `range` that holds no int
+    per robot.  No finite set of renamings decides a raw robogram; one that
+    passes the swap is also screened with fixed samples."""
     universe = RobotUniverse(n)
     p0 = canonical_view(universe)
     probe = probe_first_move(robogram, universe)
     demon = build_adversary_demon(robogram, universe, 0, 1, probe)
     trace = execute_prefix(robogram, demon, p0, horizon)
 
-    invariance_ok = check_invariance(robogram, p0, _PileSwap(n), probe.delta)
+    invariance_ok = check_invariance(robogram, p0, range(2 * n - 1, -1, -1), probe.delta)
     if invariance_ok and robogram.kind != SPECTRUM_BASED:
         rng = random.Random(0)
         invariance_ok = all(

@@ -25,6 +25,7 @@ from .execution import (
     ReplayMismatchError,
     Trace,
     TraceFormatError,
+    _loads,
     _parse_row,
     execute_prefix,
     read_trace_file,
@@ -109,7 +110,7 @@ def _parse_init(text: str, universe: RobotUniverse) -> Position:
             if len(parts) != 3:
                 raise ValueError("bivalent init must be bivalent:<num/den>:<num/den>")
             return Position.from_piles(universe, parse_scalar(parts[1]), parse_scalar(parts[2]))
-        raw = json.loads(text)
+        raw = _loads(text)
         if isinstance(raw, dict):
             return _parse_row(Position, universe, raw, "--init")
     # ValueError: bad JSON, too many digits or a malformed map (TraceFormatError

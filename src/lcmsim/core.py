@@ -230,8 +230,7 @@ class _Slots(tuple):
     - each pile's slot, whether the piles share a slot, one robot per slot,
       each filled on first use;
     - for the last other pattern it was paired with, the joint pattern of
-      the two and the slots of the last grouping of that joint
-      (`tabulate_with`).
+      the two (`joint`).
 
     Each fact depends on the tuples alone and never changes once filled.
     No entry holds the pattern itself, so a pattern is freed by reference
@@ -288,19 +287,11 @@ class _Slots(tuple):
     ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
         """The canonical table of one value per robot that depends only on
         the robot's slot in `other` and its slot here: `value_of` runs once
-        per distinct (other slot, slot) pair, in order of its first robot
-        (`joint`), and the table is built like this pattern.  Its slots
-        follow from the joint and the grouping of the values, and are kept
-        for the last `other` and grouping."""
+        per distinct (other slot, slot) pair, in order of its first robot,
+        and the table is the joint pattern (`joint`) grouped by the values
+        (`_grouped`), built like this pattern."""
         pairs, joint = self.joint(other)
-        points, index = tabulate(map(value_of, pairs))
-        key = None if other is self else other
-        last = self.__dict__.get("_grouped")
-        if last is None or last[0] is not key or last[1] != index:
-            slots = _like(tuple(map(index.__getitem__, joint)), self)
-            last = (key, index, None if slots is self else slots)
-            self._grouped = last
-        return points, self if last[2] is None else last[2]
+        return _grouped(joint, map(value_of, pairs), self)
 
 
 def _like(slots: tuple[int, ...], like: tuple[int, ...]) -> tuple[int, ...]:
@@ -328,14 +319,28 @@ def tabulate_keys(
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The canonical table of one value per robot, given as one key per robot
     in robot order: `value_of` runs once per distinct key, in order of its
-    first robot, and `tabulate` groups those values.  Keys are ints or
-    strings, which hash in C, so no Fraction is touched per robot.  The
-    table is built like `like` (`_like`)."""
+    first robot, and the keys' pattern is grouped by the values
+    (`_grouped`).  Keys are ints or strings, which hash in C, so no
+    Fraction is touched per robot.  The table is built like `like`
+    (`_like`)."""
     keys = tuple(keys)
-    distinct = dict.fromkeys(keys)
-    points, index = tabulate(map(value_of, distinct))
-    slot_of = dict(zip(distinct, index))
-    return points, _like(tuple(map(slot_of.__getitem__, keys)), like)
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    pattern = _like(tuple(map(index.__getitem__, keys)), like)
+    return _grouped(pattern, map(value_of, index), like)
+
+
+def _grouped(
+    pattern: tuple[int, ...], values: Iterable[Fraction], like: tuple[int, ...]
+) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The canonical table of one value per slot of `pattern`, the values
+    given in slot order: `tabulate` groups them, and the table keeps
+    `pattern` itself while they are distinct, as `tabulate` then numbers
+    them as the pattern does.  Only values that merge regroup the robots,
+    built like `like`."""
+    points, index = tabulate(values)
+    if len(points) == len(index):
+        return points, pattern
+    return points, _like(tuple(map(index.__getitem__, pattern)), like)
 
 
 class _Table:

@@ -17,6 +17,9 @@ all suffixes of an infinite stream: a prefix can only refute it or fail to
 refute it, so checkers answer "violated" or "no violation up to the
 horizon", never "proven".  Gathering is likewise only *tentative*: stacked
 from some round through the horizon.
+
+The k-fairness rule is stated once (`_kfair_cutoff`): the random k-fair
+demon forces robots into a round by it, and `check_kfair` refutes by it.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ def make_random_kfair(
 
     Each round starts from a random nonempty subset; any robot whose waiting
     budget against an activated robot is already exhausted is forced into the
-    round (for k = 0 that makes every round all-active).  Deterministic for a
-    given seed.
+    round (`_kfair_cutoff`; for k = 0 that makes every round all-active).
+    Deterministic for a given seed.
     """
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
@@ -218,11 +221,7 @@ def make_random_kfair(
     m = universe.m
     by_flag = (Fraction(0), f).__getitem__
     rng = random.Random(seed)
-    # Robots by their place: each one's last activation round (-1 before its
-    # first) and its k latest activation rounds.  Robot h has been activated
-    # k times since g's last activation iff its k-th latest came after it.
-    last = [-1] * m
-    latest = [deque(maxlen=k) for _ in range(m)]
+    recent = [deque((-1,), maxlen=k + 1) for _ in range(m)]
 
     def step(round_index: int, position: Position) -> DemonicAction:
         # One draw per robot in robot order, then one choice if none was
@@ -231,24 +230,31 @@ def make_random_kfair(
         active = [rng.random() < 0.5 for _ in range(m)]
         if not any(active):
             active[rng.choice(range(m))] = True
-        # Force in every robot that has waited k activations of a drawn robot:
-        # one last activated before the cutoff, the latest k-th latest
-        # activation of a drawn robot (with k = 0, this round).  A forced
-        # robot was itself last activated before the cutoff, so every robot
-        # it keeps waiting is forced already: one pass closes the round.
-        if k == 0:
-            cutoff = round_index
-        else:
-            drawn = [latest[h] for h in range(m) if active[h]]
-            cutoff = max((d[0] for d in drawn if len(d) == k), default=-1)
-        active = [a or t < cutoff for a, t in zip(active, last)]
-        for g in range(m):
-            if active[g]:
-                last[g] = round_index
-                latest[g].append(round_index)
+        # Force in every robot that has waited k activations of a drawn
+        # robot.  A forced robot was itself last activated before the
+        # cutoff, so every robot it keeps waiting is forced already: one
+        # pass closes the round.
+        cutoff = _kfair_cutoff(recent, active, k, round_index)
+        active = [a or t[-1] < cutoff for a, t in zip(active, recent)]
+        for a, t in zip(active, recent):
+            if a:
+                t.append(round_index)
         return DemonicAction._table(universe, *tabulate_keys(active, by_flag))
 
     return Demon(f"random-kfair:{k}:{seed}", step)
+
+
+def _kfair_cutoff(recent: list[deque[int]], active: list[bool], k: int, round_index: int) -> int:
+    """The one k-fairness rule, for robots or for classes of robots that are
+    activated together.  `recent` holds each one's latest activation rounds
+    before this one, up to k + 1, oldest first, after a -1 for "never";
+    `active` flags this round's.  An idle one has waited more than k
+    activations of an active one iff its last activation came before the
+    cutoff: the latest k-th latest activation of an active one, or with
+    k = 0 this round once anything is active; -1 when no one waits."""
+    if k == 0:
+        return round_index if any(active) else -1
+    return max((t[-k] for t, a in zip(recent, active) if a and len(t) >= k), default=-1)
 
 
 def check_between(
@@ -285,52 +291,37 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     prefix yields no-violation-up-to(horizon); "proven" is never an answer
     because k-fairness constrains all suffixes of an infinite stream.
 
-    A pair's verdict depends only on the two robots' activation columns (one
-    flag per round), so the scan runs over ordered pairs of distinct columns
-    instead of robot pairs: robots with the same column are activated
-    together and never wait on each other, and every pair drawn from two
-    given columns gets the same verdict.  The earliest violating round is
-    therefore unchanged.  Robots with one slot in each of the d distinct
-    slot patterns of the prefix share a column: their classes are the
-    pattern the d patterns form together (`_Slots.joint`), and a class's
-    column is one of its robots' slots read against each round's idle slot
-    (which a pattern does not fix: it depends on the round's factors).  The
-    cost is O(m*d) int work for the classes, none when d = 1 and the
-    pattern has them already, plus O(c*H) to read c classes' columns and
-    O(c^2*H) to scan them, instead of O(m^2*H).
+    Robots with one slot in each of the d distinct slot patterns of the
+    prefix are activated together and never wait on each other: their
+    classes are the joint pattern of the d patterns (`_Slots.joint`), and a
+    class is active when its slot is not the round's idle one (the round's
+    factors, not the pattern, decide which that is).  One pass applies the
+    random k-fair demon's rule (`_kfair_cutoff`) to the classes and stops
+    at the first round that leaves a class idle past the cutoff.  A suffix
+    refuted there starts one round after such a class's last activation,
+    and an idle class's last activation only grows, so the least of them,
+    plus one, is the minimal start.  The cost is O(m*d) int work for the
+    classes, none when d = 1 and the pattern has them already, plus O(c*H)
+    for c classes, instead of O(m^2*H).
     """
     if not actions:
         raise ValueError("check_kfair needs a nonempty action prefix")
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
-    idle = [a._idle_slot() for a in actions]
     patterns = iter({id(a.slots): a.slots for a in actions}.values())  # distinct, by identity
     classes = next(patterns)
     for pattern in patterns:
         classes = classes.joint(pattern)[1]
-    columns = {
-        tuple(a.slots[r] != i for a, i in zip(actions, idle)) for r in classes.representatives
-    }
-    earliest: int | None = None
-    for ag in columns:
-        for ah in columns:
-            if ah is ag:
-                continue
-            # Scan g-free stretches; within one, the suffix starting at the
-            # stretch start sees the most h-activations, so only stretch
-            # starts can be earliest violations.
-            gap_start = 0
-            seen = 0
-            for i in range(len(actions)):
-                if ag[i]:
-                    gap_start = i + 1
-                    seen = 0
-                elif ah[i]:
-                    seen += 1
-                    if seen > k:
-                        if earliest is None or gap_start < earliest:
-                            earliest = gap_start
-                        break
-    if earliest is not None:
-        return Verdict.violated(earliest)
+    representatives = classes.representatives
+    recent = [deque((-1,), maxlen=k + 1) for _ in representatives]
+    for i, action in enumerate(actions):
+        idle, slots = action._idle_slot(), action.slots
+        active = [slots[r] != idle for r in representatives]
+        cutoff = _kfair_cutoff(recent, active, k, i)
+        waiting = [t[-1] for a, t in zip(active, recent) if not a and t[-1] < cutoff]
+        if waiting:
+            return Verdict.violated(min(waiting) + 1)
+        for a, t in zip(active, recent):
+            if a:
+                t.append(i)
     return Verdict.no_violation_up_to(len(actions))

@@ -122,14 +122,14 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     their destination is computed once per distinct (factor slot, point
     slot) pair (sound because robograms are deterministic), and equal
     destinations share one point of the new table.  Which robots share a
-    pair, and the new slots for a grouping of the destinations, are facts
-    of the two slot patterns (`_Slots.tabulate_with`), kept with the
-    position's pattern: while the piles stay stacked a round does no work
-    per robot.  A spectrum robogram's view is the round's spectrum, built
-    once from the pattern's counts, seen through each frame as a read-only
-    Spectrum that builds its locations only when the robogram reads them;
-    its centroid is the frame's image of the round's, which is computed
-    once.  A raw robogram sees the whole position.  The new position is
+    pair is a fact of the two slot patterns, kept with the position's
+    pattern, and distinct destinations keep that joint pattern as the new
+    slots (`_Slots.tabulate_with`): while the piles stay stacked a round
+    does no work per robot.  A spectrum robogram's view is the round's
+    spectrum, built once from the pattern's counts, seen through each frame
+    as a read-only Spectrum that builds its locations only when the
+    robogram reads them; its centroid is the frame's image of the round's,
+    which is computed once.  A raw robogram sees the whole position.  The new position is
     built like the old one.
     """
     if action.universe != position.universe:
@@ -287,7 +287,8 @@ def _parse_row(
     if len(raw) != universe.m:
         raise TraceFormatError(f"{what} does not cover the universe exactly")
     names = universe.places_by_name
-    # The keys of a JSON object are distinct, so m known names cover the universe.
+    # The reader refuses a repeated key (`_loads`), so m known names cover
+    # the universe.
     if raw.keys() != names.keys():
         key = next(k for k in raw if k not in names)
         raise TraceFormatError(
@@ -322,11 +323,30 @@ def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
     return str(exc)
 
 
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, refusing a repeated name, whose
+    last value `json.loads` would silently keep."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise TraceFormatError(f"repeated key {key!r}")
+    return obj
+
+
+def _loads(text: str) -> object:
+    """The one reader of JSON text, trace lines and `simulate --init` maps:
+    `json.loads`, refusing a repeated key in any object."""
+    return json.loads(text, object_pairs_hook=_unique_members)
+
+
 def _json_object(text: str, where: str, fields: tuple[str, ...]) -> dict:
     """One trace line as a JSON object that has every one of `fields`;
     `where` ("header" or "line N") begins each error message."""
     try:
-        obj = json.loads(text)
+        obj = _loads(text)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{where}: {exc}") from exc
     # ValueError: bad JSON or too many digits; RecursionError: nested too deep.
     except (ValueError, RecursionError) as exc:
         raise TraceFormatError(f"{where} is not JSON: {exc}") from exc

@@ -398,6 +398,8 @@ def _one_line(err):
         (("--init", '{"L0": "0/1", "R0": {}}'), "bad --init: R0 has {}: expected a 'num/den'"),
         (("--init", '{"L0": 1, "R0": "1/1"}'), "bad --init: L0 has 1: expected a 'num/den'"),
         (("--init", '{"L0": true, "R0": "1/1"}'), "bad --init: L0 has true: expected a 'num/den'"),
+        # a repeated id is refused by name, not read as its last value
+        (("--init", '{"L0": "0/1", "R0": "1/1", "L0": "1/1"}'), "bad initial position: repeated key 'L0'"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):
@@ -433,6 +435,11 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (text.replace('"R0": "1/1"', '"R0": "1/0"', 1), "line 1: bad p0: R0 has invalid scalar '1/0'"),
         (text.replace('"L0": "0/1"', '"L0": null', 1), "line 1: bad p0: L0 has null"),
         (text.replace('"p0": {', '"p0": {"L1": "0/1", ', 1), "line 1: p0 does not cover"),
+        # json.loads keeps a repeated key's last value; the reader names the key
+        (text.replace('"p0": {', '"p0": {"R0": "0/0", ', 1), "header: repeated key 'R0'"),
+        (head + row.replace('"frames": {', '"frames": {"R0": [1, 2], '), "line 3: repeated key 'R0'"),
+        (head + row.replace('"post": {', '"post": {"L0": "banana", '), "line 3: repeated key 'L0'"),
+        (head + row.replace('{"round": 1', '{"round": "x", "round": 1'), "line 3: repeated key 'round'"),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(mangled)

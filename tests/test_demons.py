@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmsim import demons
+from lcmsim.adversary import make_alternating_demon
 from lcmsim.core import EmptyUniverse, Position, RobotId, RobotUniverse, Side
 from lcmsim.demons import (
     NO_VIOLATION,
@@ -234,6 +236,28 @@ def test_check_kfair_matches_brute_force_oracle():
         actions = _random_actions(rng, u, rng.randint(1, 12))
         k = rng.randint(0, 3)
         assert check_kfair(actions, k) == _kfair_oracle(actions, k)
+
+
+def test_check_kfair_stops_at_the_first_refuting_round(monkeypatch):
+    # The alternating adversary leaves the right pile idle in round 0, so
+    # k = 0 is refuted there and the pass ends after one round; k = 1 holds
+    # and the pass reads every round once.
+    u = RobotUniverse(2)
+    demon = make_alternating_demon(u)
+    actions = execute_prefix(stay, demon, Position.from_piles(u, 0, 1), 1000).actions()
+    rounds = []
+    rule = demons._kfair_cutoff
+
+    def counted(recent, active, k, round_index):
+        rounds.append(round_index)
+        return rule(recent, active, k, round_index)
+
+    monkeypatch.setattr(demons, "_kfair_cutoff", counted)
+    assert check_kfair(actions, 0) == Verdict.violated(0)
+    assert rounds == [0]
+    rounds.clear()
+    assert check_kfair(actions, 1) == Verdict.no_violation_up_to(1000)
+    assert rounds == list(range(1000))
 
 
 @st.composite

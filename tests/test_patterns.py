@@ -21,7 +21,6 @@ import pytest
 from lcmsim import core
 from lcmsim.adversary import (
     _balanced_bivalent,
-    _PileSwap,
     build_adversary_demon,
     run_impossibility,
 )
@@ -172,12 +171,14 @@ def test_a_certification_makes_as_many_passes_over_its_patterns_at_any_horizon(m
     assert 0 < sum(counts[0].values()) < 40
 
 
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_the_pile_swap_is_the_tuple_of_places_it_computes(n):
-    places = tuple(range(n, 2 * n)) + tuple(range(n))
-    swap = _PileSwap(n)
-    assert len(swap) == len(places) and tuple(swap) == places
-    assert [swap[i] for i in range(-2 * n, 2 * n)] == list(places + places)
-    if n:
-        p = Position.from_piles(RobotUniverse(n), 0, 1)
-        assert permute_position(p, swap) == permute_position(p, places)
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_screens_reversal_renames_stacked_piles_as_the_pile_swap(n):
+    # run_impossibility screens with the reversal of the places (L<i> <->
+    # R<n-1-i>): on two stacked piles it gives the position that the pile
+    # swap (n, ..., 2n-1, 0, ..., n-1) gives, each pile on the other's point.
+    u = RobotUniverse(n)
+    p = Position.from_piles(u, 0, 1)
+    swap = tuple(range(n, 2 * n)) + tuple(range(n))
+    reversal = range(2 * n - 1, -1, -1)
+    swapped = Position.from_piles(u, 1, 0)
+    assert permute_position(p, reversal) == permute_position(p, swap) == swapped
