@@ -5,7 +5,7 @@ hostile schedulers and checks fairness, splitting and gathering on the
 resulting traces.  All coordinates are exact rationals end to end.
 
 The package exports every library module's `__all__`; the command line
-lives in `lcmsim.cli` and is not imported here.
+lives in `lcmsim.cli` and is not imported here (`python -m lcmsim` runs it).
 """
 
 from . import adversary, core, demons, execution, properties, robograms, sampling

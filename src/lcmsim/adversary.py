@@ -22,7 +22,6 @@ construction and certifies the trace with the bounded checkers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     RobotUniverse,
     ScalarLike,
     Side,
+    _Value,
     as_scalar,
     format_scalar,
 )
@@ -64,12 +64,14 @@ class DegenerateInitial(ValueError):
     distinct locations."""
 
 
-@dataclass(frozen=True)
-class FirstMoveProbe:
+class FirstMoveProbe(_Value):
     """The robogram's answer in the canonical bivalent view, and the demon
     branch that answer selects."""
 
-    delta: Fraction
+    __slots__ = ("delta",)
+
+    def __init__(self, delta: Fraction) -> None:
+        self._fill(delta)
 
     @property
     def branch(self) -> str:
@@ -151,23 +153,22 @@ def build_adversary_demon(
     return make_alternating_demon(universe)
 
 
-@dataclass(frozen=True)
-class ImpossibilityReport:
+class ImpossibilityReport(_Value):
     """Everything a certification run produces: the probe, the bounded
     verdicts, the bivalence certificate over every position, and the result
     of the invariance pre-check (a robogram that leaks identities voids the
     certificate, so it is screened up front)."""
 
-    robogram_name: str
-    n: int
-    horizon: int
-    probe: FirstMoveProbe
-    invariance_ok: bool
-    split: Verdict
-    gather: Verdict
-    fairness: dict[int, Verdict]
-    bivalence_failures: tuple[int, ...]
-    trace: Trace
+    __slots__ = ("robogram_name", "n", "horizon", "probe", "invariance_ok", "split", "gather",
+                 "fairness", "bivalence_failures", "trace")
+
+    def __init__(
+        self, robogram_name: str, n: int, horizon: int, probe: FirstMoveProbe,
+        invariance_ok: bool, split: Verdict, gather: Verdict, fairness: dict[int, Verdict],
+        bivalence_failures: tuple[int, ...], trace: Trace,
+    ) -> None:
+        self._fill(robogram_name, n, horizon, probe, invariance_ok, split, gather, fairness,
+                   bivalence_failures, trace)
 
     @property
     def bivalence_complete(self) -> bool:

@@ -3,10 +3,14 @@
 Every location, frame factor and destination is a `fractions.Fraction`, so
 equality and ordering are decidable and all arithmetic is exact.  Values are
 immutable after construction and operations are pure functions, safe to share
-between threads.  The one thing written after construction is a slot
-pattern's facts (`_Slots`): idempotent, lazily filled caches on a shared
-tuple, each a function of what it is keyed on, so two threads that fill
-one at once store equal values, and a reader sees a whole entry or none.
+between threads.  The named-field values (`RobotId`, `Similarity`, a
+`Verdict`, a `Trace` and its rounds, ...) are plain slotted classes on one
+small base, `_Value`, written out rather than generated, so importing the
+package compiles no code and loads neither `inspect` nor `ast`.  The one
+thing written after construction is a slot pattern's facts (`_Slots`):
+idempotent, lazily filled caches on a shared tuple, each a function of what
+it is keyed on, so two threads that fill one at once store equal values, and
+a reader sees a whole entry or none.
 
 Per-robot state is kept in `RobotUniverse.robots` order: a `Position` as an
 occupancy table, and a renaming of the robots as a sequence of places
@@ -18,13 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 __all__ = [
@@ -138,23 +141,72 @@ class Side(Enum):
         return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
-@dataclass(frozen=True)
-class RobotId:
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value whose fields are its `__slots__`, in order.  Each
+    class's `__init__` checks its arguments and sets every field once, with
+    `_set` or `_fill`.  Two values are equal, and hash alike, when they are of the same
+    class and their tuples of fields are equal; a value of another class is
+    `NotImplemented`.  Assignment and deletion raise AttributeError, a value
+    pickles through its constructor (pickle would restore slots with
+    setattr), and it shows as `Name(field=value, ...)`, less the fields named
+    in the class keyword `hidden`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = ()) -> None:
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._key = key = attrgetter(*fields)  # a lone field's value is not wrapped
+        cls._values = staticmethod(key if len(fields) > 1 else lambda value: (key(value),))
+        cls._shown = tuple(name for name in fields if name not in hidden)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields to `values`, in order."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class RobotId(_Value):
     """A robot name: which pile it belongs to and its index within the pile."""
 
-    side: Side
-    index: int
+    __slots__ = ("side", "index")
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __init__(self, side: Side, index: int) -> None:
+        if index < 0:
             raise ValueError("robot index must be >= 0")
+        _set(self, "side", side)
+        _set(self, "index", index)
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
 
 
-@dataclass(frozen=True)
-class RobotUniverse:
+class RobotUniverse(_Value):
     """2n robots split into a left and a right pile of n each.
 
     Per-robot state is a tuple in `robots` order: the left pile is `[:n]`,
@@ -163,11 +215,12 @@ class RobotUniverse:
     adversaries reject it.
     """
 
-    pile_size: int
+    __slots__ = ("pile_size", "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self) -> None:
-        if self.pile_size < 0:
+    def __init__(self, pile_size: int) -> None:
+        if pile_size < 0:
             raise ValueError("pile size must be >= 0")
+        _set(self, "pile_size", pile_size)
 
     @property
     def m(self) -> int:
@@ -433,18 +486,16 @@ class Position(_Table):
         return None if slot is None else self.points[slot]
 
 
-@dataclass(frozen=True)
-class Similarity:
+class Similarity(_Value):
     """Frame transformation x -> factor * (x - center).  Zero factors are
     rejected: a zero factor encodes "not activated" and lives in demonic
     actions, never in a frame change."""
 
-    factor: Fraction
-    center: Fraction
+    __slots__ = ("factor", "center")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", as_scalar(self.factor))
-        object.__setattr__(self, "center", as_scalar(self.center))
+    def __init__(self, factor: ScalarLike, center: ScalarLike) -> None:
+        _set(self, "factor", as_scalar(factor))
+        _set(self, "center", as_scalar(center))
         if self.factor == 0:
             raise ValueError("similarity factor must be nonzero")
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,6 +35,7 @@ from .core import (
     RobotUniverse,
     ScalarLike,
     _Table,
+    _Value,
     as_scalar,
     format_scalar,
     tabulate_keys,
@@ -111,8 +111,7 @@ class Demon:
         return f"Demon({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of a bounded check.
 
     - proven: an inductive property closed within the prefix.
@@ -127,10 +126,13 @@ class Verdict:
     `ok` says the property held as far as the prefix shows.
     """
 
-    kind: str
-    round: int | None = None
-    horizon: int | None = None
-    point: Fraction | None = None
+    __slots__ = ("kind", "round", "horizon", "point")
+
+    def __init__(
+        self, kind: str, round: int | None = None, horizon: int | None = None,
+        point: Fraction | None = None,
+    ) -> None:
+        self._fill(kind, round, horizon, point)
 
     @classmethod
     def proven(cls) -> Verdict:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -37,6 +36,8 @@ from .core import (
     Position,
     RobotUniverse,
     Similarity,
+    _set,
+    _Value,
     format_scalar,
     parse_scalar,
     spectrum,
@@ -83,21 +84,24 @@ class ReplayMismatchError(RuntimeError):
         self.round_index = round_index
 
 
-@dataclass(frozen=True)
-class TraceRound:
-    index: int
-    action: DemonicAction
-    post: Position
+class TraceRound(_Value):
+    __slots__ = ("index", "action", "post")
+
+    def __init__(self, index: int, action: DemonicAction, post: Position) -> None:
+        _set(self, "index", index)
+        _set(self, "action", action)
+        _set(self, "post", post)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """A materialized execution prefix; the unit of persistence and checking."""
 
-    robogram_name: str
-    demon_name: str
-    p0: Position
-    rounds: tuple[TraceRound, ...]
+    __slots__ = ("robogram_name", "demon_name", "p0", "rounds")
+
+    def __init__(
+        self, robogram_name: str, demon_name: str, p0: Position, rounds: tuple[TraceRound, ...]
+    ) -> None:
+        self._fill(robogram_name, demon_name, p0, rounds)
 
     @property
     def universe(self) -> RobotUniverse:
@@ -334,10 +338,17 @@ def _unique_members(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)
+
+
 def _loads(text: str) -> object:
     """The one reader of JSON text, trace lines and `simulate --init` maps:
-    `json.loads`, refusing a repeated key in any object."""
-    return json.loads(text, object_pairs_hook=_unique_members)
+    `json.loads`, refusing a repeated key in any object.  One decoder is
+    built once: given a hook, `json.loads` builds a decoder and a scanner
+    per call, that is per trace line."""
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
 
 
 def _json_object(text: str, where: str, fields: tuple[str, ...]) -> dict:
@@ -380,7 +391,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
     # and takes the points of the texts that the row before had.
     rounds, like = [], p0.slots
     for lineno, line in enumerate(it, start=2):
-        if not line.strip():
+        if not line or line.isspace():  # blank, without copying the line
             continue
         row = _json_object(line, f"line {lineno}", ("round", "frames", "post"))
         if type(row["round"]) is not int:

@@ -16,7 +16,6 @@ Robograms are immutable and pure; evaluating them concurrently is safe.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -26,6 +25,7 @@ from .core import (
     ScalarLike,
     Side,
     Spectrum,
+    _Value,
     as_scalar,
     format_scalar,
     parse_scalar,
@@ -60,8 +60,7 @@ class NonRepresentableDestination(ArithmeticError):
     irrational construction).  Built-ins never raise this."""
 
 
-@dataclass(frozen=True)
-class Robogram:
+class Robogram(_Value, hidden=("algo",)):
     """A named destination computation.  `kind` records what `algo` takes:
     the location multiset (a read-only `Spectrum` where the package builds
     the view) or the whole position.  A spectrum robogram that reads the
@@ -70,9 +69,10 @@ class Robogram:
     not mutate its view: a Spectrum refuses item assignment with TypeError,
     which a run reports as ExecutionError (exit 3 from the CLI)."""
 
-    name: str
-    kind: str
-    algo: Callable[..., Fraction] = field(repr=False)
+    __slots__ = ("name", "kind", "algo")
+
+    def __init__(self, name: str, kind: str, algo: Callable[..., Fraction]) -> None:
+        self._fill(name, kind, algo)
 
 
 def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fraction:

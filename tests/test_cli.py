@@ -440,6 +440,10 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (head + row.replace('"frames": {', '"frames": {"R0": [1, 2], '), "line 3: repeated key 'R0'"),
         (head + row.replace('"post": {', '"post": {"L0": "banana", '), "line 3: repeated key 'L0'"),
         (head + row.replace('{"round": 1', '{"round": "x", "round": 1'), "line 3: repeated key 'round'"),
+        # the reader's one decoder refuses what json.loads refuses, as it does
+        ("\ufeff" + text, "header is not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (head + "\ufeff" + row, "line 3 is not JSON: Unexpected UTF-8 BOM"),
+        (head + row.replace("}}", "}} {}", 1), "line 3 is not JSON: Extra data"),
     ):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(mangled)
@@ -576,25 +580,42 @@ def test_console_script_entry_point():
     assert len(proc.stdout.strip().splitlines()) == 11
 
 
+def _modules_left_after_startup(modules: tuple[str, ...]) -> str:
+    """Which of `modules` a fresh process holds after importing the CLI and
+    building its parser, as the printed sorted list."""
+    code = (
+        "import sys, lcmsim.cli\n"
+        "lcmsim.cli.build_parser()\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_importing_the_cli_leaves_the_process_pool_out():
     # No command runs a process pool, so importing the CLI must not pull in
     # concurrent.futures or multiprocessing: every invocation pays for its
     # module imports.
-    code = (
-        "import sys, lcmsim.cli\n"
-        "lcmsim.cli.build_parser()\n"
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _modules_left_after_startup(("concurrent.futures", "multiprocessing")) == "[]"
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    # The value classes are written out by hand: `dataclasses` would load
+    # `inspect`, `ast`, `dis` and `tokenize`, about half of the start-up.
+    assert _modules_left_after_startup(("dataclasses", "inspect", "ast")) == "[]"
 
 
 def test_module_invocation_matches_script():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lcmsim.cli", "adversary", "--robogram", "to-max",
-         "--n", "1", "--horizon", "8"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["probe"]["branch"] == "swap-fsync"
+    # `python -m lcmsim` runs without an installed script, and its usage
+    # names the program as the script does.
+    for module in ("lcmsim.cli", "lcmsim"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "adversary", "--robogram", "to-max",
+             "--n", "1", "--horizon", "8"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, module
+        assert json.loads(proc.stdout)["probe"]["branch"] == "swap-fsync"
+        usage = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True)
+        assert usage.returncode == 2 and usage.stderr.startswith("usage: lcmsim "), module
