@@ -8,6 +8,10 @@ The package exports every library module's `__all__`; the command line
 lives in `lcmsim.cli` and is not imported here (`python -m lcmsim` runs it).
 """
 
+# Kept equal to pyproject.toml's version; trace headers record it.  Set
+# before the submodules are imported, as `execution` reads it.
+__version__ = "0.1.0"
+
 from . import adversary, core, demons, execution, properties, robograms, sampling
 from .adversary import *  # noqa: F403
 from .core import *  # noqa: F403

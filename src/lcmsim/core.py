@@ -678,16 +678,21 @@ def permute_position(p: Position, sigma: Sequence[int]) -> Position:
     """Rename robots: `sigma[i]` is the place robot i is renamed to, so the
     result maps the robot at place sigma[i] to p's location of robot i.
     `sigma` must be a permutation of range(m); this is where it is checked,
-    reading it only by `len` and iteration.  The result is built like p."""
+    reading it only by `len` and iteration, except that the reversal
+    `range(m - 1, -1, -1)` (the adversary's screen) is recognized and
+    applied as one slice.  The result is built like p."""
     m = p.universe.m
     if len(sigma) != m:
         raise ValueError("permutation and position belong to different universes")
-    refused = ValueError(f"renaming must list each of the {m} robot places once")
-    if m and (min(sigma) < 0 or max(sigma) >= m):
-        raise refused
-    keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
-    for slot, place in zip(p.slots, sigma):
-        keys[place] = slot
-    if None in keys:  # m places in range(m) miss one only if one repeats
-        raise refused
+    if sigma == range(m - 1, -1, -1):  # a range equals only a range, in O(1)
+        keys = p.slots[::-1]
+    else:
+        refused = ValueError(f"renaming must list each of the {m} robot places once")
+        if m and (min(sigma) < 0 or max(sigma) >= m):
+            raise refused
+        keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
+        for slot, place in zip(p.slots, sigma):
+            keys[place] = slot
+        if None in keys:  # m places in range(m) miss one only if one repeats
+            raise refused
     return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__, p.slots))

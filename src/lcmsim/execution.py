@@ -6,21 +6,22 @@ local view, and the destination is carried back to the global frame by the
 inverse similarity; inactive robots stay put.  Moves are instantaneous and the
 round function takes no history, so obliviousness is structural.
 
-Traces persist as JSONL: a header line (robogram, demon, pile size, initial
-position) followed by one line per round with the frame-factor map and the
-post-round position.  Scalars are "num/den" strings and robot ids "L<i>" /
-"R<i>".  Positions and actions are both occupancy tables, written and read
-back by one pair of functions.  The reader accepts only the canonical ids
-(no sign, space or leading zero) and also reads `simulate --init` maps.
-Only post-positions are stored; pre-positions are recovered by chaining,
-and `replay` re-derives every round to certify a file.
+Traces persist as JSONL: a header line (format version, lcmsim version,
+robogram, demon, pile size, initial position) followed by one line per round
+with the frame factors and the post-round position.  Only post-positions are
+stored; pre-positions are recovered by chaining, and `replay` re-derives
+every round to certify a file.
 
-Trace IO works once per distinct scalar of a row, not once per robot.  The
-writer builds each line's text itself, byte for byte in `json.dumps`'
-layout, and takes a point's text from the row before when that row had the
-same point; the reader takes a text's point from the row before when that
-row had the same text.  Both keep one row, so memory does not grow with the
-horizon.
+`write_trace` writes format 2: each table as it is held in memory, its
+distinct points as lowercase hex "num/den" texts plus its slot pattern, and
+only the points when the slots are the pre-position's.  So a round on
+stacked piles is O(points) in IO too, and hex converts in linear time.
+Every value has exactly one accepted text, and the reader accepts only what
+the writer writes.  `read_trace` also reads the unversioned format 1, one
+id -> decimal "num/den" map per table, with its lenient scalar rules; its
+map reader also reads `simulate --init` maps.  The reader keeps the texts
+of one row with their points, so a text that the row before had is not
+parsed again.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ from __future__ import annotations
 import json
 import reprlib
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
+from . import __version__
 from .core import (
     Position,
     RobotUniverse,
     Similarity,
     _set,
+    _Slots,
     _Value,
-    format_scalar,
     parse_scalar,
     spectrum,
     tabulate_keys,
@@ -197,47 +198,69 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 
-class _TableWriter:
-    """A universe's tables as JSON object text in `json.dumps`' layout,
-    `{"L0": "1/2", "L1": "0/1"}`, each distinct point formatted and quoted
-    once per row.  A point with the same (numerator, denominator) as one of
-    the row before takes that row's text, so a scalar that stays put from
-    round to round is formatted once.  Scalar texts need no JSON escaping."""
+# The format `write_trace` writes.  An unversioned header is format 1.
+_FORMAT = 2
 
-    def __init__(self, universe: RobotUniverse):
-        # The text before each robot's value, in robot order.
-        self.prefixes = [
-            f'{", " if i else ""}"{name}": ' for i, name in enumerate(universe.places_by_name)
-        ]
-        self.last: dict[tuple[int, int], str] = {}
-        self.row: dict[tuple[int, int], str] = {}
+# Longest hex numerator or denominator a format 2 scalar may have: the
+# magnitude of MAX_SCALAR_DIGITS decimal digits, as 16**83048 < 10**100000
+# < 16**83049.  Hex converts in linear time, so the bound is about memory,
+# not about the interpreter's decimal int <-> str limit.
+_MAX_HEX_DIGITS = 83_049
 
-    def text(self, table: Position | DemonicAction) -> str:
-        texts = []
-        for x in table.points:
-            ratio = x.as_integer_ratio()
-            text = self.row.get(ratio) or self.last.get(ratio) or f'"{format_scalar(x)}"'
-            self.row[ratio] = text
-            texts.append(text)
-        values = map(texts.__getitem__, table.slots)
-        return "{" + "".join(chain.from_iterable(zip(self.prefixes, values))) + "}"
 
-    def next_row(self) -> None:
-        self.last, self.row = self.row, {}
+def _hex_text(x: Fraction) -> str:
+    """A point's one format 2 text: lowercase hex "num/den" in lowest terms,
+    denominator >= 1 (`31/36` is "1f/24")."""
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def _hex_point(text: str) -> Fraction:
+    """The point whose format 2 text is `text`, which must be exactly
+    `_hex_text` of it: lowest terms, no leading zero, `0x`, `+`, `_`,
+    upper case or whitespace, and `-` only on a nonzero numerator, so no
+    two texts denote one value.  Raises ValueError otherwise."""
+    num, _, den = text.partition("/")
+    if max(len(num.removeprefix("-")), len(den)) > _MAX_HEX_DIGITS:
+        raise ValueError(f"invalid scalar: more than {_MAX_HEX_DIGITS} hex digits")
+    try:
+        point = Fraction(int(num, 16), int(den, 16))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"invalid scalar {reprlib.repr(text)}: expected lowercase hex 'num/den'"
+        ) from None
+    canonical = _hex_text(point)
+    if canonical != text:
+        raise ValueError(
+            f"invalid scalar {reprlib.repr(text)}: this value is written {reprlib.repr(canonical)}"
+        )
+    return point
+
+
+def _table_text(table: Position | DemonicAction, like: tuple[int, ...] | None) -> str:
+    """A format 2 table in `json.dumps`' layout: only its points, in slot
+    order, when its slots are `like`, the pre-position's; otherwise
+    `{"points": [...], "slots": [...]}`.  Hex texts need no JSON escaping."""
+    points = "[" + ", ".join([f'"{_hex_text(x)}"' for x in table.points]) + "]"
+    slots = table.slots
+    if slots is like or slots == like:
+        return points
+    return f'{{"points": {points}, "slots": [{", ".join(map(str, slots))}]}}'
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
-    """The header and one line per round, each the bytes `json.dumps` writes
-    for it, with the tables' text built by a `_TableWriter`."""
-    tables = _TableWriter(trace.universe)
+    """Format 2: the header and one line per round, each the bytes
+    `json.dumps` writes for it.  A row's tables are written like the
+    pre-position: p0 for the first row, then the row before's post."""
     fp.write(
-        f'{{"robogram": {json.dumps(trace.robogram_name)}, "demon": {json.dumps(trace.demon_name)},'
-        f' "n": {trace.universe.pile_size}, "p0": {tables.text(trace.p0)}}}\n'
+        f'{{"format": {_FORMAT}, "lcmsim": {json.dumps(__version__)},'
+        f' "robogram": {json.dumps(trace.robogram_name)}, "demon": {json.dumps(trace.demon_name)},'
+        f' "n": {trace.universe.pile_size}, "p0": {_table_text(trace.p0, None)}}}\n'
     )
+    like = trace.p0.slots
     for rd in trace.rounds:
-        tables.next_row()
-        frames = tables.text(rd.action)
-        fp.write(f'{{"round": {rd.index}, "frames": {frames}, "post": {tables.text(rd.post)}}}\n')
+        frames, post = _table_text(rd.action, like), _table_text(rd.post, like)
+        fp.write(f'{{"round": {rd.index}, "frames": {frames}, "post": {post}}}\n')
+        like = rd.post.slots
 
 
 def write_trace_file(trace: Trace, path: str) -> None:
@@ -248,10 +271,12 @@ def write_trace_file(trace: Trace, path: str) -> None:
 class _TextMemo:
     """The scalar texts of the trace row being read, each with its point.
     A text that this row or the row before already had takes its point
-    from there instead of being parsed again; `next_row` forgets all but
+    from there instead of being parsed again by `parse` (`parse_scalar`
+    for format 1, `_hex_point` for format 2); `next_row` forgets all but
     the row just read, so memory stays at one row."""
 
-    def __init__(self) -> None:
+    def __init__(self, parse: Callable[[str], Fraction]) -> None:
+        self.parse = parse
         self.last: dict[str, Fraction] = {}
         self.row: dict[str, Fraction] = {}
 
@@ -260,7 +285,7 @@ class _TextMemo:
         if point is None:
             point = self.last.get(text)
         if point is None:
-            point = parse_scalar(text)
+            point = self.parse(text)
         self.row[text] = point
         return point
 
@@ -315,9 +340,7 @@ def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
     for name in names:
         value = raw[name]
         if not isinstance(value, str):
-            container = isinstance(value, (list, dict))
-            shown = reprlib.repr(value) if container else json.dumps(value)
-            return f"{name} has {shown}: expected a 'num/den' string"
+            return f"{name} has {_shown(value)}: expected a 'num/den' string"
         if value not in checked:
             checked.add(value)
             try:
@@ -325,6 +348,74 @@ def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
             except ValueError as bad:
                 return f"{name} has {bad}"
     return str(exc)
+
+
+def _shown(value: object) -> str:
+    """A JSON value that is not a string, for an error message; `reprlib`
+    bounds how much of a list or object is shown."""
+    return reprlib.repr(value) if isinstance(value, (list, dict)) else json.dumps(value)
+
+
+def _read_table(
+    cls: type[_T],
+    universe: RobotUniverse,
+    raw: object,
+    what: str,
+    like: tuple[int, ...],
+    point_of: Callable[[str], Fraction],
+) -> _T:
+    """One format 2 table as a `cls` table (a Position or a DemonicAction):
+    a list of points whose slots are `like`, the pre-position's slots (p0
+    has none), or an object of points and slots whose slots are not `like`.
+    The points must be distinct canonical hex texts, each read by
+    `point_of` (a `_TextMemo`'s), and the slots non-bool ints, one per
+    robot, numbered 0, 1, ... in order of first robot and using every
+    point: the table as the writer held it, so it is kept as it is read.
+    Raises TraceFormatError, naming `what`, on any defect."""
+    if isinstance(raw, list) and like:
+        points, slots = raw, like
+    elif isinstance(raw, dict) and raw.keys() == {"points", "slots"}:
+        points, slots = raw["points"], _read_slots(raw["slots"], universe.m, what)
+        if slots == like:
+            raise TraceFormatError(
+                f"{what}: its slots are the pre-position's, so only its points are written"
+            )
+    else:
+        form = "a list of points or " if like else ""
+        raise TraceFormatError(f"{what}: expected {form}an object of exactly points and slots")
+    if not isinstance(points, list):
+        raise TraceFormatError(f"{what}: points must be a list")
+    if len(points) != len(slots.counts):
+        raise TraceFormatError(f"{what}: {len(points)} points for {len(slots.counts)} slots")
+    values = []
+    for i, text in enumerate(points):
+        if type(text) is not str:
+            raise TraceFormatError(
+                f"{what}: point {i} is {_shown(text)}: expected a hex 'num/den' string"
+            )
+        try:
+            values.append(point_of(text))
+        except ValueError as exc:
+            raise TraceFormatError(f"{what}: point {i}: {exc}") from exc
+    if len(set(points)) != len(points):  # one text per value, so the points repeat
+        raise TraceFormatError(f"{what}: points must be distinct")
+    return cls._table(universe, tuple(values), slots)
+
+
+def _read_slots(raw: object, m: int, what: str) -> _Slots:
+    """A format 2 slot pattern: m non-bool ints whose distinct values, in
+    order of first robot, are 0, 1, ... (so each is in range)."""
+    if not isinstance(raw, list):
+        raise TraceFormatError(f"{what}: slots must be a list")
+    if len(raw) != m:
+        raise TraceFormatError(f"{what}: {len(raw)} slots for {m} robots")
+    if set(map(type, raw)) != {int}:  # bool is not int here
+        bad = next(s for s in raw if type(s) is not int)
+        raise TraceFormatError(f"{what}: slot {_shown(bad)} is not an integer")
+    firsts = tuple(dict.fromkeys(raw))
+    if firsts != tuple(range(len(firsts))):
+        raise TraceFormatError(f"{what}: slots must be numbered 0, 1, ... in order of first robot")
+    return _Slots(raw)
 
 
 def _unique_members(pairs: list[tuple[str, object]]) -> dict:
@@ -351,9 +442,9 @@ def _loads(text: str) -> object:
     return _DECODER.decode(text)
 
 
-def _json_object(text: str, where: str, fields: tuple[str, ...]) -> dict:
-    """One trace line as a JSON object that has every one of `fields`;
-    `where` ("header" or "line N") begins each error message."""
+def _json_object(text: str, where: str) -> dict:
+    """One trace line as a JSON object; `where` ("header" or "line N")
+    begins each error message."""
     try:
         obj = _loads(text)
     except TraceFormatError as exc:
@@ -363,47 +454,75 @@ def _json_object(text: str, where: str, fields: tuple[str, ...]) -> dict:
         raise TraceFormatError(f"{where} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where} must be a JSON object")
-    for field_name in fields:
-        if field_name not in obj:
-            raise TraceFormatError(f"{where} is missing {field_name!r}")
     return obj
 
 
+def _members(obj: dict, fields: tuple[str, ...], where: str, exact: bool) -> None:
+    """Refuse a line missing one of `fields`, or, when `exact` (format 2
+    has no optional members), holding any other."""
+    for field_name in fields:
+        if field_name not in obj:
+            raise TraceFormatError(f"{where} is missing {field_name!r}")
+    if exact and len(obj) != len(fields):
+        extra = next(k for k in obj if k not in fields)
+        raise TraceFormatError(f"{where} has unexpected key {extra!r}")
+
+
+_HEADER_V1 = ("robogram", "demon", "n", "p0")
+_HEADER_V2 = ("format", "lcmsim") + _HEADER_V1
+_ROW = ("round", "frames", "post")
+
+
 def read_trace(lines: Iterable[str]) -> Trace:
-    """Parse the JSONL trace format; raises TraceFormatError on any defect."""
+    """Parse a JSONL trace, format 2 or, when the header has no "format",
+    format 1; raises TraceFormatError on any defect."""
     it = iter(lines)
     try:
         first = next(it)
     except StopIteration:
         raise TraceFormatError("empty trace file") from None
-    header = _json_object(first, "header", ("robogram", "demon", "n", "p0"))
+    header = _json_object(first, "header")
+    v2 = "format" in header
+    _members(header, _HEADER_V2 if v2 else _HEADER_V1, "header", v2)
     # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
+    if v2:
+        if type(header["format"]) is not int or header["format"] != _FORMAT:
+            raise TraceFormatError(
+                f"header format {_shown(header['format'])} is not supported: this reader"
+                f" reads format {_FORMAT}, and format 1, which has no format key"
+            )
+        if not all(type(header[key]) is str for key in ("lcmsim", "robogram", "demon")):
+            raise TraceFormatError("header lcmsim, robogram and demon must be strings")
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
-    texts = _TextMemo()
+    read_table = _read_table if v2 else _parse_row
+    texts = _TextMemo(_hex_point if v2 else parse_scalar)
     try:
-        p0 = _parse_row(Position, universe, header["p0"], "p0", (), texts.point)
+        p0 = read_table(Position, universe, header["p0"], "p0", (), texts.point)
     except TraceFormatError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
 
-    # Each row is parsed like the post-position before it (p0 for the first),
-    # and takes the points of the texts that the row before had.
+    # Each row is read like the pre-position (p0 for the first row, then the
+    # post-position before it), and takes the points of the texts that the
+    # row before had.
     rounds, like = [], p0.slots
     for lineno, line in enumerate(it, start=2):
         if not line or line.isspace():  # blank, without copying the line
             continue
-        row = _json_object(line, f"line {lineno}", ("round", "frames", "post"))
+        where = f"line {lineno}"
+        row = _json_object(line, where)
+        _members(row, _ROW, where, v2)
         if type(row["round"]) is not int:
-            raise TraceFormatError(f"line {lineno}: round must be an integer")
+            raise TraceFormatError(f"{where}: round must be an integer")
         if row["round"] != len(rounds):
-            raise TraceFormatError(f"line {lineno}: round index {row['round']} out of order")
+            raise TraceFormatError(f"{where}: round index {row['round']} out of order")
         texts.next_row()
         try:
-            action = _parse_row(DemonicAction, universe, row["frames"], "frames", like, texts.point)
-            post = _parse_row(Position, universe, row["post"], "post", like, texts.point)
+            action = read_table(DemonicAction, universe, row["frames"], "frames", like, texts.point)
+            post = read_table(Position, universe, row["post"], "post", like, texts.point)
         except TraceFormatError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+            raise TraceFormatError(f"{where}: {exc}") from exc
         rounds.append(TraceRound(len(rounds), action, post))
         like = post.slots
 

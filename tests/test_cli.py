@@ -8,11 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsim import cli
+import lcmsim
+from lcmsim import cli, execution
 from lcmsim.cli import main
 from lcmsim.core import MAX_SCALAR_DIGITS
 from lcmsim.execution import read_trace_file
-from lcmsim.robograms import center_of_mass, spectrum_robogram
+from lcmsim.robograms import BUILTIN_SELECTORS, center_of_mass, spectrum_robogram
+
+from helpers import dumps_trace_v1
 
 
 def _run(capsys, *argv):
@@ -31,10 +34,12 @@ def test_simulate_writes_trace_to_stdout(capsys):
     assert len(lines) == 11
     header = json.loads(lines[0])
     assert header == {
+        "format": 2,
+        "lcmsim": lcmsim.__version__,
         "robogram": "stay",
         "demon": "fsync",
         "n": 1,
-        "p0": {"L0": "0/1", "R0": "1/1"},
+        "p0": {"points": ["0/1", "1/1"], "slots": [0, 1]},
     }
 
 
@@ -73,7 +78,7 @@ def test_simulate_accepts_json_init(capsys):
     )
     assert code == 0
     header = json.loads(out.splitlines()[0])
-    assert header["p0"] == {"L0": "2/3", "R0": "-1/3"}
+    assert header["p0"] == {"points": ["2/3", "-1/3"], "slots": [0, 1]}
 
 
 @pytest.mark.parametrize(
@@ -109,7 +114,7 @@ def test_simulate_adversary_demon_selector(capsys):
     header = json.loads(lines[0])
     assert header["demon"] == "adversary-alternating"
     last = json.loads(lines[-1])
-    assert last["post"] == {"L0": "1/2", "R0": "3/4"}
+    assert last["post"] == ["1/2", "3/4"]  # one robot per point, as before the round
 
 
 def test_adversary_certifies_and_writes_trace(tmp_path, capsys):
@@ -258,13 +263,18 @@ def test_check_detects_corrupt_trace(tmp_path, capsys):
         capsys, "simulate", "--robogram", "center-of-mass", "--demon", "fsync",
         "--n", "1", "--horizon", "3", "--out", str(out_path),
     )
-    lines = out_path.read_text().splitlines()
-    lines[2] = lines[2].replace('"L0": "1/2"', '"L0": "1/3"')
-    corrupt = tmp_path / "corrupt.jsonl"
-    corrupt.write_text("\n".join(lines) + "\n")
-    code, _, err = _run(capsys, "check", str(corrupt), "--property", "will-gather")
-    assert code == 3
-    assert "round 1" in err
+    # Round 1 (line 3) stores the gathered point 1/2, in either format.
+    v2 = out_path.read_text()
+    v1 = dumps_trace_v1(read_trace_file(str(out_path)))
+    for text, stored in ((v1, '"L0": "1/2"'), (v2, '"post": ["1/2"]')):
+        lines = text.splitlines()
+        assert stored in lines[2]
+        lines[2] = lines[2].replace(stored, stored.replace("1/2", "1/3"))
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(capsys, "check", str(corrupt), "--property", "will-gather")
+        assert code == 3
+        assert "round 1" in err
 
 
 def test_check_exits_3_when_the_robogram_fails_in_replay(tmp_path, capsys, monkeypatch):
@@ -410,12 +420,14 @@ def test_simulate_rejects_malformed_flags(capsys, flags, message):
 
 
 def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
+    # Format 1, which the reader still reads with its own rules.
     out_path = tmp_path / "t.jsonl"
     _run(
         capsys, "simulate", "--robogram", "stay", "--demon", "fsync",
         "--n", "1", "--horizon", "2", "--out", str(out_path),
     )
-    text = out_path.read_text()
+    text = dumps_trace_v1(read_trace_file(str(out_path)))
+    assert _run(capsys, "check", _written(tmp_path, text), "--property", "kfair:1")[0] == 0
     lines = text.splitlines(keepends=True)
     head, row = "".join(lines[:2]), lines[2]  # row: round 1, on line 3
     deep, long = "[" * 200000 + "]" * 200000, "1" * 5000
@@ -445,11 +457,125 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (head + "\ufeff" + row, "line 3 is not JSON: Unexpected UTF-8 BOM"),
         (head + row.replace("}}", "}} {}", 1), "line 3 is not JSON: Extra data"),
     ):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(mangled)
-        code, out, err = _run(capsys, "check", str(bad), "--property", "kfair:1")
+        code, out, err = _run(capsys, "check", _written(tmp_path, mangled), "--property", "kfair:1")
         assert code == 2 and not out
         assert _one_line(err) and needle in err
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_v1_rendering_checks_as_its_v2_file(tmp_path, capsys, n):
+    # An adversary run (list tables) and a random 1-fair run (mostly tables
+    # of points and slots) of every built-in selector.
+    selectors = [s for s in BUILTIN_SELECTORS if "<" not in s] + ["convex:1/3", "convex:-1/2", "convex:2"]
+    v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+    for selector in selectors:
+        for run in (("adversary",), ("simulate", "--demon", f"random-kfair:1:{n}")):
+            _run(capsys, *run, "--robogram", selector, "--n", str(n), "--horizon", "12", "--out", str(v2))
+            v1.write_text(dumps_trace_v1(read_trace_file(str(v2))))
+            for prop in ("kfair:0", "kfair:1", "always-split", "will-gather"):
+                checked = [_run(capsys, "check", str(path), "--property", prop) for path in (v1, v2)]
+                assert checked[0] == checked[1], (selector, run, prop)
+                assert checked[0][0] in (0, 1) and checked[0][1], (selector, run, prop)
+
+
+def _written(tmp_path, text: str) -> str:
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    return str(path)
+
+
+# `simulate` of stay under round-robin:1 with n=2 from four points: p0 has
+# four slots, each round's frames activate one robot (an object of points
+# and slots), and each post is p0 again (a list of points).
+_V2_HEAD = (
+    '{"format": 2, "lcmsim": "%s", "robogram": "stay", "demon": "round-robin:1/1", "n": 2,'
+    ' "p0": {"points": ["0/1", "1/3", "2/1", "-a/7"], "slots": [0, 1, 2, 3]}}\n'
+)
+_V2_ROW = '{"round": 0, "frames": {"points": ["1/1", "0/1"], "slots": [0, 1, 1, 1]}, "post": ["0/1", "1/3", "2/1", "-a/7"]}\n'
+
+
+@pytest.mark.parametrize(
+    "old, new, needle",
+    [
+        # one accepted text per value: lowest terms, lowercase, no leading zero, prefix or sign of zero
+        ('"1/3"', '"2/6"', "line 1: p0: point 1: invalid scalar '2/6': this value is written '1/3'"),
+        ('"2/1"', '"2/4"', "line 1: p0: point 2: invalid scalar '2/4': this value is written '1/2'"),
+        ('"-a/7"', '"-A/7"', "line 1: p0: point 3: invalid scalar '-A/7': this value is written '-a/7'"),
+        ('"2/1"', '"02/1"', "invalid scalar '02/1': this value is written '2/1'"),
+        ('"2/1"', '"0x2/1"', "invalid scalar '0x2/1': this value is written '2/1'"),
+        ('"2/1"', '"+2/1"', "invalid scalar '+2/1'"),
+        ('"2/1"', '"2_0/1"', "invalid scalar '2_0/1'"),
+        ('"2/1"', '" 2/1"', "invalid scalar ' 2/1'"),
+        ('"0/1"', '"-0/1"', "invalid scalar '-0/1': this value is written '0/1'"),
+        ('"2/1"', '"2"', "invalid scalar '2': expected lowercase hex 'num/den'"),
+        ('"2/1"', '"2/0"', "invalid scalar '2/0': expected lowercase hex"),
+        ('"2/1"', '"2/-1"', "invalid scalar '2/-1'"),
+        ('"2/1"', '"2/1/1"', "invalid scalar '2/1/1'"),
+        ('"2/1"', '"1.5/1"', "invalid scalar '1.5/1'"),
+        ('"2/1"', "2", "line 1: p0: point 2 is 2: expected a hex 'num/den' string"),
+        ('"2/1"', '"0/1"', "line 1: p0: points must be distinct"),
+        # slots: non-bool ints in range, numbered in order of first robot, using every point
+        ("[0, 1, 2, 3]", "[0, 1, 2, true]", "line 1: p0: slot true is not an integer"),
+        ("[0, 1, 2, 3]", "[0, 1, 2, 3.0]", "line 1: p0: slot 3.0 is not an integer"),
+        ("[0, 1, 2, 3]", "[0, 1, 2, 4]", "line 1: p0: slots must be numbered 0, 1, ... in order of first robot"),
+        ("[0, 1, 2, 3]", "[0, 1, 2, -1]", "slots must be numbered"),
+        ("[0, 1, 2, 3]", "[1, 0, 2, 3]", "slots must be numbered"),
+        ("[0, 1, 2, 3]", "[0, 1, 2, 2]", "line 1: p0: 4 points for 3 slots"),
+        ("[0, 1, 2, 3]", "[0, 1, 2]", "line 1: p0: 3 slots for 4 robots"),
+        ("[0, 1, 2, 3]", '"0123"', "line 1: p0: slots must be a list"),
+        ('["0/1", "1/3", "2/1", "-a/7"], "slots"', '"0/1", "slots"', "line 1: p0: points must be a list"),
+        # a list table has one point per slot of the pre-position, and p0 has none
+        ('"post": ["0/1", "1/3", "2/1", "-a/7"]', '"post": ["0/1", "1/3", "2/1"]', "line 2: post: 3 points for 4 slots"),
+        ('"p0": {"points": ["0/1", "1/3", "2/1", "-a/7"], "slots": [0, 1, 2, 3]}',
+         '"p0": ["0/1", "1/3", "2/1", "-a/7"]', "line 1: p0: expected an object of exactly points and slots"),
+        ('"post": ["0/1", "1/3", "2/1", "-a/7"]',
+         '"post": {"points": ["0/1", "1/3", "2/1", "-a/7"], "slots": [0, 1, 2, 3]}',
+         "line 2: post: its slots are the pre-position's, so only its points are written"),
+        ('"post": ["0/1", "1/3", "2/1", "-a/7"]', '"post": {"L0": "0/1"}', "line 2: post: expected a list of points or an object"),
+        ('"slots": [0, 1, 1, 1]}', '"slots": [0, 1, 1, 1], "extra": 0}', "line 2: frames: expected a list of points or an object"),
+        # the header and the rows have exactly the members the writer writes
+        ('"format": 2', '"format": 3', "header format 3 is not supported"),
+        ('"format": 2', '"format": 1', "header format 1 is not supported"),
+        ('"format": 2', '"format": true', "header format true is not supported"),
+        # without a format key the header is format 1, whose reader refuses the tables
+        ('"format": 2, ', "", "line 1: p0 does not cover the universe exactly"),
+        ('"lcmsim": "%s"' % lcmsim.__version__, '"lcmsim": 1', "header lcmsim, robogram and demon must be strings"),
+        ('"robogram": "stay"', '"robogram": null', "header lcmsim, robogram and demon must be strings"),
+        ('"n": 2,', '"n": 2, "seed": 1,', "header has unexpected key 'seed'"),
+        ('"n": 2,', "", "header is missing 'n'"),
+        ('{"round": 0, ', '{"round": 0, "note": "x", ', "line 2 has unexpected key 'note'"),
+        ('"round": 0', '"round": false', "line 2: round must be an integer"),
+        # a repeated key is refused, whatever object it is in
+        ('"format": 2', '"format": 2, "format": 2', "header: repeated key 'format'"),
+        ('"slots": [0, 1, 2, 3]', '"slots": [0, 1, 2, 3], "slots": [0, 1, 2, 3]', "header: repeated key 'slots'"),
+        ('"frames": {"points"', '"frames": {"slots": [0], "points"', "line 2: repeated key 'slots'"),
+        ('{"round": 0, ', '{"round": 0, "round": 0, ', "line 2: repeated key 'round'"),
+    ],
+)
+def test_check_rejects_malformed_v2_traces(tmp_path, capsys, old, new, needle):
+    text = _V2_HEAD % lcmsim.__version__ + _V2_ROW
+    # the unmangled text is a valid trace, and each mangle changes it
+    assert _run(capsys, "check", _written(tmp_path, text), "--property", "kfair:1")[0] == 0
+    assert old in text
+    code, out, err = _run(capsys, "check", _written(tmp_path, text.replace(old, new, 1)), "--property", "kfair:1")
+    assert code == 2 and not out
+    assert _one_line(err) and err.startswith("malformed trace: ") and needle in err
+
+
+def test_check_refuses_a_v2_scalar_past_the_digit_bound(tmp_path, capsys):
+    # The hex bound has the magnitude of MAX_SCALAR_DIGITS decimal digits.
+    bound = execution._MAX_HEX_DIGITS
+    assert 16 ** (bound - 1) < 10**MAX_SCALAR_DIGITS < 16**bound
+    text = _V2_HEAD % lcmsim.__version__ + _V2_ROW
+    # p0's point 2 becomes 16**(digits-1) or its inverse: within the bound it
+    # is read, and replay then finds post's "2/1" (exit 3); past it, exit 2.
+    for digits, expected in ((bound, 3), (bound + 1, 2)):
+        big = "1" + "0" * (digits - 1)
+        for scalar in (f"{big}/1", f"1/{big}"):
+            mangled = text.replace('"2/1"', f'"{scalar}"', 1)
+            code, out, err = _run(capsys, "check", _written(tmp_path, mangled), "--property", "kfair:1")
+            assert (code, out) == (expected, "") and _one_line(err)
+            assert (f"more than {bound} hex digits" in err) == (expected == 2)
 
 
 def test_check_rejects_non_utf8_trace(tmp_path, capsys):

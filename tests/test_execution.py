@@ -37,7 +37,7 @@ from lcmsim.robograms import (
 )
 from lcmsim.sampling import random_position, random_scalar
 
-from helpers import make_scripted, random_nonzero_scalar
+from helpers import dumps_trace_v1, dumps_trace_v2, make_scripted, random_nonzero_scalar
 
 
 def _random_schedule(rng, universe, length):
@@ -181,12 +181,11 @@ def test_trace_file_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 5
     header = json.loads(lines[0])
-    assert header["robogram"] == "center-of-mass"
-    assert header["n"] == 2
-    assert header["p0"]["L0"] == "0/1"
+    assert (header["format"], header["robogram"], header["n"]) == (2, "center-of-mass", 2)
+    assert header["p0"] == {"points": ["0/1", "1/1"], "slots": [0, 0, 1, 1]}
     first = json.loads(lines[1])
     assert first["round"] == 0
-    assert first["post"]["R1"] == "1/2"
+    assert first["post"] == {"points": ["1/2"], "slots": [0, 0, 0, 0]}
 
 
 def test_read_trace_shares_one_universe():
@@ -216,33 +215,12 @@ def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
     assert trace.p0[u.robots[0]] == Fraction(1, 2) and trace.p0[u.robots[2]] == 0
     # "2/4" and "1/2" share one point, and "-0/3" is 0
     assert trace.rounds[0].action.points == (Fraction(1, 2), 0, 7)
-    # written back, every value is in lowest terms
+    # written back, every value is in lowest terms, and equal values are one point
     buffer = io.StringIO()
     write_trace(trace, buffer)
     assert json.loads(buffer.getvalue().splitlines()[0])["p0"] == {
-        "L0": "1/2", "L1": "1/2", "L2": "0/1", "R0": "1/2", "R1": "0/1", "R2": "7/1",
+        "points": ["1/2", "0/1", "7/1"], "slots": [0, 0, 1, 0, 1, 2],
     }
-
-
-def _dumps_trace(trace: Trace) -> str:
-    """The reference writer: one `json.dumps` of a dict per line, each
-    table a name -> "num/den" map.  `write_trace` must match it byte for
-    byte."""
-
-    def table(t):
-        text = [format_scalar(x) for x in t.points]
-        return dict(zip(t.universe.places_by_name, map(text.__getitem__, t.slots)))
-
-    header = {
-        "robogram": trace.robogram_name,
-        "demon": trace.demon_name,
-        "n": trace.universe.pile_size,
-        "p0": table(trace.p0),
-    }
-    lines = [json.dumps(header)]
-    for rd in trace.rounds:
-        lines.append(json.dumps({"round": rd.index, "frames": table(rd.action), "post": table(rd.post)}))
-    return "".join(line + "\n" for line in lines)
 
 
 def _scattered_init_trace(tmp_path) -> Trace:
@@ -292,8 +270,10 @@ def test_write_trace_matches_json_dumps_byte_for_byte(tmp_path):
     for name, trace in _oracle_traces(tmp_path).items():
         buffer = io.StringIO()
         write_trace(trace, buffer)
-        assert buffer.getvalue() == _dumps_trace(trace), name
+        assert buffer.getvalue() == dumps_trace_v2(trace), name
         assert read_trace(buffer.getvalue().splitlines()) == trace, name
+        # format 1 still reads to the same trace
+        assert read_trace(dumps_trace_v1(trace).splitlines()) == trace, name
 
 
 def _expected_tables(lines: list[str]):
@@ -379,11 +359,10 @@ def test_read_trace_skips_blank_lines():
 
 
 def _valid_lines():
+    """A short trace in format 1 and in format 2."""
     u = RobotUniverse(1)
     trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 2)
-    buffer = io.StringIO()
-    write_trace(trace, buffer)
-    return buffer.getvalue().splitlines()
+    return dumps_trace_v1(trace).splitlines(), dumps_trace_v2(trace).splitlines()
 
 
 @pytest.mark.parametrize(
@@ -411,8 +390,14 @@ def _valid_lines():
     ],
 )
 def test_read_trace_rejects_malformed_input(mangle):
-    with pytest.raises(TraceFormatError):
-        read_trace(mangle(_valid_lines()))
+    # Each mangle applies to format 1.  It is tried on format 2 too where it
+    # leaves more than a prefix of the lines, a shorter valid trace (format 2
+    # has no robot ids to mangle, for one).
+    v1, v2 = _valid_lines()
+    mangled = mangle(v2)
+    for lines in (v1, v2) if mangled != v2[:len(mangled)] else (v1,):
+        with pytest.raises(TraceFormatError):
+            read_trace(mangle(lines))
 
 
 def test_replay_certifies_and_detects_tampering():
@@ -420,14 +405,14 @@ def test_replay_certifies_and_detects_tampering():
     trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 3)
     replay(trace, center_of_mass)
 
-    buffer = io.StringIO()
-    write_trace(trace, buffer)
-    lines = buffer.getvalue().splitlines()
-    lines[2] = lines[2].replace('"L0": "1/2"', '"L0": "1/3"')
-    tampered = read_trace(lines)
-    with pytest.raises(ReplayMismatchError) as err:
-        replay(tampered, center_of_mass)
-    assert err.value.round_index == 1
+    # Round 1 (line 3) stores the gathered point: 1/2 in both formats.
+    v1, v2 = dumps_trace_v1(trace).splitlines(), dumps_trace_v2(trace).splitlines()
+    for lines, stored in ((v1, '"L0": "1/2"'), (v2, '"post": ["1/2"]')):
+        assert stored in lines[2]
+        lines[2] = lines[2].replace(stored, stored.replace("1/2", "1/3"))
+        with pytest.raises(ReplayMismatchError) as err:
+            replay(read_trace(lines), center_of_mass)
+        assert err.value.round_index == 1
 
     # replaying under the wrong robogram also fails
     with pytest.raises(ReplayMismatchError):

@@ -20,6 +20,8 @@ from lcmsim.demons import make_fsync
 from lcmsim.execution import execute_prefix, write_trace
 from lcmsim.robograms import center_of_mass, to_max
 
+from helpers import dumps_trace_v1
+
 
 def _text(trace) -> str:
     out = io.StringIO()
@@ -27,13 +29,15 @@ def _text(trace) -> str:
     return out.getvalue()
 
 
-# Both adversary branches and a gathering run, so every verdict kind occurs.
+# Both adversary branches and a gathering run, so every verdict kind occurs,
+# each as written (format 2) and as format 1, which is still read.
 _ONE = RobotUniverse(1)
-BASES = (
-    _text(run_impossibility(center_of_mass, 2, 4).trace),
-    _text(run_impossibility(to_max, 1, 3).trace),
-    _text(execute_prefix(center_of_mass, make_fsync(_ONE), Position.from_piles(_ONE, 0, 1), 3)),
+_TRACES = (
+    run_impossibility(center_of_mass, 2, 4).trace,
+    run_impossibility(to_max, 1, 3).trace,
+    execute_prefix(center_of_mass, make_fsync(_ONE), Position.from_piles(_ONE, 0, 1), 3),
 )
+BASES = tuple(_text(t) for t in _TRACES) + tuple(dumps_trace_v1(t) for t in _TRACES)
 PROPERTIES = ("kfair:1", "always-split", "will-gather")
 HOLE = "@@fuzz@@"
 
@@ -49,6 +53,7 @@ raw_json = st.one_of(
     st.sampled_from([10, 1500, 200000]).map(lambda k: "[" * k + "]" * k),
     st.sampled_from([4300, 4301, 5000]).map(lambda k: "1" * k),
     st.sampled_from(["1/0", "0/1", "-1/2", "1/-2", "0.5", "1e9", "2/4", "1" * 3000 + "/1"]).map(json.dumps),
+    st.sampled_from(["A/1", "01/1", "0x1/1", "-0/1", "1f/24", "f" * 3000 + "/1"]).map(json.dumps),
 )
 
 
@@ -71,13 +76,14 @@ def mutated_traces(draw) -> bytes:
     if kind == "round":
         lines[i] = json.dumps({**row, "round": draw(st.integers(-2, 8))}) + "\n"
         return "".join(lines).encode()
-    # Replace one value: a top-level field or an entry of a nested map.
-    key = draw(st.sampled_from(sorted(row)))
-    if isinstance(row[key], dict) and draw(st.booleans()):
-        inner = draw(st.sampled_from(sorted(row[key])))
-        row[key] = {**row[key], inner: HOLE}
-    else:
-        row[key] = HOLE
+    # Replace one value: a top-level field, or an entry of a map or list
+    # nested in it at any depth.
+    container, key = row, draw(st.sampled_from(sorted(row)))
+    while isinstance(container[key], (dict, list)) and container[key] and draw(st.booleans()):
+        container = container[key]
+        keys = sorted(container) if isinstance(container, dict) else range(len(container))
+        key = draw(st.sampled_from(keys))
+    container[key] = HOLE
     lines[i] = json.dumps(row).replace(json.dumps(HOLE), draw(raw_json)) + "\n"
     return "".join(lines).encode()
 

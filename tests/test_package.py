@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +51,13 @@ def test_each_exported_name_is_its_modules_own_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(lcmsim, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_version_is_pyprojects():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fp:
+        assert lcmsim.__version__ == tomllib.load(fp)["project"]["version"]
 
 
 def test_star_import_brings_every_exported_name():

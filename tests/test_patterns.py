@@ -182,3 +182,19 @@ def test_the_screens_reversal_renames_stacked_piles_as_the_pile_swap(n):
     reversal = range(2 * n - 1, -1, -1)
     swapped = Position.from_piles(u, 1, 0)
     assert permute_position(p, reversal) == permute_position(p, swap) == swapped
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_the_reversal_is_one_slice_and_equals_the_generic_renaming(n):
+    # `permute_position` applies range(m - 1, -1, -1) as `slots[::-1]`; the
+    # same places as a tuple take the loop that scatters each robot's slot.
+    rng = random.Random(n)
+    u = RobotUniverse(n)
+    scattered = Position(u, {r: Fraction(i * 7 % (2 * n + 1), 3) for i, r in enumerate(u.robots)})
+    merged = Position(u, {r: Fraction(rng.randint(0, 2)) for r in u.robots})
+    for p in (Position.from_piles(u, 0, 1), Position.from_piles(u, 2, 2), scattered, merged):
+        reversal = range(u.m - 1, -1, -1)
+        fast, loop = permute_position(p, reversal), permute_position(p, tuple(reversal))
+        assert fast == loop
+        assert fast.points == loop.points and fast.slots == loop.slots
+        assert fast._per_robot() == p._per_robot()[::-1]
