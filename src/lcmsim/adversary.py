@@ -83,7 +83,6 @@ class FirstMoveProbe(_Value):
 
 def canonical_view(universe: RobotUniverse) -> Position:
     """n robots on the observer's pile at 0 and n on the other pile at 1."""
-    universe.require_inhabited()
     return Position.from_piles(universe, 0, 1)
 
 
@@ -121,7 +120,6 @@ def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAct
 
 def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
     """Every round activates every robot with the canonical-view factor."""
-    universe.require_inhabited()
     both = (Side.LEFT, Side.RIGHT)
     return Demon("adversary-swap-fsync", lambda i, p: _canonical_action(p, both))
 
@@ -129,7 +127,6 @@ def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
 def make_alternating_demon(universe: RobotUniverse) -> Demon:
     """Even rounds activate exactly the left pile, odd rounds exactly the
     right pile, activated robots getting the canonical-view factor."""
-    universe.require_inhabited()
     turns = ((Side.LEFT,), (Side.RIGHT,))
     return Demon("adversary-alternating", lambda i, p: _canonical_action(p, turns[i % 2]))
 

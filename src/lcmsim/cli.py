@@ -3,9 +3,9 @@
 Machine-readable output (traces, reports, verdicts) goes to stdout or the
 requested file; diagnostics go to stderr.  Exit codes: 0 success / property
 holds, 1 property fails, 2 usage error or malformed input, 3 runtime error
-(bad robogram arithmetic, corrupt trace, stdout closed early, out of
-memory).  Rationals
-cross the CLI as "num/den" strings only.
+(bad robogram arithmetic, corrupt trace, stdout closed early or not
+writable, out of memory).  Rationals cross the CLI as "num/den" strings
+only.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def _check_writable(path: str) -> None:
     try:
         with open(path, "a", encoding="utf-8"):
             pass
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise UsageError(f"cannot write trace: {exc}") from exc
-    if not existed:
-        os.remove(path)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -305,15 +305,20 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return code
-    except BrokenPipeError:
-        # stdout's reader went away (`| head`): shutdown flushes into devnull
+    except OSError as exc:
+        # The commands turn their own files' OSErrors into messages, so this
+        # one is stdout's: its reader went away (`| head`) or its device is
+        # full.  Shutdown then flushes into devnull, quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+        else:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExecutionError, NonRepresentableDestination, ReplayMismatchError) as exc:
+    except (ExecutionError, NonRepresentableDestination) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -52,7 +52,7 @@ _T = TypeVar("_T", bound="_Table")
 
 
 class EmptyUniverse(ValueError):
-    """An operation that needs at least one robot per pile got none."""
+    """A universe was asked for with fewer than one robot per pile."""
 
 
 # Longest numerator or denominator `parse_scalar` accepts, in decimal digits.
@@ -210,16 +210,16 @@ class RobotUniverse(_Value):
     """2n robots split into a left and a right pile of n each.
 
     Per-robot state is a tuple in `robots` order: the left pile is `[:n]`,
-    the right pile `[n:]`.  pile_size 0 is constructible (so the
-    empty-universe error paths can be exercised) but executions and
-    adversaries reject it.
+    the right pile `[n:]`.  Both piles are nonempty: the constructor
+    refuses n < 1 with EmptyUniverse, so nothing downstream checks for an
+    empty pile.
     """
 
     __slots__ = ("pile_size", "__dict__")  # the dict holds the cached properties
 
     def __init__(self, pile_size: int) -> None:
-        if pile_size < 0:
-            raise ValueError("pile size must be >= 0")
+        if pile_size < 1:
+            raise EmptyUniverse("universe must contain at least one robot per pile")
         _set(self, "pile_size", pile_size)
 
     @property
@@ -261,10 +261,6 @@ class RobotUniverse(_Value):
     def side_robots(self, side: Side) -> tuple[RobotId, ...]:
         return tuple(r for r in self.robots if r.side is side)
 
-    def require_inhabited(self) -> None:
-        if self.pile_size < 1:
-            raise EmptyUniverse("universe must contain at least one robot per pile")
-
 
 class _Slots(tuple):
     """A slot pattern: a table's `slots`, one index per robot in robot
@@ -290,7 +286,7 @@ class _Slots(tuple):
     counting, not left to the cycle collector.  It compares, hashes and
     slices as the plain tuple it is; slices are plain tuples."""
 
-    def __new__(cls, slots: Iterable[int] = ()) -> _Slots:
+    def __new__(cls, slots: Iterable[int]) -> _Slots:
         pattern = super().__new__(cls, slots)
         pattern.counts = tuple(Counter(pattern).values())
         return pattern
@@ -301,7 +297,7 @@ class _Slots(tuple):
         pile has one slot."""
         n = len(self) // 2
         return tuple(
-            pile[0] if pile and pile.count(pile[0]) == n else None for pile in (self[:n], self[n:])
+            pile[0] if pile.count(pile[0]) == n else None for pile in (self[:n], self[n:])
         )
 
     @cached_property
@@ -464,8 +460,6 @@ class Position(_Table):
         table is built directly, on the universe's `sides` pattern when the
         two points differ."""
         a, b = as_scalar(left), as_scalar(right)
-        if not universe.pile_size:
-            return cls._table(universe, (), universe.sides)
         if a == b:
             return cls._table(universe, (a,), _Slots(repeat(0, universe.m)))
         return cls._table(universe, (a, b), universe.sides)
@@ -688,7 +682,7 @@ def permute_position(p: Position, sigma: Sequence[int]) -> Position:
         keys = p.slots[::-1]
     else:
         refused = ValueError(f"renaming must list each of the {m} robot places once")
-        if m and (min(sigma) < 0 or max(sigma) >= m):
+        if min(sigma) < 0 or max(sigma) >= m:
             raise refused
         keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
         for slot, place in zip(p.slots, sigma):

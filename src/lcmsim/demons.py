@@ -178,7 +178,6 @@ class Verdict(_Value):
 def make_fsync(universe: RobotUniverse) -> Demon:
     """Fully synchronous demon: every robot is activated every round with
     factor 1, by one action built once."""
-    universe.require_inhabited()
     action = DemonicAction._table(universe, (Fraction(1),), (0,) * universe.m)
 
     def step(round_index: int, position: Position) -> DemonicAction:
@@ -192,7 +191,6 @@ def make_round_robin(universe: RobotUniverse, factor: ScalarLike) -> Demon:
     f = as_scalar(factor)
     if f == 0:
         raise ValueError("round-robin factor must be nonzero")
-    universe.require_inhabited()
     by_flag = (Fraction(0), f).__getitem__
 
     def step(round_index: int, position: Position) -> DemonicAction:
@@ -219,7 +217,6 @@ def make_random_kfair(
     f = as_scalar(factor)
     if f == 0:
         raise ValueError("factor must be nonzero")
-    universe.require_inhabited()
     m = universe.m
     by_flag = (Fraction(0), f).__getitem__
     rng = random.Random(seed)

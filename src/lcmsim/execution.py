@@ -194,7 +194,6 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    p0.universe.require_inhabited()
     return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 

@@ -4,8 +4,8 @@ Gathering is a forever-property (stacked at one point at every later step),
 so a finite trace can only ever support a *tentative* positive: stacked from
 some round through the horizon.  Its structural opposite, keeping the two
 piles apart at every step, is likewise only refutable on a prefix.  The two
-are mutually exclusive pointwise: an inhabited position that is split cannot
-be gathered, since a gathering point would be shared across the piles.
+are mutually exclusive pointwise: a position that is split cannot be
+gathered, since a gathering point would be shared across the piles.
 
 Both checkers answer with the bounded `demons.Verdict` the fairness checker
 uses, and all checkers are pure over immutable traces.
@@ -29,7 +29,6 @@ __all__ = [
 
 def gathered_location(p: Position) -> Fraction | None:
     """The single point all robots stand on, or None if they do not."""
-    p.universe.require_inhabited()
     return p.points[0] if len(p.points) == 1 else None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -382,6 +383,31 @@ def test_closed_stdout_exits_3_without_traceback():
 
 def _one_line(err):
     return len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "3"),
+        ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "3"),
+        ("check", "{trace}", "--property", "always-split"),
+        ("invariance", "--robogram", "stay", "--samples", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_stdout_exits_3_without_traceback(tmp_path, argv):
+    # Every write to /dev/full fails with ENOSPC, as on a full disk.
+    trace = tmp_path / "t.jsonl"
+    assert main(["simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1",
+                 "--horizon", "3", "--out", str(trace)]) == 0
+    argv = [arg.format(trace=trace) for arg in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcmsim", *argv], stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 3
+    assert _one_line(proc.stderr) and proc.stderr.startswith("error: cannot write stdout")
 
 
 @pytest.mark.parametrize(

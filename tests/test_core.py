@@ -129,13 +129,14 @@ def test_universe_enumeration_left_pile_first():
     assert [str(r) for r in u.side_robots(Side.RIGHT)] == ["R0", "R1"]
 
 
-def test_universe_empty_is_constructible_but_rejected_where_it_matters():
-    u = RobotUniverse(0)
-    assert u.robots == ()
-    with pytest.raises(EmptyUniverse):
-        u.require_inhabited()
-    with pytest.raises(ValueError):
-        RobotUniverse(-1)
+def test_universe_refuses_an_empty_pile():
+    # The one check for an empty pile; EmptyUniverse is a ValueError.
+    for n in (0, -1):
+        with pytest.raises(EmptyUniverse, match="at least one robot per pile"):
+            RobotUniverse(n)
+        with pytest.raises(ValueError):
+            RobotUniverse(n)
+    assert [str(r) for r in RobotUniverse(1).robots] == ["L0", "R0"]
 
 
 def test_position_totality():

@@ -95,9 +95,8 @@ def test_execute_prefix_validates_inputs():
     p = Position.from_piles(u, 0, 1)
     with pytest.raises(ValueError):
         execute_prefix(stay, make_fsync(u), p, -1)
-    empty = Position(RobotUniverse(0), {})
-    with pytest.raises(EmptyUniverse):
-        execute_prefix(stay, make_fsync(u), empty, 1)
+    with pytest.raises(EmptyUniverse):  # no empty p0 can be built to run from
+        Position(RobotUniverse(0), {})
     trace = execute_prefix(stay, make_fsync(u), p, 0)
     assert trace.horizon == 0
     assert trace.positions() == (p,)
