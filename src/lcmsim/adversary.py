@@ -58,6 +58,8 @@ ALTERNATING = "alternating"
 
 INVARIANCE_PRECHECK_SAMPLES = 32
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class DegenerateInitial(ValueError):
     """The requested initial piles coincide; the construction needs two
@@ -97,23 +99,25 @@ def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAct
     factor) when the opposite pile is scattered or on top of the robot,
     keeping the demon total.
 
-    The opposite pile's location is read once per side and each factor is
-    computed once per (side, point slot) pair.  Which robots share a pair
-    is a fact of the position's slot pattern and the universe's `sides`
-    pattern, kept with the pattern (`_Slots.tabulate_with`), so while the
-    piles stay stacked a round costs O(points), not O(robots).  Built like
-    the position, the action then keeps its slot tuple: both are
-    `(0,)*n + (1,)*n`.
+    Both piles' slots are read once, from the position's slot pattern
+    (`_Slots.piles`), and each factor is computed once per (side, point
+    slot) pair.  Which robots share a pair is a fact of the position's
+    slot pattern and the universe's `sides` pattern, kept with the pattern
+    (`_Slots.tabulate_with`), so while the piles stay stacked a round costs
+    O(points), not O(robots).  Built like the position, the action then
+    keeps its slot tuple: both are `(0,)*n + (1,)*n`.
     """
     universe, points = position.universe, position.points
-    # left pile, then right: whether it is activated, and the opposite pile's location
-    piles = [(side in sides, position.pile_location(side.other)) for side in Side]
+    # left pile, then right: whether it is activated, and the opposite pile's slot
+    active = (Side.LEFT in sides, Side.RIGHT in sides)
+    opposite = position.slots.piles[::-1]
 
     def factor(pair: tuple[int, int]) -> Fraction:
-        (active, v), u = piles[pair[0]], points[pair[1]]
-        if not active:
-            return Fraction(0)
-        return Fraction(1) / (v - u) if v is not None and v != u else Fraction(1)
+        side, slot = pair
+        if not active[side]:
+            return _ZERO
+        v = opposite[side]  # points are distinct, so equal slots mean equal locations
+        return _ONE / (points[v] - points[slot]) if v is not None and v != slot else _ONE
 
     return DemonicAction._table(universe, *position.slots.tabulate_with(universe.sides, factor))
 

@@ -15,7 +15,7 @@ import json
 import os
 import random
 import sys
-from typing import Callable
+from typing import IO, Callable
 
 from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
 from .core import Position, RobotUniverse, Side, format_scalar, parse_scalar
@@ -257,8 +257,21 @@ def cmd_invariance(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text reaches stdout or raises: argparse
+    writes it through `_print_message`, which swallows an OSError, so help
+    on a full or closed stdout would exit 0 with nothing written.  Here the
+    text is written and flushed, and an OSError reaches `main`.  Subparsers
+    are built from the same class."""
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        out = sys.stdout if file is None else file
+        out.write(self.format_help())
+        out.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcmsim",
         description="Exact Look-Compute-Move simulator with adversarial schedulers",
     )
@@ -298,13 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = parser.parse_args(argv)  # help is written and flushed here
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return code
+    except SystemExit as exc:  # argparse's exit: help, or a usage error
+        return exc.code if isinstance(exc.code, int) else 2
     except OSError as exc:
         # The commands turn their own files' OSErrors into messages, so this
         # one is stdout's: its reader went away (`| head`) or its device is

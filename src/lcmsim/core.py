@@ -277,7 +277,7 @@ class _Slots(tuple):
       filled later, in the middle of a round, it left one more pymalloc
       pool in use after every `check` call);
     - each pile's slot, whether the piles share a slot, one robot per slot,
-      each filled on first use;
+      each slot paired with itself, each filled on first use;
     - for the last other pattern it was paired with, the joint pattern of
       the two (`joint`).
 
@@ -301,6 +301,12 @@ class _Slots(tuple):
         )
 
     @cached_property
+    def self_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each slot paired with itself, in slot order: the distinct pairs
+        of the pattern's joint with itself (`joint`)."""
+        return tuple((s, s) for s in range(len(self.counts)))
+
+    @cached_property
     def split(self) -> bool:
         """No slot holds robots of both piles."""
         n = len(self) // 2
@@ -318,9 +324,9 @@ class _Slots(tuple):
         it.  A pattern paired with itself is its own joint; otherwise the
         joint is kept for the last `other`, which the entry holds, so no
         other tuple can take its identity while it is kept."""
-        width = len(self.counts)
         if other is self:
-            return tuple((s, s) for s in range(width)), self
+            return self.self_pairs, self
+        width = len(self.counts)
         last = self.__dict__.get("_joint")
         if last is None or last[0] is not other:
             keys = [a * width + b for a, b in zip(other, self)]
@@ -353,9 +359,10 @@ def _like(slots: tuple[int, ...], like: tuple[int, ...]) -> tuple[int, ...]:
 
 def tabulate(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The canonical occupancy table of some values: the distinct values in
-    order of first occurrence, and each value's index into them.  The one
-    place that decides which values share a point: equal (numerator,
-    denominator), as hashing a Fraction costs a modular inverse."""
+    order of first occurrence, and each value's index into them.  Values
+    share a point when their (numerator, denominator) pairs are equal, as
+    hashing a Fraction costs a modular inverse; `_grouped` tests the same
+    pairs before it calls this."""
     values = tuple(values)
     ratios = tuple(map(Fraction.as_integer_ratio, values))
     first = dict(zip(reversed(ratios), reversed(values)))  # each ratio's first value
@@ -382,13 +389,15 @@ def _grouped(
     pattern: tuple[int, ...], values: Iterable[Fraction], like: tuple[int, ...]
 ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The canonical table of one value per slot of `pattern`, the values
-    given in slot order: `tabulate` groups them, and the table keeps
-    `pattern` itself while they are distinct, as `tabulate` then numbers
-    them as the pattern does.  Only values that merge regroup the robots,
-    built like `like`."""
+    given in slot order.  While their (numerator, denominator) pairs are
+    distinct the table is the values as they are and `pattern` itself, as
+    `tabulate` would give it, found with one set of pairs and no dict.
+    Only values that merge are grouped by `tabulate`, which regroups the
+    robots, built like `like`."""
+    values = tuple(values)
+    if len(set(map(Fraction.as_integer_ratio, values))) == len(values):
+        return values, pattern
     points, index = tabulate(values)
-    if len(points) == len(index):
-        return points, pattern
     return points, _like(tuple(map(index.__getitem__, pattern)), like)
 
 

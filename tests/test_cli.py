@@ -393,11 +393,14 @@ def _one_line(err):
         ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "3"),
         ("check", "{trace}", "--property", "always-split"),
         ("invariance", "--robogram", "stay", "--samples", "2"),
+        ("--help",),
+        ("adversary", "--help"),
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv) if "--help" in argv else argv[0],
 )
 def test_unwritable_stdout_exits_3_without_traceback(tmp_path, argv):
-    # Every write to /dev/full fails with ENOSPC, as on a full disk.
+    # Every write to /dev/full fails with ENOSPC, as on a full disk.  Help
+    # text too: argparse would swallow the error and exit 0.
     trace = tmp_path / "t.jsonl"
     assert main(["simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1",
                  "--horizon", "3", "--out", str(trace)]) == 0

@@ -11,23 +11,28 @@ with a recomputation that keeps nothing.
 
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmsim import core
 from lcmsim.adversary import (
+    ALTERNATING,
+    SWAP_FSYNC,
     _balanced_bivalent,
     build_adversary_demon,
     run_impossibility,
 )
 from lcmsim.core import Position, RobotUniverse, permute_position
 from lcmsim.demons import DemonicAction, check_kfair, make_fsync, make_round_robin
-from lcmsim.execution import _rounds, round_step
-from lcmsim.robograms import center_of_mass, convex, stay, to_other_occupied
+from lcmsim.execution import _rounds, read_trace, replay, round_step, write_trace
+from lcmsim.robograms import center_of_mass, convex, resolve_robogram, stay, to_other_occupied
 
 from test_demons import _kfair_oracle
 from test_differential import reference_round_step
@@ -198,3 +203,76 @@ def test_the_reversal_is_one_slice_and_equals_the_generic_renaming(n):
         assert fast == loop
         assert fast.points == loop.points and fast.slots == loop.slots
         assert fast._per_robot() == p._per_robot()[::-1]
+
+
+def _tabulated(pattern, values, like):
+    """The grouping that tabulates every round's values: `tabulate`, then
+    the pattern kept while the values are distinct."""
+    points, index = core.tabulate(values)
+    if len(points) == len(index):
+        return points, pattern
+    return points, core._like(tuple(map(index.__getitem__, pattern)), like)
+
+
+_VALUES = (F(0), F(1), F(-1, 2), F(3, 7), F(10**30 + 1, 3**40))
+
+
+@st.composite
+def _patterns_and_values(draw):
+    """A slot pattern, one value per slot (some equal, as fresh objects or
+    one shared one, when `merge` is drawn) and a `like` for the grouping."""
+    raw = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    index = {slot: i for i, slot in enumerate(dict.fromkeys(raw))}
+    pattern = core._Slots(index[slot] for slot in raw)
+    width = len(pattern.counts)
+    if draw(st.booleans()):  # merge: values drawn with repetition
+        picks = draw(st.lists(st.sampled_from(_VALUES), min_size=width, max_size=width))
+    else:  # distinct, possibly beyond the pool
+        picks = [*_VALUES, *(F(i, 11) for i in range(1, 12))][:width]
+        picks = draw(st.permutations(picks))
+    values = [x if draw(st.booleans()) else F(x.numerator, x.denominator) for x in picks]
+    merged = _tabulated(pattern, values, ())[1]
+    like = draw(st.sampled_from(((), pattern, core._Slots(merged))))
+    return pattern, values, like
+
+
+@settings(max_examples=300, deadline=None)
+@given(_patterns_and_values())
+def test_grouped_equals_tabulating_the_values(case):
+    # `_grouped` tests the values' (numerator, denominator) pairs and calls
+    # `tabulate` only when two merge; the table it gives must be the one
+    # that tabulating every time gives: the same point objects, the same
+    # slots, and the same tuple where that keeps one.
+    pattern, values, like = case
+    points, slots = core._grouped(pattern, iter(values), like)
+    expected_points, expected_slots = _tabulated(pattern, values, like)
+    assert points == expected_points and slots == expected_slots
+    assert all(a is b for a, b in zip(points, expected_points, strict=True))
+    assert (slots is pattern) is (expected_slots is pattern)
+    assert (slots is like) is (expected_slots is like)
+    if len({x.as_integer_ratio() for x in values}) == len(values):
+        assert slots is pattern
+
+
+@pytest.mark.parametrize(
+    "selector, branch",
+    [("center-of-mass", ALTERNATING), ("convex:1/3", ALTERNATING), ("to-max", SWAP_FSYNC)],
+)
+def test_a_stacked_run_and_its_replay_call_tabulate_never(monkeypatch, selector, branch):
+    # While the piles stay stacked every round's factors and destinations
+    # are distinct, so no round, no screen, no read and no replay groups
+    # values with `tabulate`.
+    calls = []
+    tabulate = core.tabulate
+    monkeypatch.setattr(core, "tabulate", lambda values: calls.append(1) or tabulate(values))
+    robogram = resolve_robogram(selector)
+    report = run_impossibility(robogram, 8, 50)
+    assert report.certified and report.probe.branch == branch
+    assert len(calls) == 0, "run_impossibility"
+    out = io.StringIO()
+    write_trace(report.trace, out)
+    trace = read_trace(io.StringIO(out.getvalue()))
+    assert trace == report.trace
+    assert len(calls) == 0, "read_trace"
+    replay(trace, robogram)
+    assert len(calls) == 0, "replay"
