@@ -11,6 +11,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -308,8 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads argv with, built once per process.  argparse
+    ties a parser's objects into reference cycles, so one built per call
+    would outlive the call as garbage until the next cyclic collection:
+    about 200 objects, some on the C heap, where they move the peak
+    resident set of a process that calls `main` again and again.  Parsing
+    leaves the parser unchanged, so it can be reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)  # help is written and flushed here
         code = args.func(args)

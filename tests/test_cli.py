@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import gc
 import json
 import os
 import re
@@ -411,6 +413,24 @@ def test_unwritable_stdout_exits_3_without_traceback(tmp_path, argv):
         )
     assert proc.returncode == 3
     assert _one_line(proc.stderr) and proc.stderr.startswith("error: cannot write stdout")
+
+
+def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
+    # argparse ties a parser into reference cycles; one built per call
+    # outlived the call as garbage until the next cyclic collection.
+    argv = ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "1")
+    assert _run(capsys, *argv)[0] == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds, to look at it
+    try:
+        assert _run(capsys, *argv)[0] == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert parsers == []
 
 
 @pytest.mark.parametrize(
