@@ -231,10 +231,7 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
         )
 
     actions = trace.actions()
-    fairness = {
-        k: check_kfair(actions, k) if actions else Verdict.no_violation_up_to(0)
-        for k in (0, 1)
-    }
+    fairness = {k: check_kfair(actions, k) for k in (0, 1)}
     failures = tuple(
         i for i, p in enumerate(trace.positions()) if not _balanced_bivalent(p, n)
     )

@@ -190,12 +190,7 @@ def _parse_property(text: str) -> tuple[str, Callable[[Trace], Verdict]]:
         if k < 0:
             raise UsageError("kfair budget must be >= 0")
 
-        def kfair(trace: Trace) -> Verdict:
-            if trace.horizon == 0:
-                raise UsageError("kfair needs a trace with at least one round")
-            return check_kfair(trace.actions(), k)
-
-        return f"kfair:{k}", kfair
+        return f"kfair:{k}", lambda trace: check_kfair(trace.actions(), k)
     raise UsageError(
         f"unknown property {text!r}; expected kfair:<k>, will-gather or always-split"
     )

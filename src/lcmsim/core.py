@@ -502,6 +502,15 @@ class Similarity(_Value):
         if self.factor == 0:
             raise ValueError("similarity factor must be nonzero")
 
+    @classmethod
+    def _of(cls, factor: Fraction, center: Fraction) -> Similarity:
+        """A frame from a nonzero factor and a center that are Fractions
+        already, not checked again: a round's come from its tables."""
+        frame = cls.__new__(cls)
+        _set(frame, "factor", factor)
+        _set(frame, "center", center)
+        return frame
+
     def apply(self, x: ScalarLike) -> Fraction:
         return self.factor * (as_scalar(x) - self.center)
 
@@ -532,13 +541,19 @@ class Similarity(_Value):
 def _image(p: int, q: int, cn: int, cd: int, xn: int, xd: int) -> Fraction:
     """p*(x - c)/q for x = xn/xd and c = cn/cd, built from integers and
     normalized once, instead of as a subtraction and a product that each
-    normalize.  xn/xd need not be in lowest terms.  The difference is taken
-    over lcm(xd, cd), as Fraction subtraction does: with plain
-    cross-multiplication the operands of the one gcd grow by the full size
-    of cd, which is slower on large denominators."""
+    normalize.  xn/xd need not be in lowest terms, nor need p/q.  The
+    difference is taken over lcm(xd, cd), as Fraction subtraction does: with
+    plain cross-multiplication the operands of the one gcd grow by the full
+    size of cd, which is slower on large denominators.  The factor is then
+    cancelled against the difference before they multiply, as Fraction
+    multiplication does: a frame that shows a pile at 1 has a factor as
+    large as the difference, and the two full products would be twice
+    that size only to be reduced to a small image."""
     g = gcd(xd, cd)
     s = xd // g
-    return Fraction(p * (xn * (cd // g) - cn * s), q * s * cd)
+    num, den = xn * (cd // g) - cn * s, s * cd
+    g1, g2 = gcd(p, den), gcd(num, q)
+    return Fraction((p // g1) * (num // g2), (q // g2) * (den // g1))
 
 
 def _mean_ratio(keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> tuple[int, int]:
@@ -611,9 +626,18 @@ class Spectrum(Mapping[Fraction, int]):
 
     def centroid(self) -> Fraction:
         """The mean location, each location weighted by its count."""
-        if self._frame is not None:
-            return self._frame._images((self._base._centroid_ratio(),))[0]
-        return Fraction(*self._centroid_ratio())
+        return self._scaled_centroid(1, 1)
+
+    def _scaled_centroid(self, sn: int, sd: int) -> Fraction:
+        """`sn/sd` times the centroid, as one Fraction: a framed view's is
+        the one image of its base's centroid under its frame with the scale
+        folded into the factor (`_image`)."""
+        if self._frame is None:
+            num, den = self._centroid_ratio()
+            return Fraction(sn * num, sd * den)
+        p, q = self._frame.factor.as_integer_ratio()
+        cn, cd = self._frame.center.as_integer_ratio()
+        return _image(sn * p, sd * q, cn, cd, *self._base._centroid_ratio())
 
     def _centroid_ratio(self) -> tuple[int, int]:
         """The centroid as a numerator and a denominator, not reduced,
@@ -683,11 +707,16 @@ def permute_position(p: Position, sigma: Sequence[int]) -> Position:
     `sigma` must be a permutation of range(m); this is where it is checked,
     reading it only by `len` and iteration, except that the reversal
     `range(m - 1, -1, -1)` (the adversary's screen) is recognized and
-    applied as one slice.  The result is built like p."""
+    applied as one slice; on the universe's `sides` pattern it swaps the
+    two piles, so the result is that pattern over the two points swapped.
+    The result is built like p."""
     m = p.universe.m
     if len(sigma) != m:
         raise ValueError("permutation and position belong to different universes")
     if sigma == range(m - 1, -1, -1):  # a range equals only a range, in O(1)
+        sides = p.universe.sides
+        if p.slots is sides or p.slots == sides:
+            return Position._table(p.universe, p.points[::-1], p.slots)
         keys = p.slots[::-1]
     else:
         refused = ValueError(f"renaming must list each of the {m} robot places once")

@@ -301,12 +301,13 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     and an idle class's last activation only grows, so the least of them,
     plus one, is the minimal start.  The cost is O(m*d) int work for the
     classes, none when d = 1 and the pattern has them already, plus O(c*H)
-    for c classes, instead of O(m^2*H).
+    for c classes, instead of O(m^2*H).  An empty prefix refutes nothing:
+    no-violation-up-to(0).
     """
-    if not actions:
-        raise ValueError("check_kfair needs a nonempty action prefix")
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
+    if not actions:
+        return Verdict.no_violation_up_to(0)
     patterns = iter({id(a.slots): a.slots for a in actions}.values())  # distinct, by identity
     classes = next(patterns)
     for pattern in patterns:

@@ -15,7 +15,8 @@ every round to certify a file.
 `write_trace` writes format 2: each table as it is held in memory, its
 distinct points as lowercase hex "num/den" texts plus its slot pattern, and
 only the points when the slots are the pre-position's.  So a round on
-stacked piles is O(points) in IO too, and hex converts in linear time.
+stacked piles is O(points) in IO too, and hex converts in linear time; a
+point that the row before held as the same object keeps that row's text.
 Every value has exactly one accepted text, and the reader accepts only what
 the writer writes.  `read_trace` also reads the unversioned format 1, one
 id -> decimal "num/den" map per table, with its lenient scalar rules; its
@@ -134,8 +135,10 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     spectrum, built once from the pattern's counts, seen through each frame
     as a read-only Spectrum that builds its locations only when the
     robogram reads them; its centroid is the frame's image of the round's,
-    which is computed once.  A raw robogram sees the whole position.  The new position is
-    built like the old one.
+    which is computed once.  A raw robogram sees the whole position.  Each
+    frame is built from the action's factor and the position's point, which
+    their tables hold checked, so they are not checked again
+    (`Similarity._of`).  The new position is built like the old one.
     """
     if action.universe != position.universe:
         raise ValueError("action and position belong to different universes")
@@ -146,7 +149,7 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
         f, point = factors[pair[0]], points[pair[1]]
         if not f:  # not activated: stays put
             return point
-        local = evaluate(robogram, Similarity(f, point).map_position(world))
+        local = evaluate(robogram, Similarity._of(f, point).map_position(world))
         return _moved(point, local, f)
 
     return Position._table(position.universe, *position.slots.tabulate_with(action.slots, destination))
@@ -235,29 +238,51 @@ def _hex_point(text: str) -> Fraction:
     return point
 
 
-def _table_text(table: Position | DemonicAction, like: tuple[int, ...] | None) -> str:
+def _table_text(
+    table: Position | DemonicAction,
+    like: tuple[int, ...] | None,
+    last: dict[int, str],
+    row: dict[int, str],
+) -> str:
     """A format 2 table in `json.dumps`' layout: only its points, in slot
     order, when its slots are `like`, the pre-position's; otherwise
-    `{"points": [...], "slots": [...]}`.  Hex texts need no JSON escaping."""
-    points = "[" + ", ".join([f'"{_hex_text(x)}"' for x in table.points]) + "]"
+    `{"points": [...], "slots": [...]}`.  Hex texts need no JSON escaping.
+    A point that the row before held as the same object takes its quoted
+    text from `last`, that row's texts by point identity, and each point's
+    text is added to `row`, this row's."""
+    texts = []
+    for x in table.points:
+        key = id(x)
+        text = last.get(key)
+        if text is None:
+            text = f'"{_hex_text(x)}"'
+        row[key] = text
+        texts.append(text)
     slots = table.slots
     if slots is like or slots == like:
-        return points
-    return f'{{"points": {points}, "slots": [{", ".join(map(str, slots))}]}}'
+        return f"[{', '.join(texts)}]"
+    return f'{{"points": [{", ".join(texts)}], "slots": [{", ".join(map(str, slots))}]}}'
 
 
 def write_trace(trace: Trace, fp: IO[str]) -> None:
     """Format 2: the header and one line per round, each the bytes
     `json.dumps` writes for it.  A row's tables are written like the
-    pre-position: p0 for the first row, then the row before's post."""
+    pre-position: p0 for the first row, then the row before's post.  A
+    point carried over from the row before as the same object (the pile
+    that did not move, an idle robot's point, factor 0) keeps that row's
+    text instead of being converted again.  Texts are found by `id`: the
+    trace holds every point while it is written, so no id is reused."""
+    row: dict[int, str] = {}
     fp.write(
         f'{{"format": {_FORMAT}, "lcmsim": {json.dumps(__version__)},'
         f' "robogram": {json.dumps(trace.robogram_name)}, "demon": {json.dumps(trace.demon_name)},'
-        f' "n": {trace.universe.pile_size}, "p0": {_table_text(trace.p0, None)}}}\n'
+        f' "n": {trace.universe.pile_size}, "p0": {_table_text(trace.p0, None, {}, row)}}}\n'
     )
     like = trace.p0.slots
     for rd in trace.rounds:
-        frames, post = _table_text(rd.action, like), _table_text(rd.post, like)
+        last, row = row, {}
+        frames = _table_text(rd.action, like, last, row)
+        post = _table_text(rd.post, like, last, row)
         fp.write(f'{{"round": {rd.index}, "frames": {frames}, "post": {post}}}\n')
         like = rd.post.slots
 

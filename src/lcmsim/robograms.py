@@ -149,10 +149,14 @@ to_min = spectrum_robogram("to-min", min)
 
 
 def convex(coefficient: ScalarLike) -> Robogram:
-    """Move to `coefficient` times the center of mass of the view."""
+    """Move to `coefficient` times the center of mass of the view.  The
+    coefficient is folded into the mean, so a framed view's destination is
+    one image of the round's centroid, not an image and a product."""
     lam = as_scalar(coefficient)
+    num, den = lam.as_integer_ratio()
     return spectrum_robogram(
-        f"convex:{format_scalar(lam)}", lambda view: lam * _mean(view)
+        f"convex:{format_scalar(lam)}",
+        lambda view: Spectrum._view(view)._scaled_centroid(num, den),
     )
 
 

@@ -313,14 +313,22 @@ def test_simulate_exits_3_when_the_robogram_mutates_its_view(capsys, monkeypatch
     assert "does not support item assignment" in err
 
 
-def test_check_kfair_rejects_zero_round_trace(tmp_path, capsys):
+def test_check_kfair_on_zero_round_trace_answers_as_adversary_does(tmp_path, capsys):
+    # An empty prefix refutes nothing: the verdict the adversary's report
+    # gives for horizon 0, exit 0.
     out_path = tmp_path / "t.jsonl"
     _run(
         capsys, "simulate", "--robogram", "stay", "--demon", "fsync",
         "--n", "1", "--horizon", "0", "--out", str(out_path),
     )
-    code, *_ = _run(capsys, "check", str(out_path), "--property", "kfair:1")
-    assert code == 2
+    _, report, _ = _run(capsys, "adversary", "--robogram", "stay", "--n", "1", "--horizon", "0")
+    for k in (0, 1):
+        code, out, err = _run(capsys, "check", str(out_path), "--property", f"kfair:{k}")
+        assert code == 0 and not err
+        verdict = json.loads(out)
+        assert verdict.pop("property") == f"kfair:{k}"
+        assert verdict == json.loads(report)["fairness"][str(k)]
+        assert verdict == {"verdict": "no-violation-up-to", "horizon": 0}
 
 
 NON_CANONICAL_INTS = (" 1", "1 ", "+1", "01", "1_0", "-0", "", "x")

@@ -221,8 +221,11 @@ def test_check_kfair_reports_earliest_violating_suffix():
 
 def test_check_kfair_never_proven_and_validates_inputs():
     u = RobotUniverse(1)
+    # an empty prefix refutes nothing, but a negative budget is refused first
+    assert check_kfair([], 0) == Verdict.no_violation_up_to(0)
+    assert check_kfair((), 3) == Verdict.no_violation_up_to(0)
     with pytest.raises(ValueError):
-        check_kfair([], 0)
+        check_kfair([], -1)
     with pytest.raises(ValueError):
         check_kfair([_action(u, set(u.robots))], -1)
     v = check_kfair([_action(u, set(u.robots))] * 3, 0)

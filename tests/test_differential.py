@@ -7,11 +7,12 @@ engine must agree with it exactly, or raise the same error, on positions
 with shared and scattered locations, with equal locations held by one object
 or by several, and on spectrum and raw robograms alike.
 
-The layers rewritten in integer form are checked the same way: a mapped
-spectrum against `Similarity.apply` location by location, the mean against
-a plain Fraction sum, a framed view's centroid against the mean of its
-images, and the random k-fair demon against `reference_random_kfair`, the
-set-based demon as it stood before.
+The layers rewritten in integer form are checked the same way: one image
+against Fraction arithmetic, a mapped spectrum against `Similarity.apply`
+location by location, the mean against a plain Fraction sum, a framed
+view's centroid against the mean of its images, `convex` against scaling
+the centroid, and the random k-fair demon against `reference_random_kfair`,
+the set-based demon as it stood before.
 """
 
 from __future__ import annotations
@@ -219,6 +220,68 @@ def test_a_spectrum_maps_as_each_location_would(case, factor, data):
     assert [(x.numerator, x.denominator) for x in mapped] == [
         (x.numerator, x.denominator) for x in expected
     ]
+
+
+_2000_BITS = 2**2000
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(-_2000_BITS, _2000_BITS),
+    st.integers(1, _2000_BITS),
+    st.integers(-_2000_BITS, _2000_BITS),
+    st.integers(1, _2000_BITS),
+    st.integers(-_2000_BITS, _2000_BITS),
+    st.integers(1, _2000_BITS),
+    st.integers(1, 2**64),
+    st.integers(1, 2**64),
+    st.booleans(),
+)
+@example(3**1200, 2**1999 + 1, 0, 1, 2**1999 + 1, 3**1200, 1, 1, False)  # factor 1/(x - c): 1
+@example(-(2**2000), 3, 5, 7, 0, 1, 6, 2**64, True)  # x == c, neither in lowest terms
+@example(0, 5, 1, 2, 3, 4, 1, 1, False)  # a zero factor, as `convex:0` folds it
+def test_an_image_is_the_fraction_product_of_the_factor_and_the_difference(
+    p, q, cn, cd, xn, xd, shared, common, at_center
+):
+    # `core._image` cancels the factor against x - c before it multiplies:
+    # the pair it gives must be the one Fraction arithmetic gives, whatever
+    # the signs and sizes, with p/q and xn/xd not in lowest terms (the
+    # terms share `common`), and with p sharing `shared` with c's
+    # denominator, so the cancellation has work to do.
+    p, cd = p * shared, cd * shared
+    if at_center:
+        xn, xd = cn, cd
+    p, q, xn, xd = p * common, q * common, xn * common, xd * common
+    got = core._image(p, q, cn, cd, xn, xd)
+    expected = Fraction(p, q) * (Fraction(xn, xd) - Fraction(cn, cd))
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _big_view(),
+    st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 2**80))),
+        st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    ),
+    _nonzero,
+    _nonzero,
+    st.data(),
+)
+def test_convex_folds_its_coefficient_into_the_views_one_image(case, lam, factor, again, data):
+    # Unframed, framed and twice-framed views: `convex` gives, as one
+    # Fraction, the pair that scaling the view's centroid gives.
+    counts, _ = case
+    world = Spectrum(counts.elements())
+    frame = Similarity(factor, data.draw(st.sampled_from(list(counts))))
+    framed = frame.map_position(world)
+    twice = Similarity(again, data.draw(st.sampled_from(list(counts)))).map_position(framed)
+    robogram = convex(lam)
+    for view in (world, framed, twice):
+        got, expected = evaluate(robogram, view), lam * view.centroid()
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
 def _scattered(rng, count):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcmsim import execution
 from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
 from lcmsim.core import EmptyUniverse, Position, RobotUniverse, format_scalar, parse_scalar
@@ -273,6 +274,23 @@ def test_write_trace_matches_json_dumps_byte_for_byte(tmp_path):
         assert read_trace(buffer.getvalue().splitlines()) == trace, name
         # format 1 still reads to the same trace
         assert read_trace(dumps_trace_v1(trace).splitlines()) == trace, name
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 50])
+def test_write_trace_converts_only_the_points_a_row_does_not_carry_over(horizon, monkeypatch):
+    # The alternating adversary: p0 converts both piles; the first row its
+    # factor 0 and its factor, then the moved pile; every later row one
+    # factor and one pile, as factor 0 and the idle pile are the row
+    # before's objects.
+    trace = run_impossibility(convex("1/3"), 2, horizon).trace
+    expected = dumps_trace_v2(trace)
+    converted = []
+    hex_text = execution._hex_text
+    monkeypatch.setattr(execution, "_hex_text", lambda x: converted.append(x) or hex_text(x))
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    assert buffer.getvalue() == expected
+    assert len(converted) == 2 + 3 + 2 * (horizon - 1)
 
 
 def _expected_tables(lines: list[str]):

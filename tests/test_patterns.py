@@ -205,6 +205,35 @@ def test_the_reversal_is_one_slice_and_equals_the_generic_renaming(n):
         assert fast._per_robot() == p._per_robot()[::-1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 128])
+def test_the_reversal_of_stacked_piles_swaps_their_points_on_the_sides_pattern(n, monkeypatch):
+    # On the universe's `sides` pattern the reversal returns the two points
+    # swapped on that same tuple, without grouping keys; a position that is
+    # not on it, even one with equal slots, still groups its reversed slots.
+    u = RobotUniverse(n)
+    calls = []
+    tabulate_keys = core.tabulate_keys
+    monkeypatch.setattr(core, "tabulate_keys", lambda *a: calls.append(a) or tabulate_keys(*a))
+    reversal = range(u.m - 1, -1, -1)
+    stacked = Position.from_piles(u, F(-3, 7), 2)
+    assert stacked.slots is u.sides
+    swapped = permute_position(stacked, reversal)
+    assert not calls
+    assert swapped.slots is u.sides and swapped.points == (F(2), F(-3, 7))
+    assert swapped == permute_position(stacked, tuple(reversal)) == Position.from_piles(u, 2, F(-3, 7))
+    calls.clear()
+    equal_slots = Position._table(u, stacked.points, core._Slots(u.sides))
+    assert permute_position(equal_slots, reversal) == swapped and not calls
+    met = Position.from_piles(u, 5, 5)
+    scattered = Position._of(u, [F(i * 7 % u.m, 3) for i in range(u.m)])
+    for p in (met, scattered) if n > 1 else (met,):  # with n = 1 two points are the sides pattern
+        calls.clear()
+        general = permute_position(p, reversal)
+        assert len(calls) == 1
+        assert general == permute_position(p, tuple(reversal))
+        assert general._per_robot() == p._per_robot()[::-1]
+
+
 def _tabulated(pattern, values, like):
     """The grouping that tabulates every round's values: `tabulate`, then
     the pattern kept while the values are distinct."""
