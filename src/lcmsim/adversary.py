@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     Position,
@@ -105,7 +106,10 @@ def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAct
     slot pattern and the universe's `sides` pattern, kept with the pattern
     (`_Slots.tabulate_with`), so while the piles stay stacked a round costs
     O(points), not O(robots).  Built like the position, the action then
-    keeps its slot tuple: both are `(0,)*n + (1,)*n`.
+    keeps its slot tuple: both are `(0,)*n + (1,)*n`.  A factor is built
+    from integers over lcm(ud, vd), for u = un/ud and v = vn/vd, and
+    normalized once, as `core._image` builds an image, instead of a
+    `Fraction` subtraction and a division.
     """
     universe, points = position.universe, position.points
     # left pile, then right: whether it is activated, and the opposite pile's slot
@@ -117,7 +121,12 @@ def _canonical_action(position: Position, sides: tuple[Side, ...]) -> DemonicAct
         if not active[side]:
             return _ZERO
         v = opposite[side]  # points are distinct, so equal slots mean equal locations
-        return _ONE / (points[v] - points[slot]) if v is not None and v != slot else _ONE
+        if v is None or v == slot:
+            return _ONE
+        un, ud = points[slot].as_integer_ratio()
+        vn, vd = points[v].as_integer_ratio()
+        g = gcd(ud, vd)
+        return Fraction(ud * (vd // g), vn * (ud // g) - un * (vd // g))
 
     return DemonicAction._table(universe, *position.slots.tabulate_with(universe.sides, factor))
 

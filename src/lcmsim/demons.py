@@ -91,8 +91,14 @@ class DemonicAction(_Table):
         return tuple(r for r, s in zip(self.universe.robots, self.slots) if s != idle)
 
     def _idle_slot(self) -> int:
-        """The slot of factor 0, or -1 when every robot is activated."""
-        return self.points.index(0) if 0 in self.points else -1
+        """The slot of factor 0, or -1 when every robot is activated: one
+        pass over the factors' numerators, no `Fraction.__eq__`."""
+        slot = 0
+        for f in self.points:
+            if not f.numerator:
+                return slot
+            slot += 1
+        return -1
 
 
 class Demon:

@@ -83,6 +83,8 @@ def evaluate(robogram: Robogram, view: Position | Mapping[Fraction, int]) -> Fra
     if robogram.kind == SPECTRUM_BASED and isinstance(view, Position):
         view = spectrum(view)
     out = robogram.algo(view)
+    if type(out) is Fraction:  # what every built-in returns: nothing to check
+        return out
     if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
         raise NonRepresentableDestination(
             f"robogram {robogram.name!r} produced {out!r}; destinations must be exact rationals"

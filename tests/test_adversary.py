@@ -10,6 +10,7 @@ from lcmsim.adversary import (
     ALTERNATING,
     SWAP_FSYNC,
     DegenerateInitial,
+    ImpossibilityReport,
     _balanced_bivalent,
     _canonical_action,
     build_adversary_demon,
@@ -28,7 +29,7 @@ from lcmsim.core import (
     Similarity,
     spectrum,
 )
-from lcmsim.demons import DemonicAction, check_kfair
+from lcmsim.demons import DemonicAction, Verdict, check_kfair
 from lcmsim.execution import execute_prefix, read_trace_file, write_trace_file
 from lcmsim.properties import check_will_gather
 from lcmsim.robograms import (
@@ -60,9 +61,15 @@ def _canonical_factor_by_definition(position, robot):
 @st.composite
 def _pile_positions(draw):
     """Piles either stacked or scattered over a few shared locations, so that
-    scattered piles and robots on top of the opposite pile are common."""
+    scattered piles and robots on top of the opposite pile are common.  Three
+    locations have 1000 to 2000 bits, as `adversary-deep`'s do, and
+    denominators that share powers of 2 and 3, as two piles' do, so the
+    demon's integer factor meets a nontrivial gcd."""
     u = RobotUniverse(draw(st.integers(1, 4)))
-    spots = st.sampled_from((Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2)))
+    spots = st.sampled_from((
+        Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 2),
+        Fraction(7, 6**400), Fraction(5, 2**300 * 3), Fraction(-(2**2000 - 1), 6**7),
+    ))
     locations = {}
     for side in Side:
         robots = u.side_robots(side)
@@ -362,6 +369,55 @@ def test_report_fairness_equals_check_kfair(robogram, branch):
     assert report.to_json_dict()["fairness"] == {
         str(k): v.to_json_dict() for k, v in expected.items()
     }
+
+
+def _failing_premises(report):
+    """The fields of `report` whose premise of `certified` fails."""
+    premises = {
+        "split": report.split.ok,
+        "gather": not report.gather.ok,
+        "fairness": report.fairness[1].ok,
+        "invariance_ok": report.invariance_ok,
+        "bivalence_failures": report.bivalence_complete,
+    }
+    return [name for name, held in premises.items() if not held]
+
+
+@pytest.mark.parametrize(
+    "field,failed",
+    [
+        (None, None),
+        ("split", lambda old: Verdict.violated(3)),
+        ("gather", lambda old: Verdict.tentatively_gathered(3, Fraction(1, 2), 40)),
+        ("fairness", lambda old: {**old, 1: Verdict.violated(2)}),
+        ("invariance_ok", lambda old: False),
+        ("bivalence_failures", lambda old: (3,)),
+    ],
+    ids=["none", "split", "gather", "fairness1", "invariance_ok", "bivalence_failures"],
+)
+def test_certified_fails_when_exactly_one_premise_fails(field, failed):
+    # A certified report, rebuilt with one verdict replaced by a failing one.
+    report = run_impossibility(center_of_mass, 2, 40)
+    fields = dict(zip(ImpossibilityReport.__slots__, report._values(report)))
+    if field is not None:
+        fields[field] = failed(fields[field])
+    rebuilt = ImpossibilityReport(**fields)
+    assert _failing_premises(rebuilt) == ([field] if field else [])
+    assert rebuilt.certified == (field is None)
+    assert rebuilt.to_json_dict()["certified"] == (field is None)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_name_reading_robogram_fails_only_the_invariance_screen(n):
+    # L0 and R0 answer differently (1/2 and 1/3), yet under the adversary
+    # the piles stay apart and balanced: only the screen refuses it.
+    left0, right0 = RobotId(Side.LEFT, 0), RobotId(Side.RIGHT, 0)
+    leak = raw_robogram(
+        "l0-before-r0", lambda p: Fraction(1, 2) if p[left0] <= p[right0] else Fraction(1, 3)
+    )
+    report = run_impossibility(leak, n, 40)
+    assert _failing_premises(report) == ["invariance_ok"]
+    assert not report.certified
 
 
 def test_run_impossibility_zero_horizon():
