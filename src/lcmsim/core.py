@@ -254,9 +254,17 @@ class RobotUniverse(_Value):
         """The slot pattern of two piles stacked on two points,
         `(0,)*n + (1,)*n`, built once per universe: the tables that
         `Position.from_piles` builds share it, and so does every table
-        built like one of them."""
+        built like one of them.  Its facts follow from how it is built, so
+        they are stored with it (`_Slots._known`) and none is scanned for."""
         n = self.pile_size
-        return _Slots(chain(repeat(0, n), repeat(1, n)))
+        return _Slots._known(
+            (0,) * n + (1,) * n,
+            counts=(n, n),
+            piles=(0, 1),
+            split=True,
+            representatives=(n - 1, 2 * n - 1),
+            self_pairs=((0, 0), (1, 1)),
+        )
 
     def side_robots(self, side: Side) -> tuple[RobotId, ...]:
         return tuple(r for r in self.robots if r.side is side)
@@ -277,7 +285,9 @@ class _Slots(tuple):
       filled later, in the middle of a round, it left one more pymalloc
       pool in use after every `check` call);
     - each pile's slot, whether the piles share a slot, one robot per slot,
-      each slot paired with itself, each filled on first use;
+      each slot paired with itself, each filled on first use, or stored
+      with `counts` when the pattern is built, by a builder that knows
+      them (`_known`: the universe's two-pile pattern, `RobotUniverse.sides`);
     - for the last other pattern it was paired with, the joint pattern of
       the two (`joint`).
 
@@ -289,6 +299,15 @@ class _Slots(tuple):
     def __new__(cls, slots: Iterable[int]) -> _Slots:
         pattern = super().__new__(cls, slots)
         pattern.counts = tuple(Counter(pattern).values())
+        return pattern
+
+    @classmethod
+    def _known(cls, slots: tuple[int, ...], **facts: object) -> _Slots:
+        """A pattern whose builder knows its facts: `facts`, `counts` among
+        them, go into its `__dict__`, where `__new__` and the cached
+        properties would put them, so nothing is counted or scanned."""
+        pattern = super().__new__(cls, slots)
+        pattern.__dict__.update(facts)
         return pattern
 
     @cached_property

@@ -226,7 +226,7 @@ def make_random_kfair(
     m = universe.m
     by_flag = (Fraction(0), f).__getitem__
     rng = random.Random(seed)
-    recent = [deque((-1,), maxlen=k + 1) for _ in range(m)]
+    recent = [_history(k) for _ in range(m)]
 
     def step(round_index: int, position: Position) -> DemonicAction:
         # One draw per robot in robot order, then one choice if none was
@@ -239,7 +239,7 @@ def make_random_kfair(
         # robot.  A forced robot was itself last activated before the
         # cutoff, so every robot it keeps waiting is forced already: one
         # pass closes the round.
-        cutoff = _kfair_cutoff(recent, active, k, round_index)
+        cutoff = _kfair_cutoff([t for a, t in zip(active, recent) if a], k, round_index)
         active = [a or t[-1] < cutoff for a, t in zip(active, recent)]
         for a, t in zip(active, recent):
             if a:
@@ -249,17 +249,29 @@ def make_random_kfair(
     return Demon(f"random-kfair:{k}:{seed}", step)
 
 
-def _kfair_cutoff(recent: list[deque[int]], active: list[bool], k: int, round_index: int) -> int:
+def _history(k: int) -> deque[int]:
+    """One robot's or class's history for the k-fairness rule: up to its
+    k + 1 latest activation rounds, oldest first, after a -1 for "never".
+    It is not filled with k + 1 -1s, which would cost O(k) per robot before
+    the first round (a budget of 10**9 is a valid demon)."""
+    return deque((-1,), maxlen=k + 1)
+
+
+def _kfair_cutoff(active: list[deque[int]], k: int, round_index: int) -> int:
     """The one k-fairness rule, for robots or for classes of robots that are
-    activated together.  `recent` holds each one's latest activation rounds
-    before this one, up to k + 1, oldest first, after a -1 for "never";
-    `active` flags this round's.  An idle one has waited more than k
-    activations of an active one iff its last activation came before the
-    cutoff: the latest k-th latest activation of an active one, or with
-    k = 0 this round once anything is active; -1 when no one waits."""
+    activated together.  `active` holds the history (`_history`) of each
+    one activated this round, up to the round before.  An idle one has
+    waited more than k activations of an active one iff its last
+    activation came before the cutoff: the latest k-th latest activation
+    of an active one, or with k = 0 this round once anything is active;
+    -1 when nothing is.  A history shorter than k has no k-th latest."""
     if k == 0:
-        return round_index if any(active) else -1
-    return max((t[-k] for t, a in zip(recent, active) if a and len(t) >= k), default=-1)
+        return round_index if active else -1
+    cutoff = -1
+    for t in active:  # a loop, not max() over a generator: most rounds have one or two
+        if len(t) >= k and t[-k] > cutoff:
+            cutoff = t[-k]
+    return cutoff
 
 
 def check_between(
@@ -298,36 +310,53 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
 
     Robots with one slot in each of the d distinct slot patterns of the
     prefix are activated together and never wait on each other: their
-    classes are the joint pattern of the d patterns (`_Slots.joint`), and a
+    classes are the joint pattern of the d patterns (`_Slots.joint`), which
+    is the one pattern itself when d = 1, as in every adversary trace.  A
     class is active when its slot is not the round's idle one (the round's
-    factors, not the pattern, decide which that is).  One pass applies the
-    random k-fair demon's rule (`_kfair_cutoff`) to the classes and stops
-    at the first round that leaves a class idle past the cutoff.  A suffix
-    refuted there starts one round after such a class's last activation,
-    and an idle class's last activation only grows, so the least of them,
-    plus one, is the minimal start.  The cost is O(m*d) int work for the
-    classes, none when d = 1 and the pattern has them already, plus O(c*H)
-    for c classes, instead of O(m^2*H).  An empty prefix refutes nothing:
+    factors, not the pattern, decide which that is), so each distinct
+    (pattern, idle slot) splits the classes' histories into active and idle
+    once.  One pass applies the random k-fair demon's rule (`_kfair_cutoff`)
+    to the classes and stops at the first round that leaves a class idle
+    past the cutoff.  A suffix refuted there starts one round after such a
+    class's last activation, and an idle class's last activation only
+    grows, so the least of them, plus one, is the minimal start.  The cost
+    is O(m*d) int work for the classes when d > 1 (none when d = 1), O(c)
+    per distinct (pattern, idle slot) for c classes, and O(c) a round,
+    instead of O(m^2*H).  An empty prefix refutes nothing:
     no-violation-up-to(0).
     """
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
     if not actions:
         return Verdict.no_violation_up_to(0)
-    patterns = iter({id(a.slots): a.slots for a in actions}.values())  # distinct, by identity
-    classes = next(patterns)
-    for pattern in patterns:
+    patterns = {id(a.slots): a.slots for a in actions}  # distinct, by identity
+    distinct = iter(patterns.values())
+    classes = next(distinct)
+    for pattern in distinct:
         classes = classes.joint(pattern)[1]
-    representatives = classes.representatives
-    recent = [deque((-1,), maxlen=k + 1) for _ in representatives]
+    # each pattern's slot of each class: the class itself when the classes
+    # are the pattern, else the slot of one of its robots
+    slots_of = {
+        key: range(len(classes.counts)) if pattern is classes
+        else tuple(map(pattern.__getitem__, classes.representatives))
+        for key, pattern in patterns.items()
+    }
+    recent = [_history(k) for _ in classes.counts]
+    parts: dict[tuple[int, int], tuple[list[deque[int]], list[deque[int]]]] = {}
     for i, action in enumerate(actions):
-        idle, slots = action._idle_slot(), action.slots
-        active = [slots[r] != idle for r in representatives]
-        cutoff = _kfair_cutoff(recent, active, k, i)
-        waiting = [t[-1] for a, t in zip(active, recent) if not a and t[-1] < cutoff]
-        if waiting:
-            return Verdict.violated(min(waiting) + 1)
-        for a, t in zip(active, recent):
-            if a:
-                t.append(i)
+        key = id(action.slots), action._idle_slot()
+        part = parts.get(key)
+        if part is None:
+            slots, idle_slot = slots_of[key[0]], key[1]
+            part = parts[key] = (
+                [t for t, s in zip(recent, slots) if s != idle_slot],
+                [t for t, s in zip(recent, slots) if s == idle_slot],
+            )
+        active, idle = part
+        cutoff = _kfair_cutoff(active, k, i)
+        for t in idle:
+            if t[-1] < cutoff:  # then so is the least last activation of the idle
+                return Verdict.violated(min(u[-1] for u in idle) + 1)
+        for t in active:
+            t.append(i)
     return Verdict.no_violation_up_to(len(actions))

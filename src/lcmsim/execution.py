@@ -22,7 +22,7 @@ the writer writes.  `read_trace` also reads the unversioned format 1, one
 id -> decimal "num/den" map per table, with its lenient scalar rules; its
 map reader also reads `simulate --init` maps.  The reader keeps the texts
 of one row with their points, so a text that the row before had is not
-parsed again.
+parsed again, and one slot tuple per distinct slot pattern of the trace.
 """
 
 from __future__ import annotations
@@ -497,6 +497,20 @@ _HEADER_V2 = ("format", "lcmsim") + _HEADER_V1
 _ROW = ("round", "frames", "post")
 
 
+def _shared(table: _T, like: tuple[int, ...], patterns: dict[tuple[int, ...], _Slots]) -> _T:
+    """`table` on the trace's one slot pattern equal to its slots.  A table
+    built like its pre-position on equal slots has that pattern already
+    (`like`); any other slots are looked up in `patterns`, the trace's
+    patterns so far, and kept there when new, so only a row that wrote
+    its slots pays a hash of them."""
+    if table.slots is like:
+        return table
+    slots = patterns.setdefault(table.slots, table.slots)
+    if slots is table.slots:
+        return table
+    return type(table)._table(table.universe, table.points, slots)
+
+
 def read_trace(lines: Iterable[str]) -> Trace:
     """Parse a JSONL trace, format 2 or, when the header has no "format",
     format 1; raises TraceFormatError on any defect."""
@@ -522,14 +536,16 @@ def read_trace(lines: Iterable[str]) -> Trace:
     universe = RobotUniverse(header["n"])
     read_table = _read_table if v2 else _parse_row
     texts = _TextMemo(_hex_point if v2 else parse_scalar)
+    patterns: dict[tuple[int, ...], _Slots] = {}
     try:
         p0 = read_table(Position, universe, header["p0"], "p0", (), texts.point)
     except TraceFormatError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
+    p0 = _shared(p0, (), patterns)
 
     # Each row is read like the pre-position (p0 for the first row, then the
-    # post-position before it), and takes the points of the texts that the
-    # row before had.
+    # post-position before it), takes the points of the texts that the row
+    # before had, and shares each slot pattern with the trace's equal one.
     rounds, like = [], p0.slots
     for lineno, line in enumerate(it, start=2):
         if not line or line.isspace():  # blank, without copying the line
@@ -547,6 +563,7 @@ def read_trace(lines: Iterable[str]) -> Trace:
             post = read_table(Position, universe, row["post"], "post", like, texts.point)
         except TraceFormatError as exc:
             raise TraceFormatError(f"{where}: {exc}") from exc
+        action, post = _shared(action, like, patterns), _shared(post, like, patterns)
         rounds.append(TraceRound(len(rounds), action, post))
         like = post.slots
 

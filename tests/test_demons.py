@@ -251,9 +251,9 @@ def test_check_kfair_stops_at_the_first_refuting_round(monkeypatch):
     rounds = []
     rule = demons._kfair_cutoff
 
-    def counted(recent, active, k, round_index):
+    def counted(active, k, round_index):
         rounds.append(round_index)
-        return rule(recent, active, k, round_index)
+        return rule(active, k, round_index)
 
     monkeypatch.setattr(demons, "_kfair_cutoff", counted)
     assert check_kfair(actions, 0) == Verdict.violated(0)

@@ -7,16 +7,24 @@ from fractions import Fraction
 
 import pytest
 
-from lcmsim import execution
+from lcmsim import core, execution
 from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
 from lcmsim.core import EmptyUniverse, Position, RobotUniverse, format_scalar, parse_scalar
-from lcmsim.demons import Demon, DemonicAction, make_fsync, make_random_kfair, make_round_robin
+from lcmsim.demons import (
+    Demon,
+    DemonicAction,
+    check_kfair,
+    make_fsync,
+    make_random_kfair,
+    make_round_robin,
+)
 from lcmsim.execution import (
     ExecutionError,
     ReplayMismatchError,
     Trace,
     TraceFormatError,
+    TraceRound,
     execute_prefix,
     read_trace,
     read_trace_file,
@@ -25,6 +33,7 @@ from lcmsim.execution import (
     write_trace,
     write_trace_file,
 )
+from lcmsim.properties import check_always_split, check_will_gather
 from lcmsim.robograms import (
     broken_id_leak,
     center_of_mass,
@@ -186,6 +195,39 @@ def test_trace_file_round_trip(tmp_path):
     first = json.loads(lines[1])
     assert first["round"] == 0
     assert first["post"] == {"points": ["1/2"], "slots": [0, 0, 0, 0]}
+
+
+def test_read_trace_keeps_one_slot_tuple_per_distinct_pattern(tmp_path, capsys):
+    # A random k-fair schedule repeats its slot patterns, though not round
+    # after round.  Read back in either format, each distinct pattern is
+    # one tuple, and `check` judges the trace as it judges a copy whose
+    # every table has a tuple of its own.
+    argv = ["--robogram", "convex:1", "--demon", "random-kfair:1:7", "--n", "8"]
+    assert main(["simulate", *argv, "--horizon", "400"]) == 0
+    text = capsys.readouterr().out
+    read = read_trace(text.splitlines())
+    path = tmp_path / "v1.jsonl"
+    path.write_text(dumps_trace_v1(read))
+    for trace in (read, read_trace_file(str(path))):
+        tables = [trace.p0, *(t for rd in trace.rounds for t in (rd.action, rd.post))]
+        assert len(tables) == 801
+        assert len({id(t.slots) for t in tables}) == len({t.slots for t in tables}) == 395
+
+    def unshared(t):
+        return type(t)._table(t.universe, t.points, core._Slots(tuple(t.slots)))
+
+    copy = Trace(read.robogram_name, read.demon_name, unshared(read.p0), tuple(
+        TraceRound(rd.index, unshared(rd.action), unshared(rd.post)) for rd in read.rounds))
+    judges = {f"kfair:{k}": lambda t, k=k: check_kfair(t.actions(), k) for k in (0, 1, 2, 3)}
+    judges.update({"always-split": check_always_split, "will-gather": check_will_gather})
+    for source in (text, dumps_trace_v1(read)):
+        path.write_text(source)
+        for name, judge in judges.items():
+            verdict = judge(copy)
+            code = main(["check", str(path), "--property", name])
+            report = json.loads(capsys.readouterr().out)
+            assert code == (0 if verdict.ok else 1)
+            assert report == {"property": name, "horizon": 400, **verdict.to_json_dict()}
 
 
 def test_read_trace_shares_one_universe():

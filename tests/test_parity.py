@@ -50,6 +50,10 @@ ADVERSARY = {
 SIMULATE = {
     "fsync": (0, "ac37ff143bd0261d962a093599ce5686714ae8bb5634d93453a392f3ef435cc9", "7393bde90ef0de1e9b1ae8042a3a8f7ad7fa1819bb40373b5b2bc4a85dc79c5d"),
     "random-kfair:1:7": (0, "bdf192ec2153f352a7f4eda63a11e689e5f2f1d59356766c2fb492a76f7d4965", "b1d21bc0219fae6414f1b35721514bb7a3b649a8bc4dd45ee10fd75a33e96db2"),
+    # k = 2 and 3 force robots into rounds (6 and 2 forced activations),
+    # so these pin the k-fairness rule beyond k = 1
+    "random-kfair:2:7": (0, "bab2afe80d8a383cf0e39daec0824348f0514f0aa57678bbf61aa35deeb94810", "2f10901fc667542750c099e9b46b5b3715cad75626d1d686a260006eb0508eb6"),
+    "random-kfair:3:7": (0, "97f0b865434e7d258c4bbcf461a15c1cc057a0c3b5374fb46e4adc58b3e30ef9", "bdb8b853ec6f811c5872b51f38817358db408f027e23649fafd1bc74870a7d4e"),
     "round-robin:1/2": (0, "20756260032647f84933c654bf94707130f787cc504daf88df333cafedc2b71a", "b10f012c8de132b72ac02e3b19b59f739e6895dc90869ee9b1441deeac381be8"),
 }
 

@@ -136,14 +136,20 @@ def test_two_runs_advanced_alternately_each_give_their_own_trace(case):
 
 def _count_robot_passes(monkeypatch, m):
     """Count every pass over the robots of an m-robot slot pattern: a new
-    pattern built, an iteration of one (Counter, zip, map, set and dict
-    all start there) and a slice of one.  Patterns over the few distinct
-    values of a round (its grouping) are not per robot."""
+    pattern built, scanned (`__new__`) or with its facts given (`_known`),
+    an iteration of one (Counter, zip, map, set and dict all start there)
+    and a slice of one.  Patterns over the few distinct values of a round
+    (its grouping) are not per robot."""
     passes = Counter()
-    build = core._Slots.__new__
+    build, build_known = core._Slots.__new__, core._Slots._known
 
     def new(cls, iterable=()):
         pattern = build(cls, iterable)
+        passes["new"] += len(pattern) == m
+        return pattern
+
+    def known(slots, **facts):
+        pattern = build_known(slots, **facts)
         passes["new"] += len(pattern) == m
         return pattern
 
@@ -156,6 +162,7 @@ def _count_robot_passes(monkeypatch, m):
         return tuple.__getitem__(self, i)
 
     monkeypatch.setattr(core._Slots, "__new__", new)
+    monkeypatch.setattr(core._Slots, "_known", staticmethod(known))
     monkeypatch.setattr(core._Slots, "__iter__", iterate)
     monkeypatch.setattr(core._Slots, "__getitem__", item)
     return passes
@@ -305,3 +312,48 @@ def test_a_stacked_run_and_its_replay_call_tabulate_never(monkeypatch, selector,
     assert len(calls) == 0, "read_trace"
     replay(trace, robogram)
     assert len(calls) == 0, "replay"
+
+
+_FACTS = ("counts", "piles", "split", "representatives", "self_pairs")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_sides_patterns_stored_facts_equal_a_scan_of_an_equal_pattern(n):
+    # `RobotUniverse.sides` stores its facts as it is built; a pattern with
+    # the same slots built through `_Slots(...)` computes them by scanning.
+    u = RobotUniverse(n)
+    stored = {fact: u.sides.__dict__[fact] for fact in _FACTS}
+    scanned = core._Slots(tuple(u.sides))
+    assert scanned == u.sides and scanned is not u.sides
+    assert stored == {fact: getattr(scanned, fact) for fact in _FACTS}
+
+
+def test_check_kfair_on_one_pattern_never_reads_its_representatives(monkeypatch):
+    # With one slot pattern in the prefix the classes are its slots, so no
+    # robot is looked up, whether or not the pattern has its facts stored.
+    def refuse(self):
+        raise AssertionError("check_kfair read _Slots.representatives")
+
+    monkeypatch.setattr(core._Slots, "representatives", property(refuse))
+    u = RobotUniverse(3)
+    lopsided = core._Slots((0,) * 4 + (1,) * 2)
+    three = core._Slots((0, 1, 2, 0, 1, 2))
+    cases = ((u.sides, (F(1), F(0))), (lopsided, (F(0), F(2))), (three, (F(1), F(0), F(3))))
+    for pattern, points in cases:  # rotated each round, so the idle slot moves
+        rounds = [DemonicAction._table(u, points[i % 2:] + points[:i % 2], pattern)
+                  for i in range(7)]
+        for k in (0, 1, 2):
+            assert check_kfair(rounds, k) == _kfair_oracle(rounds, k)
+    with pytest.raises(AssertionError, match="representatives"):  # the patch is live
+        check_kfair([DemonicAction._table(u, (F(1), F(0)), p) for p in (lopsided, three)], 1)
+
+
+def test_building_the_sides_pattern_counts_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Counter was built")
+
+    monkeypatch.setattr(core, "Counter", refuse)
+    u = RobotUniverse(10**5)
+    assert u.sides.counts == (10**5, 10**5) and len(u.sides) == 2 * 10**5
+    with pytest.raises(AssertionError, match="Counter"):  # the patch is live
+        core._Slots((0, 1))
