@@ -25,6 +25,7 @@ demon forces robots into a round by it, and `check_kfair` refutes by it.
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -253,8 +254,10 @@ def _history(k: int) -> deque[int]:
     """One robot's or class's history for the k-fairness rule: up to its
     k + 1 latest activation rounds, oldest first, after a -1 for "never".
     It is not filled with k + 1 -1s, which would cost O(k) per robot before
-    the first round (a budget of 10**9 is a valid demon)."""
-    return deque((-1,), maxlen=k + 1)
+    the first round (a budget of 10**9 is a valid demon).  A bound past
+    `sys.maxsize`, which `deque` cannot take, is dropped: no run lasts long
+    enough to fill such a history."""
+    return deque((-1,), maxlen=k + 1 if k < sys.maxsize else None)
 
 
 def _kfair_cutoff(active: list[deque[int]], k: int, round_index: int) -> int:

@@ -216,24 +216,46 @@ def _hex_text(x: Fraction) -> str:
     return f"{x.numerator:x}/{x.denominator:x}"
 
 
+def _hex_digits(x: int) -> int:
+    """The length of `format(x, "x")`: the hex digits of |x|, "0" for zero,
+    and one more for the sign of a negative x."""
+    return ((x.bit_length() + 3) >> 2 or 1) + (x < 0)
+
+
 def _hex_point(text: str) -> Fraction:
     """The point whose format 2 text is `text`, which must be exactly
     `_hex_text` of it: lowest terms, no leading zero, `0x`, `+`, `_`,
     upper case or whitespace, and `-` only on a nonzero numerator, so no
-    two texts denote one value.  Raises ValueError otherwise."""
+    two texts denote one value.  Raises ValueError otherwise.
+
+    The text is proven canonical from the integers it parsed, without
+    writing the value back: `Fraction` keeps the parsed denominator only
+    if it is positive and in lowest terms, and each part is as long as
+    the value's own text.  Every other ASCII text that `int` reads as the
+    same integer is longer (a sign, a leading zero, `0x`, `_` or
+    whitespace), except one in upper case; a non-ASCII digit or space is
+    refused outright.  Only a refused text is written back, for the
+    message."""
     num, _, den = text.partition("/")
     if max(len(num.removeprefix("-")), len(den)) > _MAX_HEX_DIGITS:
         raise ValueError(f"invalid scalar: more than {_MAX_HEX_DIGITS} hex digits")
     try:
-        point = Fraction(int(num, 16), int(den, 16))
+        n, d = int(num, 16), int(den, 16)
+        point = Fraction(n, d)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"invalid scalar {reprlib.repr(text)}: expected lowercase hex 'num/den'"
         ) from None
-    canonical = _hex_text(point)
-    if canonical != text:
+    if not (
+        point.denominator == d
+        and text.isascii()
+        and text == text.lower()
+        and len(num) == _hex_digits(n)
+        and len(den) == _hex_digits(d)
+    ):
         raise ValueError(
-            f"invalid scalar {reprlib.repr(text)}: this value is written {reprlib.repr(canonical)}"
+            f"invalid scalar {reprlib.repr(text)}:"
+            f" this value is written {reprlib.repr(_hex_text(point))}"
         )
     return point
 
@@ -584,5 +606,17 @@ def replay(trace: Trace, robogram: Robogram) -> None:
     and ExecutionError, as `execute_prefix` does, if the robogram fails."""
     stored = trace.rounds
     for rd in _rounds(robogram, lambda i, _: stored[i].action, trace.p0, len(stored)):
-        if rd.post != stored[rd.index].post:
+        if not _same_table(rd.post, stored[rd.index].post):
             raise ReplayMismatchError(rd.index)
+
+
+def _same_table(a: Position, b: Position) -> bool:
+    """`a == b` for two tables of one trace: equal slot patterns (so equal
+    universes and as many points), then each pair of points as integer
+    pairs, without `Position.__eq__`'s and `Fraction.__eq__`'s dispatch."""
+    if a.slots != b.slots:
+        return False
+    for x, y in zip(a.points, b.points):
+        if x.as_integer_ratio() != y.as_integer_ratio():
+            return False
+    return True

@@ -1,7 +1,12 @@
 """A time cap on every test, so that a run whose numbers blow up (a wrong
 frame factor compounds, and its denominators grow without bound) fails
 instead of hanging the suite.  The cap is far above any test's normal time;
-the whole suite runs in under a minute."""
+the whole suite runs in under a minute.
+
+The alarm's handler runs between bytecodes, so one long C call (a `gcd` on
+blown-up numbers inside `Fraction`) finishes before the test fails: a test
+can overrun the cap by as long as its longest such call, and a cap in
+seconds is a lower bound on when a blow-up fails."""
 
 from __future__ import annotations
 

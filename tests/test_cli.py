@@ -331,6 +331,29 @@ def test_check_kfair_on_zero_round_trace_answers_as_adversary_does(tmp_path, cap
         assert verdict == {"verdict": "no-violation-up-to", "horizon": 0}
 
 
+@pytest.mark.parametrize("k", [2**63 - 1, 2**63, 10**30])
+def test_a_budget_past_a_machine_int_refutes_nothing(k, tmp_path, capsys):
+    # A budget at or above the horizon refutes nothing, however large.  The
+    # demon with such a budget forces no robot into a round, so it writes
+    # the rows of the demon whose budget is the horizon.
+    horizon = 6
+    paths = {budget: tmp_path / f"{budget}.jsonl" for budget in (k, horizon)}
+    for budget, path in paths.items():
+        code, out, err = _run(
+            capsys, "simulate", "--robogram", "center-of-mass",
+            "--demon", f"random-kfair:{budget}:1",
+            "--n", "2", "--horizon", str(horizon), "--out", str(path),
+        )
+        assert code == 0 and not out and not err
+    rows = {budget: path.read_text().splitlines()[1:] for budget, path in paths.items()}
+    assert rows[k] == rows[horizon]
+    code, out, err = _run(capsys, "check", str(paths[k]), "--property", f"kfair:{k}")
+    assert code == 0 and not err
+    assert json.loads(out) == {
+        "property": f"kfair:{k}", "verdict": "no-violation-up-to", "horizon": horizon
+    }
+
+
 NON_CANONICAL_INTS = (" 1", "1 ", "+1", "01", "1_0", "-0", "", "x")
 
 

@@ -12,21 +12,25 @@ against Fraction arithmetic, a mapped spectrum against `Similarity.apply`
 location by location, the mean against a plain Fraction sum, a framed
 view's centroid against the mean of its images, `convex` against scaling
 the centroid, and the random k-fair demon against `reference_random_kfair`,
-the set-based demon as it stood before.
+the set-based demon as it stood before.  The trace reader's format 2 scalar
+rule, which proves a text canonical from the integers it parsed, is checked
+against `reference_hex_point`, the rule that wrote each value back.
 """
 
 from __future__ import annotations
 
 import io
 import random
+import reprlib
 from collections import Counter
 from fractions import Fraction
 
 from helpers import iterated_convex, random_nonzero_scalar
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcmsim import core
+from lcmsim import core, execution
 from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum
 from lcmsim.demons import Demon, DemonicAction, make_random_kfair
 from lcmsim.execution import execute_prefix, round_step, write_trace
@@ -467,6 +471,9 @@ def _assert_same_actions(n, k, seed, factor=Fraction(1)):
 @example(64, 3, 7, Fraction(1))
 @example(64, 10**9, 7, Fraction(1))
 @example(2, 10**9, 7, Fraction(1))
+# budgets past what a deque's maxlen can hold
+@example(2, 2**63 - 1, 7, Fraction(1))
+@example(2, 10**30, 7, Fraction(1))
 def test_random_kfair_matches_the_reference(n, k, seed, factor):
     _assert_same_actions(n, k, seed, factor)
 
@@ -481,3 +488,106 @@ def test_random_kfair_matches_the_reference_on_rounds_that_draw_nobody():
         for seed in range(25)
     ]
     assert sum(fallbacks) > 100
+
+
+# --- trace IO: the format 2 scalar rule --------------------------------------
+
+
+def reference_hex_point(text):
+    """The format 2 scalar rule as it stood before: parse the text, write
+    the value back, and accept the text only if it is what was written."""
+    num, _, den = text.partition("/")
+    if max(len(num.removeprefix("-")), len(den)) > execution._MAX_HEX_DIGITS:
+        raise ValueError(f"invalid scalar: more than {execution._MAX_HEX_DIGITS} hex digits")
+    try:
+        point = Fraction(int(num, 16), int(den, 16))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"invalid scalar {reprlib.repr(text)}: expected lowercase hex 'num/den'"
+        ) from None
+    canonical = f"{point.numerator:x}/{point.denominator:x}"
+    if canonical != text:
+        raise ValueError(
+            f"invalid scalar {reprlib.repr(text)}: this value is written {reprlib.repr(canonical)}"
+        )
+    return point
+
+
+# Decimal digits outside ASCII that `int` reads as 0-9: Arabic-Indic and
+# fullwidth.
+_OTHER_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_SPACES = (" ", "\t", "\n", "\u2003")  # int() strips each, the last not ASCII
+_MUTATIONS = ("none", "upper", "zero", "plus", "0x", "_", "space", "factor", "negative", "digit")
+
+
+@st.composite
+def _hex_texts(draw):
+    """A canonical text of a Fraction of up to about 2600 bits, or one
+    mutation of it: of one part's digits (upper case, a leading zero, `+`,
+    `0x`, `_`, whitespace), of the value's form (a common factor, a
+    negative denominator), or a decimal digit written outside ASCII."""
+    x = Fraction(draw(st.integers(-(2**2600), 2**2600)), draw(st.integers(1, 2**2600)))
+    n, d = x.numerator, x.denominator
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind == "factor":
+        c = draw(st.integers(2, 2**64))
+        return f"{n * c:x}/{d * c:x}"
+    if kind == "negative":
+        return f"{-n:x}/{-d:x}"
+    text = f"{n:x}/{d:x}"
+    if kind == "digit":
+        at = [i for i, ch in enumerate(text) if ch.isdigit()]
+        i = draw(st.sampled_from(at))
+        return text[:i] + draw(st.sampled_from(_OTHER_DIGITS))[int(text[i])] + text[i + 1:]
+    sign, digits = ("-", f"{-n:x}") if n < 0 else ("", f"{n:x}")
+    parts = [digits, f"{d:x}"]
+    which = draw(st.integers(0, 1))
+    part = parts[which]
+    if kind == "upper":
+        i = draw(st.integers(0, len(part) - 1))
+        part = part[:i] + part[i].upper() + part[i + 1:]
+    elif kind in ("zero", "plus", "0x"):
+        part = {"zero": "0", "plus": "+", "0x": "0x"}[kind] + part
+    elif kind == "_" and len(part) > 1:
+        i = draw(st.integers(1, len(part) - 1))
+        part = part[:i] + "_" + part[i:]
+    elif kind == "space":
+        space = draw(st.sampled_from(_SPACES))
+        part = space + part if draw(st.booleans()) else part + space
+    parts[which] = part
+    return f"{sign}{parts[0]}/{parts[1]}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hex_texts())
+@example("-0/1")
+@example("0/5")
+@example("1A/2")
+@example("\u0661/2")  # Arabic-Indic one
+@example("\uff11/2")  # fullwidth one
+@example("-\u0661/\uff12")
+@example("1/-2")
+@example("-1/-2")
+@example("0x1/2")
+@example("1/0X2")
+@example("+1/2")
+@example("1_0/3")
+@example(" 1/2")
+@example("1/2\n")
+@example("01/2")
+@example("-01/2")
+@example("1/02")
+@example("0/1")
+@example("-a/7")
+@example("f" * 83_050 + "/1")
+def test_a_hex_text_is_accepted_iff_it_is_what_the_writer_writes(text):
+    try:
+        expected = reference_hex_point(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            execution._hex_point(text)
+        assert str(refused.value) == str(exc)
+    else:
+        got = execution._hex_point(text)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)

@@ -10,7 +10,7 @@ import pytest
 from lcmsim import core, execution
 from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
-from lcmsim.core import EmptyUniverse, Position, RobotUniverse, format_scalar, parse_scalar
+from lcmsim.core import EmptyUniverse, Position, RobotUniverse, Side, format_scalar, parse_scalar
 from lcmsim.demons import (
     Demon,
     DemonicAction,
@@ -335,6 +335,34 @@ def test_write_trace_converts_only_the_points_a_row_does_not_carry_over(horizon,
     assert len(converted) == 2 + 3 + 2 * (horizon - 1)
 
 
+def test_read_trace_writes_back_only_a_refused_text(monkeypatch):
+    # A text is proven canonical from the integers it parsed: a valid trace
+    # converts no value back to text, and a refused text converts once, to
+    # name the text it should have been.  A text that does not parse as hex
+    # is refused before that.
+    trace = run_impossibility(convex("1/3"), 2, 50).trace
+    lines = dumps_trace_v2(trace).splitlines()
+    hex_text = execution._hex_text
+    moved = next(x for x in trace.rounds[-1].post.points if x not in trace.rounds[-2].post.points)
+    text = hex_text(moved)
+    converted = []
+    monkeypatch.setattr(execution, "_hex_text", lambda x: converted.append(x) or hex_text(x))
+    assert read_trace(lines) == trace
+    assert converted == []
+    n, d = moved.as_integer_ratio()
+    for bad in (text.upper(), "0" + text, "+" + text, f"{3 * n:x}/{3 * d:x}", text + " "):
+        assert bad != text
+        tampered = lines[:-1] + [lines[-1].replace(f'"{text}"', f'"{bad}"')]
+        with pytest.raises(TraceFormatError, match=f"this value is written '{text[:8]}"):
+            read_trace(tampered)
+        assert converted == [moved]
+        converted.clear()
+    tampered = lines[:-1] + [lines[-1].replace(f'"{text}"', '"g/1"')]
+    with pytest.raises(TraceFormatError, match="expected lowercase hex"):
+        read_trace(tampered)
+    assert converted == []
+
+
 def _expected_tables(lines: list[str]):
     """Each row's frames and post, built per robot from its own text."""
     rows = [json.loads(line) for line in lines]
@@ -476,6 +504,54 @@ def test_replay_certifies_and_detects_tampering():
     # replaying under the wrong robogram also fails
     with pytest.raises(ReplayMismatchError):
         replay(trace, resolve_robogram("to-max"))
+
+
+_DEEP_ROBOGRAM = convex("1/3")
+_DEEP = run_impossibility(_DEEP_ROBOGRAM, 2, 200).trace
+
+
+def _tampered_post(trace: Trace, r: int, kind: str) -> Position:
+    """Round r's post with one change: the pile that moved in round r, or
+    the pile that stayed, shifted by 1/7; or, for "slots", its two points
+    kept in order with L1 and R0 exchanged, so only the slot pattern
+    differs."""
+    pre, post = trace.positions()[r], trace.rounds[r].post
+    u = trace.universe
+    left, right = post.pile_location(Side.LEFT), post.pile_location(Side.RIGHT)
+    moved = [left != pre.pile_location(Side.LEFT), right != pre.pile_location(Side.RIGHT)]
+    assert moved.count(True) == 1
+    if kind == "slots":
+        return Position(u, dict(zip(u.robots, (left, right, left, right))))
+    shift_left = moved[0] if kind == "moved" else moved[1]
+    if shift_left:
+        left += Fraction(1, 7)
+    else:
+        right += Fraction(1, 7)
+    assert left != right
+    return Position.from_piles(u, left, right)
+
+
+@pytest.mark.parametrize("kind", ["moved", "stayed", "slots"])
+@pytest.mark.parametrize("r", [0, _DEEP.horizon - 1])
+@pytest.mark.parametrize("dumps", [dumps_trace_v1, dumps_trace_v2], ids=["format1", "format2"])
+def test_replay_refuses_a_tampered_post_at_its_round(dumps, r, kind, tmp_path, capsys):
+    # The replay comparison looks at the slot pattern and at every point:
+    # each change alone is refused at the round that stores it, by `replay`
+    # and by `check`.
+    rounds = list(_DEEP.rounds)
+    rounds[r] = TraceRound(r, rounds[r].action, _tampered_post(_DEEP, r, kind))
+    tampered = Trace(_DEEP.robogram_name, _DEEP.demon_name, _DEEP.p0, tuple(rounds))
+    assert tampered != _DEEP
+    text = dumps(tampered)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay(read_trace(text.splitlines()), _DEEP_ROBOGRAM)
+    assert err.value.round_index == r
+    path = tmp_path / "tampered.jsonl"
+    path.write_text(text)
+    assert main(["check", str(path), "--property", "kfair:1"]) == 3
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text == f"corrupt trace: replay mismatch at round {r}\n"
 
 
 def _mean_until_gathered():

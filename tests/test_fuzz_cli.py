@@ -1,19 +1,29 @@
-"""Fuzz the flags of `simulate`, `adversary` and `invariance`: every argv
-must end in a documented exit code, never in an exception that escapes
-`main`; exit 1 ("a property failed") only where a property is judged, and
-nothing on stdout with exit 2.  Only pile sizes up to 3 can be accepted, so
-no input builds a large universe."""
+"""Fuzz the flags of `simulate`, `adversary`, `invariance` and `check`:
+every argv must end in a documented exit code, never in an exception that
+escapes `main`; exit 1 ("a property failed") only where a property is
+judged, and nothing on stdout with exit 2.  Only pile sizes up to 3 can be
+accepted, so no input builds a large universe, and `check` reads small
+traces that the test writes."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
+from lcmsim.core import Position, RobotUniverse
+from lcmsim.demons import make_fsync, make_random_kfair
+from lcmsim.execution import execute_prefix
+from lcmsim.robograms import center_of_mass, to_other_occupied
+
+from helpers import dumps_trace_v2
 
 garbage = st.text(max_size=12)
 
@@ -33,7 +43,7 @@ robograms = mostly(
 )
 demons = mostly(
     ["fsync", "round-robin:1/2", "round-robin:-3", "random-kfair:1:7", "random-kfair:0:-1",
-     "adversary"],
+     "random-kfair:9223372036854775807:7", "adversary"],
     st.sampled_from(["round-robin:0/1", "round-robin:", "round-robin:1/0", "random-kfair:1",
                      "random-kfair:-1:2", "random-kfair:01:2", "random-kfair:1:x",
                      "random-kfair:1:2:3", "fsync ", "adversary:1", "Fsync"]),
@@ -93,17 +103,60 @@ def argvs(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_cli_flags_keep_the_exit_code_contract(argv):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """`main(argv)` with its exit code and what it printed, which must be a
+    documented exit code with no traceback, and nothing on stdout with
+    exit 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
-    if code == 1:
-        # only a judged property fails: an uncertified run or a counterexample
-        assert argv[0] in ("adversary", "invariance")
-        assert json.loads(out.getvalue())
     if code == 2:
         assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_flags_keep_the_exit_code_contract(argv):
+    code, out, _ = _run(argv)
+    if code == 1:
+        # only a judged property fails: an uncertified run or a counterexample
+        assert argv[0] in ("adversary", "invariance")
+        assert json.loads(out)
+
+
+# Small valid traces, one per kind of demon: the adversary's, fsync's (a
+# run that gathers) and a random k-fair demon's.
+_TWO = RobotUniverse(2)
+_P0 = Position.from_piles(_TWO, 0, 1)
+TRACES = tuple(map(dumps_trace_v2, (
+    run_impossibility(center_of_mass, 2, 5).trace,
+    execute_prefix(center_of_mass, make_fsync(_TWO), _P0, 3),
+    execute_prefix(to_other_occupied, make_random_kfair(_TWO, 1, 1, 7), _P0, 6),
+)))
+HUGE_BUDGETS = (f"kfair:{2**63 - 1}", f"kfair:{2**63}", f"kfair:{10**30}")
+properties = mostly(
+    ["kfair:0", "kfair:1", "kfair:2", "always-split", "will-gather"],
+    st.sampled_from(["kfair:-1", "kfair:01", "kfair: 1", "will_gather", "kfair:", "kfair",
+                     "KFAIR:1", "kfair:1.0", "always-split "]),
+    st.sampled_from(HUGE_BUDGETS),
+    garbage,
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(TRACES), properties)
+def test_check_keeps_the_exit_code_contract(text, prop):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.jsonl")
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        code, out, _ = _run(["check", path, "--property", prop])
+    assert code != 3  # every trace here is valid
+    if code in (0, 1):
+        verdict = json.loads(out)
+        assert verdict["property"] == prop and "verdict" in verdict
+    if prop in HUGE_BUDGETS:  # a budget at or above the horizon refutes nothing
+        assert code == 0 and verdict["verdict"] == "no-violation-up-to"
