@@ -262,7 +262,6 @@ class RobotUniverse(_Value):
             counts=(n, n),
             piles=(0, 1),
             split=True,
-            representatives=(n - 1, 2 * n - 1),
             self_pairs=((0, 0), (1, 1)),
         )
 
@@ -284,8 +283,8 @@ class _Slots(tuple):
       `__dict__` with the tuple keeps the allocator's layout as it was:
       filled later, in the middle of a round, it left one more pymalloc
       pool in use after every `check` call);
-    - each pile's slot, whether the piles share a slot, one robot per slot,
-      each slot paired with itself, each filled on first use, or stored
+    - each pile's slot, whether the piles share a slot and each slot
+      paired with itself, each filled on first use, or stored
       with `counts` when the pattern is built, by a builder that knows
       them (`_known`: the universe's two-pile pattern, `RobotUniverse.sides`);
     - for the last other pattern it was paired with, the joint pattern of
@@ -331,18 +330,17 @@ class _Slots(tuple):
         n = len(self) // 2
         return set(self[:n]).isdisjoint(self[n:])
 
-    @cached_property
-    def representatives(self) -> tuple[int, ...]:
-        """One robot place per slot, in slot order (the last robot of each)."""
-        return tuple(dict(zip(self, range(len(self)))).values())
-
     def joint(self, other: _Slots) -> tuple[tuple[tuple[int, int], ...], _Slots]:
         """The pattern of each robot's pair (its slot in `other`, its slot
         here): the distinct pairs in order of their first robot, and each
         robot's index into them, which is this pattern itself when equal to
-        it.  A pattern paired with itself is its own joint; otherwise the
-        joint is kept for the last `other`, which the entry holds, so no
-        other tuple can take its identity while it is kept."""
+        it.  A value that depends only on a robot's slot in each (a round's
+        destination, the demon's factor) is computed once per pair, in a
+        plain loop over the pairs, and the values are grouped on the joint
+        pattern by `_grouped`, built like this pattern.  A pattern paired
+        with itself is its own joint; otherwise the joint is kept for the
+        last `other`, which the entry holds, so no other tuple can take its
+        identity while it is kept."""
         if other is self:
             return self.self_pairs, self
         width = len(self.counts)
@@ -355,17 +353,6 @@ class _Slots(tuple):
             last = (other, pairs, None if joint is self else joint)
             self._joint = last
         return last[1], self if last[2] is None else last[2]
-
-    def tabulate_with(
-        self, other: _Slots, value_of: Callable[[tuple[int, int]], Fraction]
-    ) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-        """The canonical table of one value per robot that depends only on
-        the robot's slot in `other` and its slot here: `value_of` runs once
-        per distinct (other slot, slot) pair, in order of its first robot,
-        and the table is the joint pattern (`joint`) grouped by the values
-        (`_grouped`), built like this pattern."""
-        pairs, joint = self.joint(other)
-        return _grouped(joint, map(value_of, pairs), self)
 
 
 def _like(slots: tuple[int, ...], like: tuple[int, ...]) -> tuple[int, ...]:
@@ -545,16 +532,20 @@ class Similarity(_Value):
         injective, so slots, counts and key order carry over unchanged and
         no image is hashed."""
         if isinstance(view, Position):
-            images = self._images(x.as_integer_ratio() for x in view.points)
+            images = self._images(map(Fraction.as_integer_ratio, view.points))
             return Position._table(view.universe, images, view.slots)
-        return Spectrum._framed(Spectrum._view(view), self)
+        base = view if isinstance(view, Spectrum) else Spectrum._view(view)
+        return Spectrum._of(None, base._counts, base, self)
 
     def _images(self, ratios: Iterable[tuple[int, int]]) -> tuple[Fraction, ...]:
         """The images of values given as (numerator, denominator) pairs,
         which need not be in lowest terms."""
         p, q = self.factor.as_integer_ratio()
         cn, cd = self.center.as_integer_ratio()
-        return tuple(_image(p, q, cn, cd, xn, xd) for xn, xd in ratios)
+        images = []
+        for xn, xd in ratios:
+            images.append(_image(p, q, cn, cd, xn, xd))
+        return tuple(images)
 
 
 def _image(p: int, q: int, cn: int, cd: int, xn: int, xd: int) -> Fraction:
@@ -578,10 +569,16 @@ def _image(p: int, q: int, cn: int, cd: int, xn: int, xd: int) -> Fraction:
 def _mean_ratio(keys: tuple[Fraction, ...], counts: tuple[int, ...]) -> tuple[int, int]:
     """The count-weighted mean of `keys` as a numerator and a denominator,
     not reduced: the numerators summed over the lcm of the denominators,
-    each location's ratio read once, and that lcm times the robot count."""
-    ratios = [x.as_integer_ratio() for x in keys]
-    den = lcm(*(d for _, d in ratios))
-    num = sum(p * (den // d) * count for (p, d), count in zip(ratios, counts))
+    each location's ratio read once, and that lcm times the robot count.
+    Plain loops, not generators: a generator resumes once per key, which
+    on a round's two keys cost more than the arithmetic."""
+    ratios = tuple(map(Fraction.as_integer_ratio, keys))
+    den = 1
+    for _, d in ratios:
+        den = lcm(den, d)
+    num = 0
+    for (p, d), count in zip(ratios, counts):
+        num += p * (den // d) * count
     return num, den * sum(counts)
 
 
@@ -613,33 +610,32 @@ class Spectrum(Mapping[Fraction, int]):
         self._index = self._base = self._frame = self._ratio = None
 
     @classmethod
-    def _of(cls, keys: tuple[Fraction, ...] | None, counts: tuple[int, ...]) -> Spectrum:
+    def _of(
+        cls,
+        keys: tuple[Fraction, ...] | None,
+        counts: tuple[int, ...],
+        base: Spectrum | None = None,
+        frame: Similarity | None = None,
+    ) -> Spectrum:
         """A spectrum from distinct locations and their positive counts,
-        which are not checked again; `keys` is None for a framed view."""
+        which are not checked again, or, with `keys` None, `base` seen
+        through `frame` (its counts), its locations not yet built."""
         view = cls.__new__(cls)
-        view._keys, view._counts = keys, counts
-        view._index = view._base = view._frame = view._ratio = None
+        view._keys, view._counts, view._base, view._frame = keys, counts, base, frame
+        view._index = view._ratio = None
         return view
 
     @classmethod
     def _view(cls, counts: Mapping[Fraction, int]) -> Spectrum:
-        """A location -> count mapping as a Spectrum: itself if it is one,
-        else its keys and counts as they are."""
-        if isinstance(counts, Spectrum):
-            return counts
+        """A location -> count mapping that is not a Spectrum, as one: its
+        keys and counts as they are.  Callers test for a Spectrum first, as
+        a round's views are, so that a round makes no call here."""
         return cls._of(tuple(counts), tuple(counts.values()))
-
-    @classmethod
-    def _framed(cls, base: Spectrum, frame: Similarity) -> Spectrum:
-        """`base` seen through `frame`, its locations not yet built."""
-        view = cls._of(None, base._counts)
-        view._base, view._frame = base, frame
-        return view
 
     @property
     def _locations(self) -> tuple[Fraction, ...]:
         if self._keys is None:
-            ratios = (x.as_integer_ratio() for x in self._base._locations)
+            ratios = map(Fraction.as_integer_ratio, self._base._locations)
             self._keys = self._frame._images(ratios)
         return self._keys
 

@@ -35,6 +35,7 @@ from .core import (
     RobotId,
     RobotUniverse,
     ScalarLike,
+    _Slots,
     _Table,
     _Value,
     as_scalar,
@@ -311,46 +312,61 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     prefix yields no-violation-up-to(horizon); "proven" is never an answer
     because k-fairness constrains all suffixes of an infinite stream.
 
-    Robots with one slot in each of the d distinct slot patterns of the
-    prefix are activated together and never wait on each other: their
-    classes are the joint pattern of the d patterns (`_Slots.joint`), which
-    is the one pattern itself when d = 1, as in every adversary trace.  A
-    class is active when its slot is not the round's idle one (the round's
-    factors, not the pattern, decide which that is), so each distinct
-    (pattern, idle slot) splits the classes' histories into active and idle
-    once.  One pass applies the random k-fair demon's rule (`_kfair_cutoff`)
-    to the classes and stops at the first round that leaves a class idle
-    past the cutoff.  A suffix refuted there starts one round after such a
-    class's last activation, and an idle class's last activation only
-    grows, so the least of them, plus one, is the minimal start.  The cost
-    is O(m*d) int work for the classes when d > 1 (none when d = 1), O(c)
-    per distinct (pattern, idle slot) for c classes, and O(c) a round,
-    instead of O(m^2*H).  An empty prefix refutes nothing:
-    no-violation-up-to(0).
+    A fold over the rounds that never looks ahead: it reads each action
+    once, in order, and stops at the first round that refutes.  Robots
+    with one slot in each slot pattern seen so far have been activated
+    together in every round so far, so they never wait on each other:
+    they form a class, and the classes are the joint pattern of the
+    patterns seen so far (`_Slots.joint`).  The first pattern's slots are
+    the classes, and a new pattern refines them.  Each new class starts
+    from a copy of its parent class's history, which is exact because the
+    parent's robots were activated together in every earlier round.  In
+    an adversary trace, and any trace with one pattern, the classes are
+    that pattern's slots and no robot is looked at.  A class is active
+    when its slot is not the round's idle one (the round's factors, not
+    the pattern, decide which that is), so each distinct (pattern, idle
+    slot) splits the classes' histories into active and idle once, until
+    the next refinement; a pattern seen before that reads its slot of
+    each class at one robot of the class.  Each round applies the random
+    k-fair demon's rule (`_kfair_cutoff`) to the classes.  A suffix
+    refuted there starts one round after a class idle past the cutoff was
+    last activated, and an idle class's last activation only grows, so
+    the least of them, plus one, is the minimal start.  The cost is O(m)
+    int work per new pattern, O(c) per distinct (pattern, idle slot)
+    between refinements for c classes, and O(c) a round, instead of
+    O(m^2*H).  An empty prefix refutes nothing: no-violation-up-to(0).
     """
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
-    if not actions:
-        return Verdict.no_violation_up_to(0)
-    patterns = {id(a.slots): a.slots for a in actions}  # distinct, by identity
-    distinct = iter(patterns.values())
-    classes = next(distinct)
-    for pattern in distinct:
-        classes = classes.joint(pattern)[1]
-    # each pattern's slot of each class: the class itself when the classes
-    # are the pattern, else the slot of one of its robots
-    slots_of = {
-        key: range(len(classes.counts)) if pattern is classes
-        else tuple(map(pattern.__getitem__, classes.representatives))
-        for key, pattern in patterns.items()
-    }
-    recent = [_history(k) for _ in classes.counts]
+    classes: _Slots | None = None
+    recent: list[deque[int]] = []  # each class's history
+    places: tuple[int, ...] = ()  # one robot of each class, once a pattern refined them
+    seen: dict[int, _Slots] = {}  # every pattern so far, by identity, held so no tuple takes its id
+    slots_of: dict[int, Sequence[int]] = {}  # a pattern's slot of each class, by its identity
     parts: dict[tuple[int, int], tuple[list[deque[int]], list[deque[int]]]] = {}
+    i = -1
     for i, action in enumerate(actions):
-        key = id(action.slots), action._idle_slot()
+        pattern = action.slots
+        key = id(pattern), action._idle_slot()
         part = parts.get(key)
         if part is None:
-            slots, idle_slot = slots_of[key[0]], key[1]
+            slots = slots_of.get(key[0])
+            if slots is None:
+                if key[0] in seen:  # seen before the classes were last refined
+                    slots = tuple(map(pattern.__getitem__, places))
+                elif classes is None:  # the first pattern: its slots are the classes
+                    classes, recent = pattern, [_history(k) for _ in pattern.counts]
+                    slots = range(len(pattern.counts))
+                else:
+                    pairs, joint = classes.joint(pattern)  # (its slot, parent class) per class
+                    if joint is not classes:
+                        recent = [recent[c].copy() for _, c in pairs]
+                        classes, slots_of, parts = joint, {}, {}
+                        places = tuple(dict(zip(joint, range(len(joint)))).values())
+                    slots = tuple(s for s, _ in pairs)
+                seen[key[0]] = pattern
+                slots_of[key[0]] = slots
+            idle_slot = key[1]
             part = parts[key] = (
                 [t for t, s in zip(recent, slots) if s != idle_slot],
                 [t for t, s in zip(recent, slots) if s == idle_slot],
@@ -362,4 +378,4 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
                 return Verdict.violated(min(u[-1] for u in idle) + 1)
         for t in active:
             t.append(i)
-    return Verdict.no_violation_up_to(len(actions))
+    return Verdict.no_violation_up_to(i + 1)

@@ -41,6 +41,7 @@ from .core import (
     _set,
     _Slots,
     _Value,
+    _grouped,
     parse_scalar,
     spectrum,
     tabulate_keys,
@@ -114,11 +115,13 @@ class Trace(_Value):
         return len(self.rounds)
 
     def positions(self) -> tuple[Position, ...]:
-        """p0 followed by every post-round position (indices 0..horizon)."""
-        return (self.p0,) + tuple(r.post for r in self.rounds)
+        """p0 followed by every post-round position (indices 0..horizon).
+        Read with a list comprehension, as the actions are: a generator
+        would resume once per round."""
+        return (self.p0, *[r.post for r in self.rounds])
 
     def actions(self) -> tuple[DemonicAction, ...]:
-        return tuple(r.action for r in self.rounds)
+        return tuple([r.action for r in self.rounds])
 
 
 def round_step(robogram: Robogram, action: DemonicAction, position: Position) -> Position:
@@ -129,40 +132,43 @@ def round_step(robogram: Robogram, action: DemonicAction, position: Position) ->
     slot) pair (sound because robograms are deterministic), and equal
     destinations share one point of the new table.  Which robots share a
     pair is a fact of the two slot patterns, kept with the position's
-    pattern, and distinct destinations keep that joint pattern as the new
-    slots (`_Slots.tabulate_with`): while the piles stay stacked a round
-    does no work per robot.  A spectrum robogram's view is the round's
-    spectrum, built once from the pattern's counts, seen through each frame
-    as a read-only Spectrum that builds its locations only when the
-    robogram reads them; its centroid is the frame's image of the round's,
-    which is computed once.  A raw robogram sees the whole position.  Each
-    frame is built from the action's factor and the position's point, which
-    their tables hold checked, so they are not checked again
-    (`Similarity._of`).  The new position is built like the old one.
+    pattern (`_Slots.joint`), and distinct destinations keep that joint
+    pattern as the new slots (`_grouped`): while the piles stay stacked a
+    round does no work per robot.  A spectrum robogram's view is the
+    round's spectrum, built once from the pattern's counts, seen through
+    each frame as a read-only Spectrum that builds its locations only when
+    the robogram reads them; its centroid is the frame's image of the
+    round's, which is computed once.  A raw robogram sees the whole
+    position.  Each frame is built from the action's factor and the
+    position's point, which their tables hold checked, so they are not
+    checked again (`Similarity._of`).  A factor's integers are read once
+    per pair: they tell an idle robot (numerator 0) and carry the move.
+    The new position is built like the old one.
     """
-    if action.universe != position.universe:
+    universe = position.universe
+    if action.universe is not universe and action.universe != universe:
         raise ValueError("action and position belong to different universes")
     world = spectrum(position) if robogram.kind == SPECTRUM_BASED else position
     points, factors = position.points, action.points
+    pairs, joint = position.slots.joint(action.slots)
+    destinations = []
+    for factor_slot, point_slot in pairs:
+        f, point = factors[factor_slot], points[point_slot]
+        fn, fd = f.as_integer_ratio()
+        if fn:  # activated; an idle robot stays put
+            local = evaluate(robogram, Similarity._of(f, point).map_position(world))
+            point = _moved(point, local, fn, fd)
+        destinations.append(point)
+    return Position._table(universe, *_grouped(joint, destinations, position.slots))
 
-    def destination(pair: tuple[int, int]) -> Fraction:
-        f, point = factors[pair[0]], points[pair[1]]
-        if not f:  # not activated: stays put
-            return point
-        local = evaluate(robogram, Similarity._of(f, point).map_position(world))
-        return _moved(point, local, f)
 
-    return Position._table(position.universe, *position.slots.tabulate_with(action.slots, destination))
-
-
-def _moved(point: Fraction, local: Fraction, f: Fraction) -> Fraction:
-    """The inverse frame, `point + local/f`, built from integers and
-    normalized once, as `core._image` builds a frame's image: the sum is
-    taken over lcm(pd, ld*fn) for point = pn/pd, local = ln/ld and
-    f = fn/fd, instead of a quotient and a sum that each normalize."""
+def _moved(point: Fraction, local: Fraction, fn: int, fd: int) -> Fraction:
+    """The inverse frame, `point + local/f` for the factor f = fn/fd, built
+    from integers and normalized once, as `core._image` builds a frame's
+    image: the sum is taken over lcm(pd, ld*fn) for point = pn/pd and
+    local = ln/ld, instead of a quotient and a sum that each normalize."""
     pn, pd = point.as_integer_ratio()
     ln, ld = local.as_integer_ratio()
-    fn, fd = f.as_integer_ratio()
     den = ld * fn  # local/f = ln*fd / den; the sign of fn is normalized once, below
     g = gcd(pd, den)
     s = pd // g

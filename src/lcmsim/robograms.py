@@ -124,10 +124,21 @@ def raw_robogram(name: str, fn: Callable[[Position], Fraction]) -> Robogram:
     return Robogram(name, RAW, fn)
 
 
-def _mean(view: Mapping[Fraction, int]) -> Fraction:
-    # A framed view's centroid is its frame's image of the round's centroid,
-    # so no location of the view is built.
-    return Spectrum._view(view).centroid()
+def _scaled_mean(num: int, den: int) -> Callable[[Mapping[Fraction, int]], Fraction]:
+    """`num/den` times a view's centroid, as one Fraction.  A framed view's
+    centroid is its frame's image of the round's centroid, with the scale
+    folded into the image (`Spectrum._scaled_centroid`), so no location of
+    the view is built."""
+
+    def mean(view: Mapping[Fraction, int]) -> Fraction:
+        if not isinstance(view, Spectrum):
+            view = Spectrum._view(view)
+        return view._scaled_centroid(num, den)
+
+    return mean
+
+
+_mean = _scaled_mean(1, 1)
 
 
 def _other_occupied(view: Spectrum) -> Fraction:
@@ -155,11 +166,7 @@ def convex(coefficient: ScalarLike) -> Robogram:
     coefficient is folded into the mean, so a framed view's destination is
     one image of the round's centroid, not an image and a product."""
     lam = as_scalar(coefficient)
-    num, den = lam.as_integer_ratio()
-    return spectrum_robogram(
-        f"convex:{format_scalar(lam)}",
-        lambda view: Spectrum._view(view)._scaled_centroid(num, den),
-    )
+    return spectrum_robogram(f"convex:{format_scalar(lam)}", _scaled_mean(*lam.as_integer_ratio()))
 
 
 # Negative-test robogram: leaks a robot identity, so renaming robots changes

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,35 @@ def test_check_kfair_stops_at_the_first_refuting_round(monkeypatch):
     rounds.clear()
     assert check_kfair(actions, 1) == Verdict.no_violation_up_to(1000)
     assert rounds == list(range(1000))
+
+
+class _CountedReads(Sequence):
+    """A sequence of actions that counts how many items are read."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
+def test_check_kfair_reads_no_action_past_the_refuting_round():
+    # A fold that never looks ahead: k = 0 is refuted in round 0 of an
+    # alternating prefix after reading that one action; k = 1 reads each
+    # action once (and one more index, where iteration ends).
+    u = RobotUniverse(2)
+    demon = make_alternating_demon(u)
+    actions = execute_prefix(stay, demon, Position.from_piles(u, 0, 1), 40).actions()
+    prefix = _CountedReads(actions)
+    assert check_kfair(prefix, 0) == Verdict.violated(0)
+    assert prefix.reads == 1
+    prefix.reads = 0
+    assert check_kfair(prefix, 1) == Verdict.no_violation_up_to(40)
+    assert prefix.reads == 41
 
 
 @st.composite

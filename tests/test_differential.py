@@ -14,7 +14,11 @@ view's centroid against the mean of its images, `convex` against scaling
 the centroid, and the random k-fair demon against `reference_random_kfair`,
 the set-based demon as it stood before.  The trace reader's format 2 scalar
 rule, which proves a text canonical from the integers it parsed, is checked
-against `reference_hex_point`, the rule that wrote each value back.
+against `reference_hex_point`, the rule that wrote each value back, and
+`check_kfair`, a fold that refines its classes as patterns appear, against
+`reference_check_kfair`, which joined every pattern of the prefix first.
+The sum behind every mean and the move's one normalization are checked
+against plain Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from __future__ import annotations
 import io
 import random
 import reprlib
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
+from math import lcm
 
 from helpers import iterated_convex, random_nonzero_scalar
 import pytest
@@ -32,7 +37,17 @@ from hypothesis import strategies as st
 
 from lcmsim import core, execution
 from lcmsim.core import Position, RobotUniverse, Similarity, Spectrum, spectrum
-from lcmsim.demons import Demon, DemonicAction, make_random_kfair
+from lcmsim.demons import (
+    Demon,
+    DemonicAction,
+    Verdict,
+    _history,
+    _kfair_cutoff,
+    check_kfair,
+    make_fsync,
+    make_random_kfair,
+    make_round_robin,
+)
 from lcmsim.execution import execute_prefix, round_step, write_trace
 from lcmsim.robograms import (
     _mean,
@@ -404,6 +419,72 @@ def test_mean_is_the_fraction_sum_over_the_count(case):
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
+@st.composite
+def _keys_and_counts(draw):
+    """1 to 64 distinct locations whose numerators and denominators reach
+    2600 bits, each with a count of 1 to 5, counts repeating.  Up to four
+    keys may have unrelated 2600-bit parts; otherwise every key is a small
+    multiple of one 2600-bit numerator plus a small offset, over a shared
+    denominator part times a small one, so 64 keys fit Hypothesis's
+    budget of drawn data."""
+    size = draw(st.integers(1, 64))
+    if size <= 4 and draw(st.booleans()):
+        nums, dens = st.integers(-(2**2600), 2**2600), st.integers(1, 2**2600)
+    else:
+        big = draw(st.integers(2**2599, 2**2600))
+        base = draw(st.sampled_from((1, 6, 3**1640, 2**2600 - 1)))
+        nums = st.builds(lambda a, b: a * big + b, st.integers(-8, 8), st.integers(-(2**32), 2**32))
+        dens = st.integers(1, 2**32).map(lambda d: base * d)
+    keys = draw(st.lists(st.builds(Fraction, nums, dens), min_size=size, max_size=size, unique=True))
+    counts = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    return tuple(keys), tuple(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keys_and_counts())
+def test_the_mean_ratio_is_the_fraction_sum_over_the_lcm_and_the_count(case):
+    # `core._mean_ratio` sums in plain loops: its pair is the weighted sum
+    # of the keys over the lcm of their denominators, not reduced, and the
+    # lcm times the robot count, whose quotient is the Fraction mean.
+    keys, counts = case
+    num, den = core._mean_ratio(keys, counts)
+    total = sum(counts)
+    assert den == lcm(*(x.denominator for x in keys)) * total
+    assert Fraction(num, den) == sum((x * c for x, c in zip(keys, counts)), Fraction(0)) / total
+
+
+# --- move: the inverse frame normalized once ---------------------------------
+
+
+_2600_BITS = 2**2600
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(-_2600_BITS, _2600_BITS), st.integers(1, _2600_BITS)),
+    st.builds(Fraction, st.integers(-_2600_BITS, _2600_BITS), st.integers(1, _2600_BITS)),
+    st.builds(
+        Fraction, st.integers(-_2600_BITS, _2600_BITS).filter(bool), st.integers(1, _2600_BITS)
+    ),
+    st.integers(1, 2**64),
+)
+@example(Fraction(1, 6), Fraction(-5, 4), Fraction(-2, 3), 1)  # a negative factor
+@example(Fraction(7, 3**200), Fraction(0), Fraction(3**200, 5), 1)  # local 0: the point
+def test_a_move_is_the_fraction_sum_of_the_point_and_local_over_the_factor(
+    point, local, factor, shared
+):
+    # `execution._moved` takes the factor as its integers and builds
+    # `point + local/f` over one lcm; its pair must be Fraction
+    # arithmetic's, with denominators sharing `shared` so the gcd works.
+    point = Fraction(point.numerator, point.denominator * shared)
+    local = Fraction(local.numerator, local.denominator * shared)
+    fn, fd = factor.as_integer_ratio()
+    got = execution._moved(point, local, fn, fd)
+    expected = point + local / factor
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
 # --- demon: the random k-fair scheduler -------------------------------------
 
 
@@ -488,6 +569,106 @@ def test_random_kfair_matches_the_reference_on_rounds_that_draw_nobody():
         for seed in range(25)
     ]
     assert sum(fallbacks) > 100
+
+
+# --- checker: k-fairness as a fold -------------------------------------------
+
+
+def reference_check_kfair(actions, k):
+    """`check_kfair` as it stood before it became a fold: the classes are
+    the joint pattern of every distinct pattern of the prefix, found
+    before round 0, each pattern's slot of a class read at one robot of
+    it.  The rule (`_kfair_cutoff`) and the histories are the demon's."""
+    if k < 0:
+        raise ValueError("fairness budget k must be >= 0")
+    if not actions:
+        return Verdict.no_violation_up_to(0)
+    patterns = {id(a.slots): a.slots for a in actions}
+    distinct = iter(patterns.values())
+    classes = next(distinct)
+    for pattern in distinct:
+        classes = classes.joint(pattern)[1]
+    representatives = tuple(dict(zip(classes, range(len(classes)))).values())
+    slots_of = {
+        key: range(len(classes.counts)) if pattern is classes
+        else tuple(map(pattern.__getitem__, representatives))
+        for key, pattern in patterns.items()
+    }
+    recent = [_history(k) for _ in classes.counts]
+    parts: dict[tuple[int, int], tuple[list[deque[int]], list[deque[int]]]] = {}
+    for i, action in enumerate(actions):
+        key = id(action.slots), action._idle_slot()
+        part = parts.get(key)
+        if part is None:
+            slots, idle_slot = slots_of[key[0]], key[1]
+            part = parts[key] = (
+                [t for t, s in zip(recent, slots) if s != idle_slot],
+                [t for t, s in zip(recent, slots) if s == idle_slot],
+            )
+        active, idle = part
+        cutoff = _kfair_cutoff(active, k, i)
+        for t in idle:
+            if t[-1] < cutoff:
+                return Verdict.violated(min(u[-1] for u in idle) + 1)
+        for t in active:
+            t.append(i)
+    return Verdict.no_violation_up_to(len(actions))
+
+
+_FACTORS = (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2, 7), Fraction(5))
+
+
+@st.composite
+def _kfair_prefixes(draw):
+    """An action prefix of one of five kinds: one slot pattern whose
+    factors change each round (so the idle slot moves or vanishes), two
+    or three patterns drawn again and again in any order (so a pattern
+    seen before a refinement comes back after it), the random k-fair
+    demon's, round-robin's, or fsync's followed by round-robin's; the
+    last three build a new pattern most rounds."""
+    u = RobotUniverse(draw(st.integers(1, 4)))
+    horizon = draw(st.integers(0, 16))
+    kinds = ("one-pattern", "revisited-patterns", "random-kfair", "round-robin", "fsync+round-robin")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("one-pattern", "revisited-patterns"):
+        patterns = []
+        for _ in range(1 if kind == "one-pattern" else draw(st.integers(2, 3))):
+            raw = draw(st.lists(st.integers(0, 3), min_size=u.m, max_size=u.m))
+            index = {slot: i for i, slot in enumerate(dict.fromkeys(raw))}
+            patterns.append(core._Slots(index[slot] for slot in raw))
+        actions = []
+        for _ in range(horizon):
+            pattern = draw(st.sampled_from(patterns))
+            points = draw(st.permutations(_FACTORS))[: len(pattern.counts)]
+            actions.append(DemonicAction._table(u, points, pattern))
+        return actions
+    position = Position.from_piles(u, 0, 1)
+    factor = draw(st.sampled_from(_FACTORS[1:]))
+    if kind == "random-kfair":
+        demon = make_random_kfair(u, draw(st.integers(0, 3)), factor, draw(st.integers(0, 2**32)))
+        return [demon.action(i, position) for i in range(horizon)]
+    robin = make_round_robin(u, factor)
+    synced = draw(st.integers(0, horizon)) if kind == "fsync+round-robin" else 0
+    fsync = make_fsync(u)
+    return [(fsync if i < synced else robin).action(i, position) for i in range(horizon)]
+
+
+def _a_pattern_revisited_after_a_refinement():
+    """Pattern a, then b, which splits a's first class, then a again: a's
+    slot of each class is read at a robot of that class, not at the robot
+    whose place is the class's number (robot 3 waits every round)."""
+    u = RobotUniverse(2)
+    a, b = core._Slots((0, 0, 0, 1)), core._Slots((0, 0, 1, 0))
+    f, zero = Fraction(-3, 2), Fraction(0)
+    rounds = ((a, (f, zero)), (b, (zero, f)), (a, (f, zero)))
+    return [DemonicAction._table(u, points, pattern) for pattern, points in rounds]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kfair_prefixes(), st.integers(0, 4))
+@example(_a_pattern_revisited_after_a_refinement(), 2)
+def test_check_kfair_agrees_with_the_reference(actions, k):
+    assert check_kfair(actions, k) == reference_check_kfair(actions, k)
 
 
 # --- trace IO: the format 2 scalar rule --------------------------------------

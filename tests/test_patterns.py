@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
@@ -183,6 +184,46 @@ def test_a_certification_makes_as_many_passes_over_its_patterns_at_any_horizon(m
     assert 0 < sum(counts[0].values()) < 40
 
 
+def _calls_in_a_stacked_round(selector, n):
+    """The Python-level calls of one adversary round on stacked piles:
+    `"call"` events under `sys.setprofile` (a generator's resumption is
+    one) over one step of `_rounds`, after six warm-up rounds have filled
+    the pattern's facts."""
+    robogram = resolve_robogram(selector)
+    u = RobotUniverse(n)
+    demon = build_adversary_demon(robogram, u, 0, 1)
+    rounds = _rounds(robogram, demon.action, Position.from_piles(u, 0, 1), 8)
+    for _ in range(6):
+        next(rounds)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        rd = next(rounds)
+    finally:
+        sys.setprofile(None)
+    assert rd.post.slots is u.sides
+    return calls
+
+
+@pytest.mark.parametrize(
+    "selector, n, most",
+    [("center-of-mass", 128, 45), ("convex:1/3", 8, 45), ("to-max", 8, 100)],
+)
+def test_a_stacked_round_makes_a_bounded_number_of_python_calls(selector, n, most):
+    # A round is a few exact operations on two piles; what else it does is
+    # dispatch: the demon's factors, look, compute, move and the two
+    # tables are one loop each over the distinct pairs, with no callback
+    # or generator per value.  `center-of-mass` and `convex` take the
+    # alternating branch, `to-max` the swap branch, where both piles look
+    # and `max` compares two Fractions.
+    assert _calls_in_a_stacked_round(selector, n) <= most
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_the_screens_reversal_renames_stacked_piles_as_the_pile_swap(n):
     # run_impossibility screens with the reversal of the places (L<i> <->
@@ -314,7 +355,7 @@ def test_a_stacked_run_and_its_replay_call_tabulate_never(monkeypatch, selector,
     assert len(calls) == 0, "replay"
 
 
-_FACTS = ("counts", "piles", "split", "representatives", "self_pairs")
+_FACTS = ("counts", "piles", "split", "self_pairs")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -328,24 +369,38 @@ def test_the_sides_patterns_stored_facts_equal_a_scan_of_an_equal_pattern(n):
     assert stored == {fact: getattr(scanned, fact) for fact in _FACTS}
 
 
-def test_check_kfair_on_one_pattern_never_reads_its_representatives(monkeypatch):
+def test_check_kfair_looks_at_robots_only_when_a_new_pattern_refines_its_classes(monkeypatch):
     # With one slot pattern in the prefix the classes are its slots, so no
-    # robot is looked up, whether or not the pattern has its facts stored.
-    def refuse(self):
-        raise AssertionError("check_kfair read _Slots.representatives")
-
-    monkeypatch.setattr(core._Slots, "representatives", property(refuse))
+    # robot is looked at, however long the prefix.  A second pattern
+    # refines the classes with one joint, whether the prefix repeats the
+    # two patterns once or ten times.
     u = RobotUniverse(3)
-    lopsided = core._Slots((0,) * 4 + (1,) * 2)
-    three = core._Slots((0, 1, 2, 0, 1, 2))
+    passes = _count_robot_passes(monkeypatch, u.m)
+
+    def fresh():  # new tuples, so no joint is kept from an earlier call
+        return core._Slots((0,) * 4 + (1,) * 2), core._Slots((0, 1, 2, 0, 1, 2))
+
+    lopsided, three = fresh()
     cases = ((u.sides, (F(1), F(0))), (lopsided, (F(0), F(2))), (three, (F(1), F(0), F(3))))
     for pattern, points in cases:  # rotated each round, so the idle slot moves
         rounds = [DemonicAction._table(u, points[i % 2:] + points[:i % 2], pattern)
                   for i in range(7)]
         for k in (0, 1, 2):
-            assert check_kfair(rounds, k) == _kfair_oracle(rounds, k)
-    with pytest.raises(AssertionError, match="representatives"):  # the patch is live
-        check_kfair([DemonicAction._table(u, (F(1), F(0)), p) for p in (lopsided, three)], 1)
+            passes.clear()
+            verdict = check_kfair(rounds, k)
+            assert not passes
+            assert verdict == _kfair_oracle(rounds, k)
+    counts = []
+    for repeats in (1, 10):
+        lopsided, three = fresh()
+        rounds = [DemonicAction._table(u, points, pattern)
+                  for _ in range(repeats)
+                  for pattern, points in ((lopsided, (F(1), F(0))), (three, (F(0), F(1), F(3))))]
+        passes.clear()
+        verdict = check_kfair(rounds, 1)
+        counts.append(sum(passes.values()))
+        assert verdict == _kfair_oracle(rounds, 1)
+    assert counts[0] == counts[1] > 0
 
 
 def test_building_the_sides_pattern_counts_nothing(monkeypatch):
