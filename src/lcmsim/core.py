@@ -449,10 +449,20 @@ class _Table:
         return tuple(map(self.points.__getitem__, self.slots))
 
     def __eq__(self, other: object) -> bool:
+        """Equal slot patterns, equal universes (by identity first), then
+        each pair of points as integer pairs, without `Fraction.__eq__`'s
+        dispatch.  Canonical tables with equal patterns hold as many
+        points."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        same_table = self.slots == other.slots and self.points == other.points
-        return self.universe == other.universe and same_table
+        if self.slots != other.slots:
+            return False
+        if self.universe is not other.universe and self.universe != other.universe:
+            return False
+        for x, y in zip(self.points, other.points):
+            if x.as_integer_ratio() != y.as_integer_ratio():
+                return False
+        return True
 
     def __repr__(self) -> str:
         values = zip(self.universe.robots, self._per_robot())

@@ -318,60 +318,51 @@ def check_kfair(actions: Sequence[DemonicAction], k: int) -> Verdict:
     together in every round so far, so they never wait on each other:
     they form a class, and the classes are the joint pattern of the
     patterns seen so far (`_Slots.joint`).  The first pattern's slots are
-    the classes, and a new pattern refines them.  Each new class starts
-    from a copy of its parent class's history, which is exact because the
-    parent's robots were activated together in every earlier round.  In
-    an adversary trace, and any trace with one pattern, the classes are
-    that pattern's slots and no robot is looked at.  A class is active
-    when its slot is not the round's idle one (the round's factors, not
-    the pattern, decide which that is), so each distinct (pattern, idle
-    slot) splits the classes' histories into active and idle once, until
-    the next refinement; a pattern seen before that reads its slot of
-    each class at one robot of the class.  Each round applies the random
+    the classes.  Each new (pattern, idle slot) since the last refinement
+    goes through `joint`, which gives the pattern's slot of each class,
+    and refines the classes when the pattern splits one.  Each new class
+    starts from a copy of its parent class's history, which is exact
+    because the parent's robots were activated together in every earlier
+    round.  In an adversary trace, and any trace with one pattern, the
+    classes are that pattern's slots and no robot is looked at.  A class
+    is active when its slot is not the round's idle one (the round's
+    factors, not the pattern, decide which that is), so each new
+    (pattern, idle slot) splits the classes' histories into active and
+    idle once, until the next refinement.  Each round applies the random
     k-fair demon's rule (`_kfair_cutoff`) to the classes.  A suffix
     refuted there starts one round after a class idle past the cutoff was
     last activated, and an idle class's last activation only grows, so
     the least of them, plus one, is the minimal start.  The cost is O(m)
-    int work per new pattern, O(c) per distinct (pattern, idle slot)
-    between refinements for c classes, and O(c) a round, instead of
-    O(m^2*H).  An empty prefix refutes nothing: no-violation-up-to(0).
+    int work per new (pattern, idle slot) between refinements and O(c) a
+    round for c classes, instead of O(m^2*H).  An empty prefix refutes
+    nothing: no-violation-up-to(0).
     """
     if k < 0:
         raise ValueError("fairness budget k must be >= 0")
     classes: _Slots | None = None
     recent: list[deque[int]] = []  # each class's history
-    places: tuple[int, ...] = ()  # one robot of each class, once a pattern refined them
-    seen: dict[int, _Slots] = {}  # every pattern so far, by identity, held so no tuple takes its id
-    slots_of: dict[int, Sequence[int]] = {}  # a pattern's slot of each class, by its identity
-    parts: dict[tuple[int, int], tuple[list[deque[int]], list[deque[int]]]] = {}
+    # per (pattern, idle slot) since the classes were last refined: the
+    # pattern, held so no tuple takes its id, and the active and idle histories
+    parts: dict[tuple[int, int], tuple[_Slots, list[deque[int]], list[deque[int]]]] = {}
     i = -1
     for i, action in enumerate(actions):
         pattern = action.slots
         key = id(pattern), action._idle_slot()
         part = parts.get(key)
         if part is None:
-            slots = slots_of.get(key[0])
-            if slots is None:
-                if key[0] in seen:  # seen before the classes were last refined
-                    slots = tuple(map(pattern.__getitem__, places))
-                elif classes is None:  # the first pattern: its slots are the classes
-                    classes, recent = pattern, [_history(k) for _ in pattern.counts]
-                    slots = range(len(pattern.counts))
-                else:
-                    pairs, joint = classes.joint(pattern)  # (its slot, parent class) per class
-                    if joint is not classes:
-                        recent = [recent[c].copy() for _, c in pairs]
-                        classes, slots_of, parts = joint, {}, {}
-                        places = tuple(dict(zip(joint, range(len(joint)))).values())
-                    slots = tuple(s for s, _ in pairs)
-                seen[key[0]] = pattern
-                slots_of[key[0]] = slots
+            if classes is None:  # the first pattern: its slots are the classes
+                classes, recent = pattern, [_history(k) for _ in pattern.counts]
+            pairs, joint = classes.joint(pattern)  # (its slot, parent class) per class
+            if joint is not classes:
+                recent = [recent[c].copy() for _, c in pairs]
+                classes, parts = joint, {}
             idle_slot = key[1]
             part = parts[key] = (
-                [t for t, s in zip(recent, slots) if s != idle_slot],
-                [t for t, s in zip(recent, slots) if s == idle_slot],
+                pattern,
+                [t for t, (s, _) in zip(recent, pairs) if s != idle_slot],
+                [t for t, (s, _) in zip(recent, pairs) if s == idle_slot],
             )
-        active, idle = part
+        _, active, idle = part
         cutoff = _kfair_cutoff(active, k, i)
         for t in idle:
             if t[-1] < cutoff:  # then so is the least last activation of the idle

@@ -612,17 +612,5 @@ def replay(trace: Trace, robogram: Robogram) -> None:
     and ExecutionError, as `execute_prefix` does, if the robogram fails."""
     stored = trace.rounds
     for rd in _rounds(robogram, lambda i, _: stored[i].action, trace.p0, len(stored)):
-        if not _same_table(rd.post, stored[rd.index].post):
+        if rd.post != stored[rd.index].post:
             raise ReplayMismatchError(rd.index)
-
-
-def _same_table(a: Position, b: Position) -> bool:
-    """`a == b` for two tables of one trace: equal slot patterns (so equal
-    universes and as many points), then each pair of points as integer
-    pairs, without `Position.__eq__`'s and `Fraction.__eq__`'s dispatch."""
-    if a.slots != b.slots:
-        return False
-    for x, y in zip(a.points, b.points):
-        if x.as_integer_ratio() != y.as_integer_ratio():
-            return False
-    return True

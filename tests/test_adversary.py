@@ -88,7 +88,7 @@ def test_canonical_factors_match_the_per_robot_definition(position, sides):
         r: _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
         for r in u.robots
     }
-    action = _canonical_action(position, sides)
+    action = _canonical_action(position, (Side.LEFT in sides, Side.RIGHT in sides))
     assert action.frames == tuple(expected.values())
     assert action == DemonicAction(u, expected)
 
@@ -234,6 +234,12 @@ def test_run_impossibility_flags_identity_leaks():
 
 FIRST_KEY = spectrum_robogram("first-key", lambda view: next(iter(view)))
 
+_LEFT0, _RIGHT0 = RobotId(Side.LEFT, 0), RobotId(Side.RIGHT, 0)
+# Reads names: L0 and R0 answer differently (1/2 and 1/3).
+L0_BEFORE_R0 = raw_robogram(
+    "l0-before-r0", lambda p: Fraction(1, 2) if p[_LEFT0] <= p[_RIGHT0] else Fraction(1, 3)
+)
+
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_the_invariance_screen_passes_every_builtin_but_the_leak(n):
@@ -375,7 +381,6 @@ def _failing_premises(report):
     """The fields of `report` whose premise of `certified` fails."""
     premises = {
         "split": report.split.ok,
-        "gather": not report.gather.ok,
         "fairness": report.fairness[1].ok,
         "invariance_ok": report.invariance_ok,
         "bivalence_failures": report.bivalence_complete,
@@ -388,12 +393,11 @@ def _failing_premises(report):
     [
         (None, None),
         ("split", lambda old: Verdict.violated(3)),
-        ("gather", lambda old: Verdict.tentatively_gathered(3, Fraction(1, 2), 40)),
         ("fairness", lambda old: {**old, 1: Verdict.violated(2)}),
         ("invariance_ok", lambda old: False),
         ("bivalence_failures", lambda old: (3,)),
     ],
-    ids=["none", "split", "gather", "fairness1", "invariance_ok", "bivalence_failures"],
+    ids=["none", "split", "fairness1", "invariance_ok", "bivalence_failures"],
 )
 def test_certified_fails_when_exactly_one_premise_fails(field, failed):
     # A certified report, rebuilt with one verdict replaced by a failing one.
@@ -409,15 +413,39 @@ def test_certified_fails_when_exactly_one_premise_fails(field, failed):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_name_reading_robogram_fails_only_the_invariance_screen(n):
-    # L0 and R0 answer differently (1/2 and 1/3), yet under the adversary
-    # the piles stay apart and balanced: only the screen refuses it.
-    left0, right0 = RobotId(Side.LEFT, 0), RobotId(Side.RIGHT, 0)
-    leak = raw_robogram(
-        "l0-before-r0", lambda p: Fraction(1, 2) if p[left0] <= p[right0] else Fraction(1, 3)
-    )
-    report = run_impossibility(leak, n, 40)
+    # Under the adversary the piles stay apart and balanced: only the
+    # screen refuses it.
+    report = run_impossibility(L0_BEFORE_R0, n, 40)
     assert _failing_premises(report) == ["invariance_ok"]
     assert not report.certified
+
+
+_REPORTED = (
+    [resolve_robogram(s) for s in BUILTIN_SELECTORS if "<" not in s]
+    + [convex("1/3"), convex("2/1"), convex("-1/2"), FIRST_KEY, L0_BEFORE_R0]
+)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 40])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_split_run_is_never_gathered(n, horizon):
+    # Why `certified` has no premise `not gather.ok`: a split position has
+    # a robot of each pile (n >= 1), on distinct points, so it is not
+    # stacked, and `split` covers the last position, where
+    # `check_will_gather` looks first.
+    kinds = set()
+    for robogram in _REPORTED:
+        report = run_impossibility(robogram, n, horizon)
+        if report.split.ok:
+            assert report.gather == Verdict.not_within_horizon(horizon), robogram
+        kinds.add((report.split.ok, report.gather.ok))
+        assert report.certified == (
+            report.split.ok and not report.gather.ok and report.fairness[1].ok
+            and report.invariance_ok and report.bivalence_complete
+        ), robogram
+    # both sides of the implication are reached: `first-key` and
+    # `broken-id-leak` gather at round 2
+    assert kinds == ({(True, False), (False, True)} if horizon == 40 else {(True, False)})
 
 
 def test_run_impossibility_zero_horizon():

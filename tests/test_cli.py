@@ -107,6 +107,21 @@ def test_simulate_usage_errors_exit_2(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize(
+    "demon,init,message",
+    [
+        ("random-kfair:1", None, "random-kfair selector must be random-kfair:<k>:<seed>"),
+        ("random-kfair:-1:2", None, "random-kfair budget k must be >= 0"),
+        ("adversary", '{"L0": "0/1", "L1": "1/1", "R0": "2/1", "R1": "2/1"}',
+         "the adversary demon needs an initial position with each pile stacked"),
+    ],
+)
+def test_simulate_demon_usage_errors_name_the_fault(capsys, demon, init, message):
+    argv = ["simulate", "--robogram", "stay", "--demon", demon, "--n", "2", "--horizon", "1"]
+    code, out, err = _run(capsys, *argv, *(["--init", init] if init else []))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_adversary_demon_selector(capsys):
     code, out, _ = _run(
         capsys, "simulate", "--robogram", "center-of-mass", "--demon", "adversary",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmsim.core import EmptyUniverse, Position, RobotId, RobotUniverse, Side
 from lcmsim.demons import DemonicAction, Verdict, make_random_kfair
@@ -143,6 +145,34 @@ def test_will_gather_matches_oracle_on_random_traces():
             assert verdict == Verdict.tentatively_gathered(
                 expected[0], expected[1], trace.horizon
             )
+
+
+_SPOTS = tuple(map(Fraction, range(-2, 4)))  # more spots than robots on one pile
+
+
+@st.composite
+def _traces_ending_split(draw):
+    """A trace of any positions over a few spots, the last one split: the
+    right pile stands only on spots no left robot takes."""
+    u = RobotUniverse(draw(st.integers(1, 4)))
+    spots = st.sampled_from(_SPOTS)
+    positions = [
+        Position(u, {r: draw(spots) for r in u.robots}) for _ in range(draw(st.integers(0, 5)))
+    ]
+    left = {r: draw(spots) for r in u.side_robots(Side.LEFT)}
+    free = st.sampled_from([x for x in _SPOTS if x not in left.values()])
+    right = {r: draw(free) for r in u.side_robots(Side.RIGHT)}
+    positions.append(Position(u, {**left, **right}))
+    return _fabricated_trace(u, positions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces_ending_split())
+def test_will_gather_answers_not_within_horizon_when_the_last_position_is_split(trace):
+    # What lets `ImpossibilityReport.certified` rest on `split` alone: a
+    # split last position has a robot of each pile on distinct points.
+    assert split(trace.positions()[-1])
+    assert check_will_gather(trace) == Verdict.not_within_horizon(trace.horizon)
 
 
 def test_always_split_counts_the_initial_position():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcmsim.adversary import SWAP_FSYNC, run_impossibility
 from lcmsim.core import Position, RobotId, RobotUniverse, Side, Similarity, spectrum
 from lcmsim.robograms import (
     BUILTIN_SELECTORS,
@@ -18,6 +19,7 @@ from lcmsim.robograms import (
     evaluate,
     raw_robogram,
     resolve_robogram,
+    spectrum_robogram,
     stay,
     to_max,
     to_min,
@@ -133,6 +135,14 @@ def test_evaluate_rejects_non_rational_outputs():
         evaluate(bad_float, p)
     with pytest.raises(NonRepresentableDestination):
         evaluate(bad_bool, p)
+
+
+def test_evaluate_takes_an_int_as_a_fraction():
+    one = spectrum_robogram("one", lambda view: 1)
+    out = evaluate(one, Position.from_piles(RobotUniverse(2), 0, 1))
+    assert out == Fraction(1) and type(out) is Fraction
+    report = run_impossibility(one, 2, 10)
+    assert report.probe.branch == SWAP_FSYNC and report.certified
 
 
 def test_spectrum_builtins_are_permutation_invariant():
