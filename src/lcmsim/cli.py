@@ -26,6 +26,7 @@ from .execution import (
     ReplayMismatchError,
     Trace,
     TraceFormatError,
+    _DeferredPosts,
     _loads,
     _parse_row,
     execute_prefix,
@@ -197,25 +198,36 @@ def _parse_property(text: str) -> tuple[str, Callable[[Trace], Verdict]]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """Read, replay, judge.  The reader leaves each post's lowest-terms
+    proof to replay, which compares it with the recomputed post.  Any
+    other refusal waits until `posts` has proven the posts that replay did
+    not compare, so a post out of lowest terms is refused first, as the
+    malformed trace it is."""
     name, judge = _parse_property(args.property)
+    posts = _DeferredPosts()
     try:
-        trace = read_trace_file(args.trace)
+        trace = read_trace_file(args.trace, deferred=posts)
+        try:
+            robogram = resolve_robogram(trace.robogram_name)
+        except ValueError as exc:
+            posts.prove()
+            print(f"cannot replay trace: {exc}", file=sys.stderr)
+            return 2
+        try:
+            replay(trace, robogram)
+        except ReplayMismatchError as exc:
+            posts.prove(exc.round_index)
+            print(f"corrupt trace: {exc}", file=sys.stderr)
+            return 3
+        except ExecutionError as exc:
+            posts.prove(exc.round_index)
+            raise
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
     except TraceFormatError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 2
-    try:
-        robogram = resolve_robogram(trace.robogram_name)
-    except ValueError as exc:
-        print(f"cannot replay trace: {exc}", file=sys.stderr)
-        return 2
-    try:
-        replay(trace, robogram)
-    except ReplayMismatchError as exc:
-        print(f"corrupt trace: {exc}", file=sys.stderr)
-        return 3
 
     verdict = judge(trace)
     report = {"property": name, **verdict.to_json_dict()}

@@ -23,13 +23,17 @@ id -> decimal "num/den" map per table, with its lenient scalar rules; its
 map reader also reads `simulate --init` maps.  The reader keeps the texts
 of one row with their points, so a text that the row before had is not
 parsed again, and one slot tuple per distinct slot pattern of the trace.
+For `check`, which replays what it reads, the reader can leave each post's
+lowest-terms proof to `replay` (`_DeferredPosts`).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import reprlib
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -228,30 +232,45 @@ def _hex_digits(x: int) -> int:
     return ((x.bit_length() + 3) >> 2 or 1) + (x < 0)
 
 
-def _hex_point(text: str) -> Fraction:
+class _Ratio:
+    """An integer pair that `Fraction(r)` takes as it is: the constructor
+    copies a `numbers.Rational`'s numerator and denominator without
+    normalizing them."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_Ratio)
+
+
+def _hex_point(text: str, lowest: bool = True) -> Fraction:
     """The point whose format 2 text is `text`, which must be exactly
     `_hex_text` of it: lowest terms, no leading zero, `0x`, `+`, `_`,
     upper case or whitespace, and `-` only on a nonzero numerator, so no
-    two texts denote one value.  Raises ValueError otherwise.
+    two texts denote one value.  Raises ValueError otherwise, naming the
+    value's text.  Only a refused text is written back.
 
-    The text is proven canonical from the integers it parsed, without
-    writing the value back: `Fraction` keeps the parsed denominator only
-    if it is positive and in lowest terms, and each part is as long as
-    the value's own text.  Every other ASCII text that `int` reads as the
-    same integer is longer (a sign, a leading zero, `0x`, `_` or
-    whitespace), except one in upper case; a non-ASCII digit or space is
-    refused outright.  Only a refused text is written back, for the
-    message."""
+    Without `lowest`, the one conjunct left out is lowest terms: the
+    point holds the parsed integers as they are, and whoever reads it so
+    must prove them in lowest terms before trusting it."""
     num, _, den = text.partition("/")
     if max(len(num.removeprefix("-")), len(den)) > _MAX_HEX_DIGITS:
         raise ValueError(f"invalid scalar: more than {_MAX_HEX_DIGITS} hex digits")
     try:
         n, d = int(num, 16), int(den, 16)
-        point = Fraction(n, d)
+        # `Fraction(n, d)` keeps d only if it is positive and in lowest
+        # terms; a `_Ratio` keeps any d, so it takes only a positive one.
+        point = Fraction(n, d) if lowest or d <= 0 else Fraction(_Ratio(n, d))
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"invalid scalar {reprlib.repr(text)}: expected lowercase hex 'num/den'"
         ) from None
+    # Every other ASCII text that `int` reads as the same integer is longer
+    # (a sign, a leading zero, `0x`, `_` or whitespace), except one in
+    # upper case; a non-ASCII digit or space is refused outright.
     if not (
         point.denominator == d
         and text.isascii()
@@ -261,7 +280,7 @@ def _hex_point(text: str) -> Fraction:
     ):
         raise ValueError(
             f"invalid scalar {reprlib.repr(text)}:"
-            f" this value is written {reprlib.repr(_hex_text(point))}"
+            f" this value is written {reprlib.repr(_hex_text(Fraction(n, d)))}"
         )
     return point
 
@@ -343,6 +362,32 @@ class _TextMemo:
 
     def next_row(self) -> None:
         self.last, self.row = self.row, {}
+
+
+class _DeferredPosts:
+    """The rows of a format 2 trace whose post texts `read_trace` read
+    without their lowest-terms proof (`_hex_point(text, lowest=False)`),
+    for a caller that replays them: `replay` proves a post when it
+    reproduces it, as it compares integer pairs with a normalized post.
+    `prove` proves the rest before any other outcome is reported, so a
+    file is refused as the proving reader refuses it.  Besides the rows,
+    it holds only each row's line number."""
+
+    def __init__(self) -> None:
+        self.lines: list[int] = []  # each row's line; blank lines have none
+        self.rounds: list[TraceRound] = []
+
+    def prove(self, first: int = 0) -> None:
+        """Prove the posts of the rounds from `first` on, in file order;
+        raises the TraceFormatError that `read_trace` raises without this
+        mode at the first post not in lowest terms.  Such a post passed
+        every other check, so `_hex_text` gives back its text."""
+        for lineno, rd in zip(self.lines[first:], self.rounds[first:]):
+            for i, x in enumerate(rd.post.points):
+                try:
+                    _hex_point(_hex_text(x))
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {lineno}: post: point {i}: {exc}") from None
 
 
 def _parse_row(
@@ -454,6 +499,24 @@ def _read_table(
     return cls._table(universe, tuple(values), slots)
 
 
+def _read_deferred(
+    cls: type[_T],
+    universe: RobotUniverse,
+    raw: object,
+    what: str,
+    like: tuple[int, ...],
+    point_of: Callable[[str], Fraction],
+) -> _T:
+    """`_read_table` with a `point_of` that does not prove lowest terms.
+    A refused table is read again with the proof, which refuses it at its
+    first text out of lowest terms if one comes before the defect."""
+    try:
+        return _read_table(cls, universe, raw, what, like, point_of)
+    except TraceFormatError:
+        _read_table(cls, universe, raw, what, like, _hex_point)
+        raise
+
+
 def _read_slots(raw: object, m: int, what: str) -> _Slots:
     """A format 2 slot pattern: m non-bool ints whose distinct values, in
     order of first robot, are 0, 1, ... (so each is in range)."""
@@ -539,9 +602,12 @@ def _shared(table: _T, like: tuple[int, ...], patterns: dict[tuple[int, ...], _S
     return type(table)._table(table.universe, table.points, slots)
 
 
-def read_trace(lines: Iterable[str]) -> Trace:
+def read_trace(lines: Iterable[str], *, deferred: _DeferredPosts | None = None) -> Trace:
     """Parse a JSONL trace, format 2 or, when the header has no "format",
-    format 1; raises TraceFormatError on any defect."""
+    format 1; raises TraceFormatError on any defect.  Every text is proven
+    canonical, lowest terms included, unless `deferred` is given: then a
+    format 2 post text is read without that one proof, and `deferred`
+    holds what its reader needs to give it (`_DeferredPosts`)."""
     it = iter(lines)
     try:
         first = next(it)
@@ -571,37 +637,57 @@ def read_trace(lines: Iterable[str]) -> Trace:
         raise TraceFormatError(f"line 1: {exc}") from exc
     p0 = _shared(p0, (), patterns)
 
+    # Deferred posts have memos of their own: a frame is never recomputed,
+    # so it never takes a point whose lowest terms are not proven.  Format 1
+    # texts are normalized as they are parsed.
+    rounds: list[TraceRound] = []
+    read_post, posts = read_table, texts
+    if not v2:
+        deferred = None
+    if deferred is not None:
+        read_post, posts = _read_deferred, _TextMemo(partial(_hex_point, lowest=False))
+        deferred.rounds = rounds
+
     # Each row is read like the pre-position (p0 for the first row, then the
     # post-position before it), takes the points of the texts that the row
     # before had, and shares each slot pattern with the trace's equal one.
-    rounds, like = [], p0.slots
-    for lineno, line in enumerate(it, start=2):
-        if not line or line.isspace():  # blank, without copying the line
-            continue
-        where = f"line {lineno}"
-        row = _json_object(line, where)
-        _members(row, _ROW, where, v2)
-        if type(row["round"]) is not int:
-            raise TraceFormatError(f"{where}: round must be an integer")
-        if row["round"] != len(rounds):
-            raise TraceFormatError(f"{where}: round index {row['round']} out of order")
-        texts.next_row()
-        try:
-            action = read_table(DemonicAction, universe, row["frames"], "frames", like, texts.point)
-            post = read_table(Position, universe, row["post"], "post", like, texts.point)
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"{where}: {exc}") from exc
-        action, post = _shared(action, like, patterns), _shared(post, like, patterns)
-        rounds.append(TraceRound(len(rounds), action, post))
-        like = post.slots
+    like = p0.slots
+    try:
+        for lineno, line in enumerate(it, start=2):
+            if not line or line.isspace():  # blank, without copying the line
+                continue
+            where = f"line {lineno}"
+            row = _json_object(line, where)
+            _members(row, _ROW, where, v2)
+            if type(row["round"]) is not int:
+                raise TraceFormatError(f"{where}: round must be an integer")
+            if row["round"] != len(rounds):
+                raise TraceFormatError(f"{where}: round index {row['round']} out of order")
+            texts.next_row()
+            if deferred is not None:
+                posts.next_row()
+                deferred.lines.append(lineno)
+            try:
+                action = read_table(DemonicAction, universe, row["frames"], "frames", like, texts.point)
+                post = read_post(Position, universe, row["post"], "post", like, posts.point)
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{where}: {exc}") from exc
+            action, post = _shared(action, like, patterns), _shared(post, like, patterns)
+            rounds.append(TraceRound(len(rounds), action, post))
+            like = post.slots
+    except Exception:
+        # Whatever stopped the read, a deferred post before it comes first.
+        if deferred is not None:
+            deferred.prove()
+        raise
 
     return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))
 
 
-def read_trace_file(path: str) -> Trace:
+def read_trace_file(path: str, *, deferred: _DeferredPosts | None = None) -> Trace:
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return read_trace(fp)
+            return read_trace(fp, deferred=deferred)
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"trace is not UTF-8: {exc}") from exc
 
@@ -609,7 +695,9 @@ def read_trace_file(path: str) -> Trace:
 def replay(trace: Trace, robogram: Robogram) -> None:
     """Re-derive every round from p0 and the stored frames; raises
     ReplayMismatchError at the first stored position that does not match,
-    and ExecutionError, as `execute_prefix` does, if the robogram fails."""
+    and ExecutionError, as `execute_prefix` does, if the robogram fails.
+    A stored position matches only if its points are the recomputed ones
+    as integer pairs, so in lowest terms."""
     stored = trace.rounds
     for rd in _rounds(robogram, lambda i, _: stored[i].action, trace.p0, len(stored)):
         if rd.post != stored[rd.index].post:

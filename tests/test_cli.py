@@ -15,8 +15,9 @@ import lcmsim
 from lcmsim import cli, execution
 from lcmsim.cli import main
 from lcmsim.core import MAX_SCALAR_DIGITS
-from lcmsim.execution import read_trace_file
-from lcmsim.robograms import BUILTIN_SELECTORS, center_of_mass, spectrum_robogram
+from lcmsim.adversary import run_impossibility
+from lcmsim.execution import read_trace_file, write_trace_file
+from lcmsim.robograms import BUILTIN_SELECTORS, center_of_mass, convex, spectrum_robogram
 
 from helpers import dumps_trace_v1
 
@@ -608,6 +609,12 @@ _V2_ROW = '{"round": 0, "frames": {"points": ["1/1", "0/1"], "slots": [0, 1, 1, 
         ('"2/1"', '"2/1/1"', "invalid scalar '2/1/1'"),
         ('"2/1"', '"1.5/1"', "invalid scalar '1.5/1'"),
         ('"2/1"', "2", "line 1: p0: point 2 is 2: expected a hex 'num/den' string"),
+        # the same texts in a post, which `check` reads without the lowest-terms proof
+        ('"post": ["0/1", "1/3", "2/1"', '"post": ["0/1", "1/3", "2/-1"',
+         "line 2: post: point 2: invalid scalar '2/-1': this value is written '-2/1'"),
+        ('"post": ["0/1"', '"post": ["0/5"', "line 2: post: point 0: invalid scalar '0/5': this value is written '0/1'"),
+        ('"post": ["0/1"', '"post": ["-0/1"', "line 2: post: point 0: invalid scalar '-0/1': this value is written '0/1'"),
+        ('"2/1", "-a/7"]}', '"2/1", "-A/7"]}', "line 2: post: point 3: invalid scalar '-A/7': this value is written '-a/7'"),
         ('"2/1"', '"0/1"', "line 1: p0: points must be distinct"),
         # slots: non-bool ints in range, numbered in order of first robot, using every point
         ("[0, 1, 2, 3]", "[0, 1, 2, true]", "line 1: p0: slot true is not an integer"),
@@ -840,3 +847,71 @@ def test_module_invocation_matches_script():
         assert json.loads(proc.stdout)["probe"]["branch"] == "swap-fsync"
         usage = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True)
         assert usage.returncode == 2 and usage.stderr.startswith("usage: lcmsim "), module
+
+
+# The refusal order of `check`: an adversary trace (convex:1/3, n=2, H=40)
+# whose row 20 (line 22) stores its moved point as three times its
+# numerator over three times its denominator, with a second defect or none.
+# The reader meets the line-22 text before any replay, so that refusal is
+# the one reported whatever else is wrong; each second defect alone has its
+# own outcome.  The expected outputs are those of the reader that proves
+# every text as it parses it.
+_MOVED_AT_22 = "29bd87dd5f5f05/4def8a56600000"
+_NON_LOWEST = "7d3897981e1d0f/e9ce9f03200000"
+_REFUSED_AT_22 = (
+    "malformed trace: line 22: post: point 0: invalid scalar"
+    " '7d3897981e1d...9ce9f03200000': this value is written '29bd87dd5f5f...def8a56600000'\n"
+)
+
+
+def _fails_at_round_11():
+    calls = iter(range(12))
+
+    def fails(view):
+        if next(calls) == 11:  # one evaluation per adversary round
+            raise ZeroDivisionError("twelfth evaluation")
+        return third.algo(view)
+
+    third = convex("1/3")
+    return spectrum_robogram(third.name, fails)
+
+
+def _replace(lines, lineno, old, new):
+    assert lines[lineno - 1].count(old) == 1
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "second, alone",
+    [
+        pytest.param(None, None, id="nothing-else"),
+        pytest.param(lambda lines: _replace(lines, 32, '"round": 30, ', ""),
+                     (2, "malformed trace: line 32 is missing 'round'\n"), id="later-row-missing-round"),
+        pytest.param(lambda lines: _replace(lines, 12, '"a78e36d/159fd800"', '"1/7"'),
+                     (3, "corrupt trace: replay mismatch at round 10\n"), id="earlier-wrong-post"),
+        pytest.param(lambda lines: _replace(lines, 1, '"robogram": "convex:1/3"', '"robogram": "nope"'),
+                     (2, "cannot replay trace: unknown robogram selector 'nope'; available: broken-id-leak,"
+                         " center-of-mass, stay, to-max, to-min, to-other-occupied, convex:<num/den>\n"), id="unknown-robogram"),
+        pytest.param("fails", (3, "runtime error: round 11: twelfth evaluation\n"), id="robogram-fails"),
+        pytest.param(lambda lines: _replace(lines, 23, '"-4def8a56600000/1b1ae4d6e2ef5"', f'"{_NON_LOWEST}"'),
+                     (2, "malformed trace: line 23: frames: point 1: invalid scalar"
+                         " '7d3897981e1d...9ce9f03200000': this value is written '29bd87dd5f5f...def8a56600000'\n"), id="non-lowest-text-as-next-factor"),
+    ],
+)
+def test_check_reports_the_first_refusal_in_file_order(tmp_path, capsys, monkeypatch, second, alone):
+    trace = run_impossibility(convex("1/3"), 2, 40).trace
+    path = tmp_path / "t.jsonl"
+    write_trace_file(trace, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    n, d = (int(part, 16) for part in _MOVED_AT_22.split("/"))
+    assert _NON_LOWEST == f"{3 * n:x}/{3 * d:x}"
+    if second == "fails":
+        monkeypatch.setattr(cli, "resolve_robogram", lambda name: _fails_at_round_11())
+    elif second is not None:
+        second(lines)
+    if alone is not None:
+        code, out, err = _run(capsys, "check", _written(tmp_path, "".join(lines)), "--property", "kfair:1")
+        assert (code, out, err) == (alone[0], "", alone[1])
+    _replace(lines, 22, f'"{_MOVED_AT_22}"', f'"{_NON_LOWEST}"')
+    code, out, err = _run(capsys, "check", _written(tmp_path, "".join(lines)), "--property", "kfair:1")
+    assert (code, out, err) == (2, "", _REFUSED_AT_22)

@@ -14,7 +14,8 @@ view's centroid against the mean of its images, `convex` against scaling
 the centroid, and the random k-fair demon against `reference_random_kfair`,
 the set-based demon as it stood before.  The trace reader's format 2 scalar
 rule, which proves a text canonical from the integers it parsed, is checked
-against `reference_hex_point`, the rule that wrote each value back, and
+against `reference_hex_point`, the rule that wrote each value back, and so
+is the same rule without lowest terms, which `check` reads posts by, and
 `check_kfair`, a fold that refines its classes as patterns appear, against
 `reference_check_kfair`, which joined every pattern of the prefix first.
 The sum behind every mean and the move's one normalization are checked
@@ -694,6 +695,26 @@ def reference_hex_point(text):
     return point
 
 
+def reference_unproven_hex_pair(text):
+    """The format 2 scalar rule without lowest terms: the integer pair of a
+    text that is what the writer writes for that pair, with a positive
+    denominator; any other text is refused as `reference_hex_point`
+    refuses it."""
+    try:
+        return reference_hex_point(text).as_integer_ratio()
+    except ValueError as exc:
+        refused = exc
+    num, _, den = text.partition("/")
+    try:
+        n, d = int(num, 16), int(den, 16)
+    except ValueError:
+        raise refused from None
+    within = max(len(num.removeprefix("-")), len(den)) <= execution._MAX_HEX_DIGITS
+    if within and d > 0 and text == f"{n:x}/{d:x}":
+        return n, d
+    raise refused
+
+
 # Decimal digits outside ASCII that `int` reads as 0-9: Arabic-Indic and
 # fullwidth.
 _OTHER_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
@@ -772,3 +793,14 @@ def test_a_hex_text_is_accepted_iff_it_is_what_the_writer_writes(text):
     else:
         got = execution._hex_point(text)
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    # Without the lowest-terms proof, a text is accepted iff the writer
+    # writes it for the integer pair it parses, denominator positive, and
+    # the pair is kept; a refusal reads as the proof's.
+    try:
+        pair = reference_unproven_hex_pair(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            execution._hex_point(text, lowest=False)
+        assert str(refused.value) == str(exc)
+    else:
+        assert execution._hex_point(text, lowest=False).as_integer_ratio() == pair

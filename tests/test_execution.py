@@ -590,3 +590,100 @@ def test_a_robogram_that_mutates_its_view_fails_the_run():
         execute_prefix(spectrum_robogram("grows", grows), make_fsync(p0.universe), p0, 2)
     assert err.value.round_index == 0
     assert isinstance(err.value.__cause__, TypeError)
+
+
+# `check` reads each post without its lowest-terms proof and lets replay's
+# comparison with the recomputed post give it (`_DeferredPosts`).
+
+
+def _texts(table) -> list[str]:
+    return [execution._hex_text(x) for x in table.points]
+
+
+def _proven_texts(monkeypatch) -> list[str]:
+    """The texts that reach the lowest-terms proof from now on."""
+    proven, hex_point = [], execution._hex_point
+
+    def recorded(text, lowest=True):
+        if lowest:
+            proven.append(text)
+        return hex_point(text, lowest)
+
+    monkeypatch.setattr(execution, "_hex_point", recorded)
+    return proven
+
+
+def test_check_proves_lowest_terms_only_for_p0_and_frames(tmp_path, capsys, monkeypatch):
+    trace = run_impossibility(convex("1/3"), 2, 50).trace
+    path = tmp_path / "t.jsonl"
+    write_trace_file(trace, str(path))
+    frames = set(_texts(trace.p0)).union(*(_texts(rd.action) for rd in trace.rounds))
+    posts = set().union(*(_texts(rd.post) for rd in trace.rounds))
+    assert len(posts - frames) == 50  # the moved points, which only posts hold
+    proven = _proven_texts(monkeypatch)
+    assert main(["check", str(path), "--property", "kfair:1"]) == 0
+    assert set(proven) == frames
+    # The library reader still proves every text.
+    proven.clear()
+    assert read_trace(path.read_text().splitlines()) == trace
+    assert set(proven) == frames | posts
+
+
+def test_a_deferred_post_keeps_its_parsed_integers():
+    # `Fraction(r)` takes a `numbers.Rational`'s integers as they are; a
+    # Python that normalized them there would make replay's comparison
+    # prove nothing, and this fails first.
+    point = execution._hex_point("6/c", lowest=False)
+    assert type(point) is Fraction and point.as_integer_ratio() == (6, 12)
+    with pytest.raises(ValueError, match="this value is written '1/2'"):
+        execution._hex_point("6/c")
+
+
+def _thrice(line: str, text: str) -> str:
+    n, d = (int(part, 16) for part in text.split("/"))
+    assert line.count(f'"{text}"') == 1
+    return line.replace(f'"{text}"', f'"{3 * n:x}/{3 * d:x}"')
+
+
+def test_a_deferred_read_refuses_a_non_lowest_frame_even_when_a_post_had_it():
+    # Row 10's post holds its moved point as 3n/3d, and row 11 uses that
+    # text as a factor: frames never take a point from the deferred posts,
+    # so the read is refused, at the post's line, as the library reads it.
+    trace = run_impossibility(convex("1/3"), 2, 40).trace
+    lines = dumps_trace_v2(trace).splitlines()
+    moved = _texts(trace.rounds[10].post)[0]
+    factor = _texts(trace.rounds[11].action)[1]
+    lines[11] = _thrice(lines[11], moved)
+    lines[12] = lines[12].replace(f'"{factor}"', f'"{json.loads(lines[11])["post"][0]}"')
+    with pytest.raises(TraceFormatError) as library:
+        read_trace(lines)
+    assert str(library.value).startswith("line 12: post: point 0: ")
+    with pytest.raises(TraceFormatError) as deferred:
+        read_trace(lines, deferred=execution._DeferredPosts())
+    assert str(deferred.value) == str(library.value)
+
+
+@pytest.mark.parametrize("blank", [0, 3])
+def test_proving_deferred_posts_refuses_as_the_library_reader(blank):
+    # A wrong post at round 5 stops replay there; of the rounds replay did
+    # not compare, the first post out of lowest terms is refused, on its
+    # own line, blank lines counted.
+    trace = run_impossibility(convex("1/3"), 2, 40).trace
+    lines = dumps_trace_v2(trace).splitlines()
+    for r in (30, 20):
+        lines[r + 1] = _thrice(lines[r + 1], _texts(trace.rounds[r].post)[0])
+    lines[6] = lines[6].replace(f'"{_texts(trace.rounds[5].post)[1]}"', '"1/7"')
+    lines[3:3] = [""] * blank
+    with pytest.raises(TraceFormatError) as library:
+        read_trace(lines)
+    assert str(library.value).startswith(f"line {22 + blank}: post: point 0: ")
+    posts = execution._DeferredPosts()
+    read = read_trace(lines, deferred=posts)
+    assert posts.lines == [i + 1 for i, line in enumerate(lines) if i and line]
+    with pytest.raises(ReplayMismatchError) as mismatch:
+        replay(read, convex("1/3"))
+    assert mismatch.value.round_index == 5
+    posts.prove(31)  # rounds 20 and 30 are before the rounds asked for
+    with pytest.raises(TraceFormatError) as proof:
+        posts.prove(mismatch.value.round_index)
+    assert str(proof.value) == str(library.value)

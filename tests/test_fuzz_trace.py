@@ -1,6 +1,9 @@
-"""Fuzz the trace contract of `check`: a trace with one mutated line must
-end in a documented exit code, never in an exception or a traceback, and
-exit 1 ("the property failed") only with a verdict on stdout."""
+"""Fuzz the trace contract of `check`: a trace with one mutated line, or
+with one post out of lowest terms and maybe one more mutated line, must end
+in a documented exit code, never in an exception or a traceback, and exit 1
+("the property failed") only with a verdict on stdout.  Whenever the
+library's `read_trace_file` refuses the file, `check` reports exactly that
+refusal."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
 from lcmsim.core import Position, RobotUniverse
 from lcmsim.demons import make_fsync
-from lcmsim.execution import execute_prefix, write_trace
+from lcmsim.execution import TraceFormatError, execute_prefix, read_trace_file, write_trace
 from lcmsim.robograms import center_of_mass, to_max
 
 from helpers import dumps_trace_v1
@@ -57,12 +60,40 @@ raw_json = st.one_of(
 )
 
 
+def _times(k: int, text: str, base: int) -> str:
+    """`text`, a "num/den" in `base` 16 or 10, as k*num/k*den."""
+    n, d = (int(part, base) for part in text.split("/"))
+    return f"{k * n:x}/{k * d:x}" if base == 16 else f"{k * n}/{k * d}"
+
+
+def _scale_one_post(draw, lines: list[str]) -> None:
+    """Write one post text of a row out of lowest terms, as k*num/k*den for
+    some k >= 2: a value the writer never writes, which `check` refuses
+    only once replay has compared that post."""
+    i = draw(st.integers(1, len(lines) - 1))
+    row = json.loads(lines[i])
+    post, k = row["post"], draw(st.integers(2, 2**70))
+    if isinstance(post, list) or "points" in post:  # format 2
+        points = post if isinstance(post, list) else post["points"]
+        j = draw(st.integers(0, len(points) - 1))
+        points[j] = _times(k, points[j], 16)
+    else:
+        robot = draw(st.sampled_from(sorted(post)))
+        post[robot] = _times(k, post[robot], 10)
+    lines[i] = json.dumps(row) + "\n"
+
+
 @st.composite
 def mutated_traces(draw) -> bytes:
     lines = draw(st.sampled_from(BASES)).splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "splice", "value", "round", "lowest"]))
+    if kind == "lowest":  # and maybe one more defect, before or after it
+        _scale_one_post(draw, lines)
+        kind = draw(st.sampled_from(["truncate", "splice", "value", "round", "none"]))
+        if kind == "none":
+            return "".join(lines).encode()
     i = draw(st.integers(0, len(lines) - 1))
     line = lines[i]
-    kind = draw(st.sampled_from(["truncate", "splice", "value", "round"]))
     if kind == "truncate":
         cut = draw(st.integers(0, len(line)))
         return "".join(lines[:i] + [line[:cut]]).encode()
@@ -98,6 +129,11 @@ def test_check_of_a_mutated_trace_keeps_the_exit_code_contract(data, prop):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["check", path, "--property", prop])
+        try:
+            read_trace_file(path)
+        except TraceFormatError as exc:
+            # `check` reports the reader's refusal, whatever else is wrong
+            assert (code, err.getvalue()) == (2, f"malformed trace: {exc}\n")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 1:
