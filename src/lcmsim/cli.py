@@ -28,7 +28,7 @@ from .execution import (
     TraceFormatError,
     _DeferredPosts,
     _loads,
-    _parse_row,
+    _parse_init_map,
     execute_prefix,
     read_trace_file,
     replay,
@@ -114,9 +114,9 @@ def _parse_init(text: str, universe: RobotUniverse) -> Position:
             return Position.from_piles(universe, parse_scalar(parts[1]), parse_scalar(parts[2]))
         raw = _loads(text)
         if isinstance(raw, dict):
-            return _parse_row(Position, universe, raw, "--init")
+            return _parse_init_map(universe, raw)
     # ValueError: bad JSON, too many digits or a malformed map (TraceFormatError
-    # from the trace's own row reader); RecursionError: nested too deep.
+    # from the map reader); RecursionError: nested too deep.
     except (ValueError, RecursionError) as exc:
         raise UsageError(f"bad initial position: {exc}") from exc
     raise UsageError("initial position must be bivalent:<a>:<b> or a JSON object id -> scalar")

@@ -55,12 +55,13 @@ class EmptyUniverse(ValueError):
     """A universe was asked for with fewer than one robot per pile."""
 
 
-# Longest numerator or denominator `parse_scalar` accepts, in decimal digits.
-# CPython refuses int <-> str conversions past 4300 digits by default (a guard
-# against quadratic-time inputs); denominators grow by a constant number of
-# digits per round, so a trace outgrows that limit at horizon 9k-14k.  Scalars
-# are converted piecewise instead, which leaves the interpreter-wide limit
-# alone, up to this explicit bound: about 100k rounds of `convex:1/3`.
+# Longest numerator or denominator `parse_scalar` accepts in a `--init` map or
+# a command-line value, in decimal digits.  CPython refuses int <-> str
+# conversions past 4300 digits by default (a guard against quadratic-time
+# inputs); denominators grow by a constant number of digits per round, so a
+# position outgrows that limit at horizon 9k-14k.  Scalars are converted
+# piecewise instead, which leaves the interpreter-wide limit alone, up to this
+# explicit bound: about 100k rounds of `convex:1/3`.
 MAX_SCALAR_DIGITS = 100_000
 
 
@@ -449,15 +450,13 @@ class _Table:
         return tuple(map(self.points.__getitem__, self.slots))
 
     def __eq__(self, other: object) -> bool:
-        """Equal slot patterns, equal universes (by identity first), then
-        each pair of points as integer pairs, without `Fraction.__eq__`'s
-        dispatch.  Canonical tables with equal patterns hold as many
-        points."""
+        """Equal slot patterns, then each pair of points as integer pairs,
+        without `Fraction.__eq__`'s dispatch.  A pattern has one slot per
+        robot, so equal patterns are of equal universes, and canonical
+        tables with equal patterns hold as many points."""
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.slots != other.slots:
-            return False
-        if self.universe is not other.universe and self.universe != other.universe:
             return False
         for x, y in zip(self.points, other.points):
             if x.as_integer_ratio() != y.as_integer_ratio():

@@ -18,11 +18,11 @@ only the points when the slots are the pre-position's.  So a round on
 stacked piles is O(points) in IO too, and hex converts in linear time; a
 point that the row before held as the same object keeps that row's text.
 Every value has exactly one accepted text, and the reader accepts only what
-the writer writes.  `read_trace` also reads the unversioned format 1, one
-id -> decimal "num/den" map per table, with its lenient scalar rules; its
-map reader also reads `simulate --init` maps.  The reader keeps the texts
-of one row with their points, so a text that the row before had is not
-parsed again, and one slot tuple per distinct slot pattern of the trace.
+the writer writes: a header without its format version is refused.  The
+reader keeps the texts of one row with their points, so a text that the
+row before had is not parsed again, and one slot tuple per distinct slot
+pattern of the trace.  `simulate --init` maps, id -> decimal "num/den", are
+read by a map reader of their own.
 For `check`, which replays what it reads, the reader can leave each post's
 lowest-terms proof to `replay` (`_DeferredPosts`).
 """
@@ -210,7 +210,7 @@ def execute_prefix(robogram: Robogram, demon: Demon, p0: Position, horizon: int)
     return Trace(robogram.name, demon.name, p0, tuple(_rounds(robogram, demon.action, p0, horizon)))
 
 
-# The format `write_trace` writes.  An unversioned header is format 1.
+# The format `write_trace` writes, and the one `read_trace` reads.
 _FORMAT = 2
 
 # Longest hex numerator or denominator a format 2 scalar may have: the
@@ -342,9 +342,9 @@ def write_trace_file(trace: Trace, path: str) -> None:
 class _TextMemo:
     """The scalar texts of the trace row being read, each with its point.
     A text that this row or the row before already had takes its point
-    from there instead of being parsed again by `parse` (`parse_scalar`
-    for format 1, `_hex_point` for format 2); `next_row` forgets all but
-    the row just read, so memory stays at one row."""
+    from there instead of being parsed again by `parse` (`_hex_point`, or
+    for deferred posts `_hex_point` without lowest terms); `next_row`
+    forgets all but the row just read, so memory stays at one row."""
 
     def __init__(self, parse: Callable[[str], Fraction]) -> None:
         self.parse = parse
@@ -365,7 +365,7 @@ class _TextMemo:
 
 
 class _DeferredPosts:
-    """The rows of a format 2 trace whose post texts `read_trace` read
+    """The rows of a trace whose post texts `read_trace` read
     without their lowest-terms proof (`_hex_point(text, lowest=False)`),
     for a caller that replays them: `replay` proves a post when it
     reproduces it, as it compares integer pairs with a normalized post.
@@ -390,42 +390,31 @@ class _DeferredPosts:
                     raise TraceFormatError(f"line {lineno}: post: point {i}: {exc}") from None
 
 
-def _parse_row(
-    cls: type[_T],
-    universe: RobotUniverse,
-    raw: object,
-    what: str,
-    like: tuple[int, ...] = (),
-    point_of: Callable[[str], Fraction] = parse_scalar,
-) -> _T:
-    """One id -> "num/den" map, a trace row or a `simulate --init` map, as a
-    `cls` table (a Position or a DemonicAction), built like the slot tuple
-    `like` (`tabulate_keys`).  The keys must be exactly the universe's
-    canonical names ("L0", not "L00" or " L0 ").  Texts equal in value
-    ("1/2", "2/4") share a point, and `point_of` (`parse_scalar`, or a
-    `_TextMemo`'s) runs once per distinct text, in order of its first
-    robot.  Raises TraceFormatError on any defect: the size is checked
-    first, then every id, then the texts."""
-    if not isinstance(raw, dict):
-        raise TraceFormatError(f"{what} must be an object of id -> scalar")
-    # Checked first: a short map under a header with a huge n must not make
-    # the universe build its ids.
+def _parse_init_map(universe: RobotUniverse, raw: dict) -> Position:
+    """A `simulate --init` map, id -> decimal "num/den" (`parse_scalar`),
+    as a Position.  The keys must be exactly the universe's canonical names
+    ("L0", not "L00" or " L0 ").  Texts equal in value ("1/2", "2/4")
+    share a point, and each distinct text is parsed once, in order of its
+    first robot (`tabulate_keys`).  Raises TraceFormatError on any defect:
+    the size is checked first, then every id, then the texts."""
+    # Checked first: a short map under a huge n must not make the universe
+    # build its ids.
     if len(raw) != universe.m:
-        raise TraceFormatError(f"{what} does not cover the universe exactly")
+        raise TraceFormatError("--init does not cover the universe exactly")
     names = universe.places_by_name
     # The reader refuses a repeated key (`_loads`), so m known names cover
     # the universe.
     if raw.keys() != names.keys():
         key = next(k for k in raw if k not in names)
         raise TraceFormatError(
-            f"{what} has unknown robot id {key!r}: expected L<i> or R<i>"
+            f"--init has unknown robot id {key!r}: expected L<i> or R<i>"
             f" with 0 <= i < {universe.pile_size}, no sign, space or leading zero"
         )
     try:
-        table = tabulate_keys(map(raw.__getitem__, names), point_of, like)
+        table = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
     except (ValueError, TypeError) as exc:
-        raise TraceFormatError(f"bad {what}: {_refused_value(raw, names, exc)}") from exc
-    return cls._table(universe, *table)
+        raise TraceFormatError(f"bad --init: {_refused_value(raw, names, exc)}") from exc
+    return Position._table(universe, *table)
 
 
 def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
@@ -460,19 +449,20 @@ def _read_table(
     what: str,
     like: tuple[int, ...],
     point_of: Callable[[str], Fraction],
+    patterns: dict[tuple[int, ...], _Slots],
 ) -> _T:
-    """One format 2 table as a `cls` table (a Position or a DemonicAction):
-    a list of points whose slots are `like`, the pre-position's slots (p0
-    has none), or an object of points and slots whose slots are not `like`.
+    """One table as a `cls` table (a Position or a DemonicAction): a list
+    of points whose slots are `like`, the pre-position's slots (p0 has
+    none), or an object of points and slots whose slots are not `like`.
     The points must be distinct canonical hex texts, each read by
-    `point_of` (a `_TextMemo`'s), and the slots non-bool ints, one per
-    robot, numbered 0, 1, ... in order of first robot and using every
-    point: the table as the writer held it, so it is kept as it is read.
-    Raises TraceFormatError, naming `what`, on any defect."""
+    `point_of` (a `_TextMemo`'s), and the slots a pattern that
+    `_read_slots` accepts, using every point: the table as the writer held
+    it, so it is kept as it is read.  Raises TraceFormatError, naming
+    `what`, on any defect."""
     if isinstance(raw, list) and like:
         points, slots = raw, like
     elif isinstance(raw, dict) and raw.keys() == {"points", "slots"}:
-        points, slots = raw["points"], _read_slots(raw["slots"], universe.m, what)
+        points, slots = raw["points"], _read_slots(raw["slots"], universe.m, what, patterns)
         if slots == like:
             raise TraceFormatError(
                 f"{what}: its slots are the pre-position's, so only its points are written"
@@ -506,31 +496,44 @@ def _read_deferred(
     what: str,
     like: tuple[int, ...],
     point_of: Callable[[str], Fraction],
+    patterns: dict[tuple[int, ...], _Slots],
 ) -> _T:
     """`_read_table` with a `point_of` that does not prove lowest terms.
     A refused table is read again with the proof, which refuses it at its
     first text out of lowest terms if one comes before the defect."""
     try:
-        return _read_table(cls, universe, raw, what, like, point_of)
+        return _read_table(cls, universe, raw, what, like, point_of, patterns)
     except TraceFormatError:
-        _read_table(cls, universe, raw, what, like, _hex_point)
+        _read_table(cls, universe, raw, what, like, _hex_point, patterns)
         raise
 
 
-def _read_slots(raw: object, m: int, what: str) -> _Slots:
-    """A format 2 slot pattern: m non-bool ints whose distinct values, in
-    order of first robot, are 0, 1, ... (so each is in range)."""
+def _read_slots(raw: object, m: int, what: str, patterns: dict[tuple[int, ...], _Slots]) -> _Slots:
+    """A slot pattern: m non-bool ints whose distinct values, in order of
+    first robot, are 0, 1, ... (so each is in range).  It is the trace's
+    one pattern equal to it, looked up in `patterns`, the trace's patterns
+    so far, and kept there when new: only a new pattern is scanned for its
+    numbering and counted (`_Slots`)."""
     if not isinstance(raw, list):
         raise TraceFormatError(f"{what}: slots must be a list")
     if len(raw) != m:
         raise TraceFormatError(f"{what}: {len(raw)} slots for {m} robots")
-    if set(map(type, raw)) != {int}:  # bool is not int here
+    # bool is not int here, and this comes before the lookup, where [0, true]
+    # would find the pattern (0, 1).
+    if set(map(type, raw)) != {int}:
         bad = next(s for s in raw if type(s) is not int)
         raise TraceFormatError(f"{what}: slot {_shown(bad)} is not an integer")
-    firsts = tuple(dict.fromkeys(raw))
-    if firsts != tuple(range(len(firsts))):
-        raise TraceFormatError(f"{what}: slots must be numbered 0, 1, ... in order of first robot")
-    return _Slots(raw)
+    key = tuple(raw)
+    slots = patterns.get(key)
+    if slots is None:
+        firsts = tuple(dict.fromkeys(key))
+        if firsts != tuple(range(len(firsts))):
+            raise TraceFormatError(
+                f"{what}: slots must be numbered 0, 1, ... in order of first robot"
+            )
+        slots = _Slots(key)
+        patterns[slots] = slots
+    return slots
 
 
 def _unique_members(pairs: list[tuple[str, object]]) -> dict:
@@ -572,85 +575,63 @@ def _json_object(text: str, where: str) -> dict:
     return obj
 
 
-def _members(obj: dict, fields: tuple[str, ...], where: str, exact: bool) -> None:
-    """Refuse a line missing one of `fields`, or, when `exact` (format 2
-    has no optional members), holding any other."""
+def _members(obj: dict, fields: tuple[str, ...], where: str) -> None:
+    """Refuse a line missing one of `fields` or holding any other: no
+    member is optional."""
     for field_name in fields:
         if field_name not in obj:
             raise TraceFormatError(f"{where} is missing {field_name!r}")
-    if exact and len(obj) != len(fields):
+    if len(obj) != len(fields):
         extra = next(k for k in obj if k not in fields)
         raise TraceFormatError(f"{where} has unexpected key {extra!r}")
 
 
-_HEADER_V1 = ("robogram", "demon", "n", "p0")
-_HEADER_V2 = ("format", "lcmsim") + _HEADER_V1
+_HEADER = ("format", "lcmsim", "robogram", "demon", "n", "p0")
 _ROW = ("round", "frames", "post")
 
 
-def _shared(table: _T, like: tuple[int, ...], patterns: dict[tuple[int, ...], _Slots]) -> _T:
-    """`table` on the trace's one slot pattern equal to its slots.  A table
-    built like its pre-position on equal slots has that pattern already
-    (`like`); any other slots are looked up in `patterns`, the trace's
-    patterns so far, and kept there when new, so only a row that wrote
-    its slots pays a hash of them."""
-    if table.slots is like:
-        return table
-    slots = patterns.setdefault(table.slots, table.slots)
-    if slots is table.slots:
-        return table
-    return type(table)._table(table.universe, table.points, slots)
-
-
 def read_trace(lines: Iterable[str], *, deferred: _DeferredPosts | None = None) -> Trace:
-    """Parse a JSONL trace, format 2 or, when the header has no "format",
-    format 1; raises TraceFormatError on any defect.  Every text is proven
-    canonical, lowest terms included, unless `deferred` is given: then a
-    format 2 post text is read without that one proof, and `deferred`
-    holds what its reader needs to give it (`_DeferredPosts`)."""
+    """Parse a JSONL trace of the format `write_trace` writes; raises
+    TraceFormatError on any defect.  Every text is proven canonical,
+    lowest terms included, unless `deferred` is given: then a post text is
+    read without that one proof, and `deferred` holds what its reader
+    needs to give it (`_DeferredPosts`)."""
     it = iter(lines)
     try:
         first = next(it)
     except StopIteration:
         raise TraceFormatError("empty trace file") from None
     header = _json_object(first, "header")
-    v2 = "format" in header
-    _members(header, _HEADER_V2 if v2 else _HEADER_V1, "header", v2)
+    _members(header, _HEADER, "header")
     # `type(...) is int`, not isinstance: JSON true/false load as bool, an int.
-    if v2:
-        if type(header["format"]) is not int or header["format"] != _FORMAT:
-            raise TraceFormatError(
-                f"header format {_shown(header['format'])} is not supported: this reader"
-                f" reads format {_FORMAT}, and format 1, which has no format key"
-            )
-        if not all(type(header[key]) is str for key in ("lcmsim", "robogram", "demon")):
-            raise TraceFormatError("header lcmsim, robogram and demon must be strings")
+    if type(header["format"]) is not int or header["format"] != _FORMAT:
+        raise TraceFormatError(
+            f"header format {_shown(header['format'])} is not supported:"
+            f" this reader reads format {_FORMAT}"
+        )
+    if not all(type(header[key]) is str for key in ("lcmsim", "robogram", "demon")):
+        raise TraceFormatError("header lcmsim, robogram and demon must be strings")
     if type(header["n"]) is not int or header["n"] < 1:
         raise TraceFormatError("header n must be an integer >= 1")
     universe = RobotUniverse(header["n"])
-    read_table = _read_table if v2 else _parse_row
-    texts = _TextMemo(_hex_point if v2 else parse_scalar)
+    texts = _TextMemo(_hex_point)
     patterns: dict[tuple[int, ...], _Slots] = {}
     try:
-        p0 = read_table(Position, universe, header["p0"], "p0", (), texts.point)
+        p0 = _read_table(Position, universe, header["p0"], "p0", (), texts.point, patterns)
     except TraceFormatError as exc:
         raise TraceFormatError(f"line 1: {exc}") from exc
-    p0 = _shared(p0, (), patterns)
 
     # Deferred posts have memos of their own: a frame is never recomputed,
-    # so it never takes a point whose lowest terms are not proven.  Format 1
-    # texts are normalized as they are parsed.
+    # so it never takes a point whose lowest terms are not proven.
     rounds: list[TraceRound] = []
-    read_post, posts = read_table, texts
-    if not v2:
-        deferred = None
+    read_post, posts = _read_table, texts
     if deferred is not None:
         read_post, posts = _read_deferred, _TextMemo(partial(_hex_point, lowest=False))
         deferred.rounds = rounds
 
     # Each row is read like the pre-position (p0 for the first row, then the
-    # post-position before it), takes the points of the texts that the row
-    # before had, and shares each slot pattern with the trace's equal one.
+    # post-position before it) and takes the points of the texts that the
+    # row before had; every slot pattern is the trace's one equal pattern.
     like = p0.slots
     try:
         for lineno, line in enumerate(it, start=2):
@@ -658,7 +639,7 @@ def read_trace(lines: Iterable[str], *, deferred: _DeferredPosts | None = None) 
                 continue
             where = f"line {lineno}"
             row = _json_object(line, where)
-            _members(row, _ROW, where, v2)
+            _members(row, _ROW, where)
             if type(row["round"]) is not int:
                 raise TraceFormatError(f"{where}: round must be an integer")
             if row["round"] != len(rounds):
@@ -668,11 +649,14 @@ def read_trace(lines: Iterable[str], *, deferred: _DeferredPosts | None = None) 
                 posts.next_row()
                 deferred.lines.append(lineno)
             try:
-                action = read_table(DemonicAction, universe, row["frames"], "frames", like, texts.point)
-                post = read_post(Position, universe, row["post"], "post", like, posts.point)
+                action = _read_table(
+                    DemonicAction, universe, row["frames"], "frames", like, texts.point, patterns
+                )
+                post = read_post(
+                    Position, universe, row["post"], "post", like, posts.point, patterns
+                )
             except TraceFormatError as exc:
                 raise TraceFormatError(f"{where}: {exc}") from exc
-            action, post = _shared(action, like, patterns), _shared(post, like, patterns)
             rounds.append(TraceRound(len(rounds), action, post))
             like = post.slots
     except Exception:
@@ -681,7 +665,7 @@ def read_trace(lines: Iterable[str], *, deferred: _DeferredPosts | None = None) 
             deferred.prove()
         raise
 
-    return Trace(str(header["robogram"]), str(header["demon"]), p0, tuple(rounds))
+    return Trace(header["robogram"], header["demon"], p0, tuple(rounds))
 
 
 def read_trace_file(path: str, *, deferred: _DeferredPosts | None = None) -> Trace:

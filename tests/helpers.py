@@ -1,7 +1,8 @@
 """Test-only builders: a demon that replays a fixed schedule, a random
 nonzero scalar for frame factors, `convex` computed as it was before
 framed views were built on demand, and reference renderings of a trace in
-both file formats, one `json.dumps` per line."""
+format 2, the one `write_trace` writes and `read_trace` reads, and in the
+old format 1, one `json.dumps` per line."""
 
 from __future__ import annotations
 
@@ -64,7 +65,9 @@ def _lines(dicts) -> str:
 
 def dumps_trace_v1(trace: Trace) -> str:
     """Format 1, as `write_trace` wrote it before format 2: no version keys,
-    each table a name -> decimal "num/den" map.  `read_trace` still reads it."""
+    each table a name -> decimal "num/den" map.  `read_trace` no longer
+    reads it; it is kept only to render the content digests that
+    `test_parity.py` recorded in it."""
 
     def table(t):
         text = [format_scalar(x) for x in t.points]

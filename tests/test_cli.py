@@ -16,10 +16,8 @@ from lcmsim import cli, execution
 from lcmsim.cli import main
 from lcmsim.core import MAX_SCALAR_DIGITS
 from lcmsim.adversary import run_impossibility
-from lcmsim.execution import read_trace_file, write_trace_file
+from lcmsim.execution import TraceFormatError, read_trace, read_trace_file, write_trace_file
 from lcmsim.robograms import BUILTIN_SELECTORS, center_of_mass, convex, spectrum_robogram
-
-from helpers import dumps_trace_v1
 
 
 def _run(capsys, *argv):
@@ -266,15 +264,6 @@ def test_check_rejects_bad_inputs(tmp_path, capsys):
     code, *_ = _run(capsys, "check", str(foreign), "--property", "will-gather")
     assert code == 2
 
-    # a scalar past the documented digit bound is a malformed trace
-    huge = tmp_path / "huge.jsonl"
-    header = {"robogram": "stay", "demon": "fsync", "n": 1,
-              "p0": {"L0": "0/1", "R0": "1" * (MAX_SCALAR_DIGITS + 1)}}
-    huge.write_text(json.dumps(header) + "\n")
-    code, out, err = _run(capsys, "check", str(huge), "--property", "always-split")
-    assert code == 2 and out == ""
-    assert _one_line(err) and f"more than {MAX_SCALAR_DIGITS} digits" in err
-
 
 def test_check_detects_corrupt_trace(tmp_path, capsys):
     out_path = tmp_path / "t.jsonl"
@@ -282,18 +271,15 @@ def test_check_detects_corrupt_trace(tmp_path, capsys):
         capsys, "simulate", "--robogram", "center-of-mass", "--demon", "fsync",
         "--n", "1", "--horizon", "3", "--out", str(out_path),
     )
-    # Round 1 (line 3) stores the gathered point 1/2, in either format.
-    v2 = out_path.read_text()
-    v1 = dumps_trace_v1(read_trace_file(str(out_path)))
-    for text, stored in ((v1, '"L0": "1/2"'), (v2, '"post": ["1/2"]')):
-        lines = text.splitlines()
-        assert stored in lines[2]
-        lines[2] = lines[2].replace(stored, stored.replace("1/2", "1/3"))
-        corrupt = tmp_path / "corrupt.jsonl"
-        corrupt.write_text("\n".join(lines) + "\n")
-        code, _, err = _run(capsys, "check", str(corrupt), "--property", "will-gather")
-        assert code == 3
-        assert "round 1" in err
+    # Round 1 (line 3) stores the gathered point 1/2.
+    lines = out_path.read_text().splitlines()
+    assert '"post": ["1/2"]' in lines[2]
+    lines[2] = lines[2].replace('"post": ["1/2"]', '"post": ["1/3"]')
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text("\n".join(lines) + "\n")
+    code, _, err = _run(capsys, "check", str(corrupt), "--property", "will-gather")
+    assert code == 3
+    assert "round 1" in err
 
 
 def test_check_exits_3_when_the_robogram_fails_in_replay(tmp_path, capsys, monkeypatch):
@@ -506,6 +492,12 @@ def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
         (("--init", '{"L0": true, "R0": "1/1"}'), "bad --init: L0 has true: expected a 'num/den'"),
         # a repeated id is refused by name, not read as its last value
         (("--init", '{"L0": "0/1", "R0": "1/1", "L0": "1/1"}'), "bad initial position: repeated key 'L0'"),
+        # a bad text is refused by robot, and a map must cover the universe
+        (("--init", '{"L0": "0/1", "R0": "x"}'), "bad --init: R0 has invalid scalar 'x'"),
+        (("--init", '{"L0": "0/1", "R0": "1/0"}'), "bad --init: R0 has invalid scalar '1/0': zero denominator"),
+        (("--init", '{"L0": "0/1", "R0": "%s"}' % ("1" * (MAX_SCALAR_DIGITS + 1))),
+         f"bad --init: R0 has invalid scalar: more than {MAX_SCALAR_DIGITS} digits"),
+        (("--init", '{"L0": "0/1"}'), "bad initial position: --init does not cover the universe exactly"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):
@@ -516,16 +508,16 @@ def test_simulate_rejects_malformed_flags(capsys, flags, message):
 
 
 def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
-    # Format 1, which the reader still reads with its own rules.
     out_path = tmp_path / "t.jsonl"
     _run(
         capsys, "simulate", "--robogram", "stay", "--demon", "fsync",
         "--n", "1", "--horizon", "2", "--out", str(out_path),
     )
-    text = dumps_trace_v1(read_trace_file(str(out_path)))
+    text = out_path.read_text()
     assert _run(capsys, "check", _written(tmp_path, text), "--property", "kfair:1")[0] == 0
     lines = text.splitlines(keepends=True)
     head, row = "".join(lines[:2]), lines[2]  # row: round 1, on line 3
+    assert row == '{"round": 1, "frames": {"points": ["1/1"], "slots": [0, 0]}, "post": ["0/1", "1/1"]}\n'
     deep, long = "[" * 200000 + "]" * 200000, "1" * 5000
     for mangled, needle in (
         (text.replace('"n": 1', '"n": true'), "header n"),
@@ -534,44 +526,25 @@ def test_check_rejects_json_booleans_in_trace(tmp_path, capsys):
         (text.replace('"n": 1', f'"n": {long}'), "header is not JSON"),
         (text.replace('"round": 0', f'"round": {deep}'), "line 2 is not JSON"),
         (text.replace('"round": 0', f'"round": {long}'), "line 2 is not JSON"),
-        # only canonical robot ids are read, and the refusal names the key
-        (text.replace('"L0"', '"L00"', 1), "line 1: p0 has unknown robot id 'L00'"),
-        (text.replace('"frames": {"L0"', '"frames": {" L0 "'), "line 2: frames has unknown robot id ' L0 '"),
-        # a bad value is refused with its line and the robot that holds it
-        (head + row.replace('"R0": "1/1"', '"R0": "x"', 1), "line 3: bad frames: R0 has invalid scalar 'x'"),
-        (head + row.replace('"L0": "0/1"', '"L0": [1]', 1), "line 3: bad post: L0 has [1]"),
-        (text.replace('"R0": "1/1"', '"R0": "1/0"', 1), "line 1: bad p0: R0 has invalid scalar '1/0'"),
-        (text.replace('"L0": "0/1"', '"L0": null', 1), "line 1: bad p0: L0 has null"),
-        (text.replace('"p0": {', '"p0": {"L1": "0/1", ', 1), "line 1: p0 does not cover"),
+        # a bad value is refused with its line, its table and its point
+        (head + row.replace('["1/1"]', '["x"]', 1), "line 3: frames: point 0: invalid scalar 'x'"),
+        (head + row.replace('["0/1"', '[[1]', 1), "line 3: post: point 0 is [1]"),
+        (text.replace('"1/1"]', '"1/0"]', 1), "line 1: p0: point 1: invalid scalar '1/0'"),
+        (text.replace('["0/1"', "[null", 1), "line 1: p0: point 0 is null"),
+        (text.replace('"slots": [0, 1]', '"slots": [0, 1, 1]', 1), "line 1: p0: 3 slots for 2 robots"),
         # json.loads keeps a repeated key's last value; the reader names the key
-        (text.replace('"p0": {', '"p0": {"R0": "0/0", ', 1), "header: repeated key 'R0'"),
-        (head + row.replace('"frames": {', '"frames": {"R0": [1, 2], '), "line 3: repeated key 'R0'"),
-        (head + row.replace('"post": {', '"post": {"L0": "banana", '), "line 3: repeated key 'L0'"),
+        (text.replace('"p0": {', '"p0": {"slots": [0], ', 1), "header: repeated key 'slots'"),
+        (head + row.replace('"frames": {', '"frames": {"points": [1, 2], '), "line 3: repeated key 'points'"),
         (head + row.replace('{"round": 1', '{"round": "x", "round": 1'), "line 3: repeated key 'round'"),
         # the reader's one decoder refuses what json.loads refuses, as it does
         ("\ufeff" + text, "header is not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         (head + "\ufeff" + row, "line 3 is not JSON: Unexpected UTF-8 BOM"),
-        (head + row.replace("}}", "}} {}", 1), "line 3 is not JSON: Extra data"),
+        (head + row.replace("]}\n", "]} {}\n"), "line 3 is not JSON: Extra data"),
     ):
+        assert mangled != text
         code, out, err = _run(capsys, "check", _written(tmp_path, mangled), "--property", "kfair:1")
         assert code == 2 and not out
         assert _one_line(err) and needle in err
-
-
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_a_v1_rendering_checks_as_its_v2_file(tmp_path, capsys, n):
-    # An adversary run (list tables) and a random 1-fair run (mostly tables
-    # of points and slots) of every built-in selector.
-    selectors = [s for s in BUILTIN_SELECTORS if "<" not in s] + ["convex:1/3", "convex:-1/2", "convex:2"]
-    v1, v2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
-    for selector in selectors:
-        for run in (("adversary",), ("simulate", "--demon", f"random-kfair:1:{n}")):
-            _run(capsys, *run, "--robogram", selector, "--n", str(n), "--horizon", "12", "--out", str(v2))
-            v1.write_text(dumps_trace_v1(read_trace_file(str(v2))))
-            for prop in ("kfair:0", "kfair:1", "always-split", "will-gather"):
-                checked = [_run(capsys, "check", str(path), "--property", prop) for path in (v1, v2)]
-                assert checked[0] == checked[1], (selector, run, prop)
-                assert checked[0][0] in (0, 1) and checked[0][1], (selector, run, prop)
 
 
 def _written(tmp_path, text: str) -> str:
@@ -639,8 +612,7 @@ _V2_ROW = '{"round": 0, "frames": {"points": ["1/1", "0/1"], "slots": [0, 1, 1, 
         ('"format": 2', '"format": 3', "header format 3 is not supported"),
         ('"format": 2', '"format": 1', "header format 1 is not supported"),
         ('"format": 2', '"format": true', "header format true is not supported"),
-        # without a format key the header is format 1, whose reader refuses the tables
-        ('"format": 2, ', "", "line 1: p0 does not cover the universe exactly"),
+        ('"format": 2, ', "", "header is missing 'format'"),
         ('"lcmsim": "%s"' % lcmsim.__version__, '"lcmsim": 1', "header lcmsim, robogram and demon must be strings"),
         ('"robogram": "stay"', '"robogram": null', "header lcmsim, robogram and demon must be strings"),
         ('"n": 2,', '"n": 2, "seed": 1,', "header has unexpected key 'seed'"),
@@ -662,6 +634,25 @@ def test_check_rejects_malformed_v2_traces(tmp_path, capsys, old, new, needle):
     code, out, err = _run(capsys, "check", _written(tmp_path, text.replace(old, new, 1)), "--property", "kfair:1")
     assert code == 2 and not out
     assert _one_line(err) and err.startswith("malformed trace: ") and needle in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"format": 2, ', "", "header is missing 'format'"),
+        ('"format": 2', '"format": 1', "header format 1 is not supported: this reader reads format 2"),
+    ],
+    ids=["unversioned", "format-1"],
+)
+def test_only_format_2_is_read(tmp_path, capsys, old, new, message):
+    # Format 1, written before format 2, had no format key; it is not read.
+    text = (_V2_HEAD % lcmsim.__version__ + _V2_ROW).replace(old, new, 1)
+    with pytest.raises(TraceFormatError) as exc:
+        read_trace(text.splitlines())
+    assert str(exc.value) == message
+    assert _run(capsys, "check", _written(tmp_path, text), "--property", "kfair:1") == (
+        2, "", f"malformed trace: {message}\n"
+    )
 
 
 def test_check_refuses_a_v2_scalar_past_the_digit_bound(tmp_path, capsys):

@@ -26,6 +26,7 @@ from lcmsim.core import (
     spectrum,
     tabulate_keys,
 )
+from lcmsim.demons import DemonicAction
 from lcmsim.sampling import random_permutation, random_position, random_scalar
 
 
@@ -212,6 +213,17 @@ def test_position_map_and_equality():
     assert q == Position.from_piles(u, 1, 2)
     assert q != p
     assert p == Position.from_piles(u, 0, 1)
+
+
+def test_a_table_equals_only_a_table_of_its_own_kind_and_universe():
+    u = RobotUniverse(1)
+    p = Position.from_piles(u, 0, 1)
+    action = DemonicAction._table(u, p.points, p.slots)
+    assert p != action and action != p
+    assert p != 5 and p.__eq__(5) is NotImplemented
+    # a pattern has one slot per robot, so equal patterns are of one universe
+    two = Position.from_piles(RobotUniverse(2), 0, 1)
+    assert p != two and p.slots != two.slots
 
 
 def test_tabulate_keys_reuses_an_equal_slot_tuple():

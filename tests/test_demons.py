@@ -335,6 +335,16 @@ def test_random_kfair_is_deterministic_per_seed():
     assert one != other
 
 
+@pytest.mark.parametrize(
+    "k, factor, message",
+    [(-1, 1, "fairness budget k must be >= 0"), (1, 0, "factor must be nonzero")],
+)
+def test_random_kfair_refuses_a_negative_budget_and_a_zero_factor(k, factor, message):
+    # The CLI refuses both first; the library refuses them on its own.
+    with pytest.raises(ValueError, match=message):
+        make_random_kfair(RobotUniverse(1), k, factor, seed=0)
+
+
 def test_random_kfair_zero_budget_degenerates_to_all_active():
     u = RobotUniverse(2)
     demon = make_random_kfair(u, 0, 1, seed=9)

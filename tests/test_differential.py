@@ -443,6 +443,7 @@ def _keys_and_counts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_keys_and_counts())
+@example(((Fraction(1, 6), Fraction(1, 4)), (1, 1)))
 def test_the_mean_ratio_is_the_fraction_sum_over_the_lcm_and_the_count(case):
     # `core._mean_ratio` sums in plain loops: its pair is the weighted sum
     # of the keys over the lcm of their denominators, not reduced, and the

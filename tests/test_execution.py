@@ -47,7 +47,7 @@ from lcmsim.robograms import (
 )
 from lcmsim.sampling import random_position, random_scalar
 
-from helpers import dumps_trace_v1, dumps_trace_v2, make_scripted, random_nonzero_scalar
+from helpers import dumps_trace_v2, make_scripted, random_nonzero_scalar
 
 
 def _random_schedule(rng, universe, length):
@@ -199,19 +199,16 @@ def test_trace_file_round_trip(tmp_path):
 
 def test_read_trace_keeps_one_slot_tuple_per_distinct_pattern(tmp_path, capsys):
     # A random k-fair schedule repeats its slot patterns, though not round
-    # after round.  Read back in either format, each distinct pattern is
-    # one tuple, and `check` judges the trace as it judges a copy whose
-    # every table has a tuple of its own.
+    # after round.  Read back, each distinct pattern is one tuple, and
+    # `check` judges the trace as it judges a copy whose every table has a
+    # tuple of its own.
     argv = ["--robogram", "convex:1", "--demon", "random-kfair:1:7", "--n", "8"]
     assert main(["simulate", *argv, "--horizon", "400"]) == 0
     text = capsys.readouterr().out
     read = read_trace(text.splitlines())
-    path = tmp_path / "v1.jsonl"
-    path.write_text(dumps_trace_v1(read))
-    for trace in (read, read_trace_file(str(path))):
-        tables = [trace.p0, *(t for rd in trace.rounds for t in (rd.action, rd.post))]
-        assert len(tables) == 801
-        assert len({id(t.slots) for t in tables}) == len({t.slots for t in tables}) == 395
+    tables = [read.p0, *(t for rd in read.rounds for t in (rd.action, rd.post))]
+    assert len(tables) == 801
+    assert len({id(t.slots) for t in tables}) == len({t.slots for t in tables}) == 395
 
     def unshared(t):
         return type(t)._table(t.universe, t.points, core._Slots(tuple(t.slots)))
@@ -220,14 +217,14 @@ def test_read_trace_keeps_one_slot_tuple_per_distinct_pattern(tmp_path, capsys):
         TraceRound(rd.index, unshared(rd.action), unshared(rd.post)) for rd in read.rounds))
     judges = {f"kfair:{k}": lambda t, k=k: check_kfair(t.actions(), k) for k in (0, 1, 2, 3)}
     judges.update({"always-split": check_always_split, "will-gather": check_will_gather})
-    for source in (text, dumps_trace_v1(read)):
-        path.write_text(source)
-        for name, judge in judges.items():
-            verdict = judge(copy)
-            code = main(["check", str(path), "--property", name])
-            report = json.loads(capsys.readouterr().out)
-            assert code == (0 if verdict.ok else 1)
-            assert report == {"property": name, "horizon": 400, **verdict.to_json_dict()}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    for name, judge in judges.items():
+        verdict = judge(copy)
+        code = main(["check", str(path), "--property", name])
+        report = json.loads(capsys.readouterr().out)
+        assert code == (0 if verdict.ok else 1)
+        assert report == {"property": name, "horizon": 400, **verdict.to_json_dict()}
 
 
 def test_read_trace_shares_one_universe():
@@ -242,25 +239,23 @@ def test_read_trace_shares_one_universe():
         assert rd.action.universe is again.universe and rd.post.universe is again.universe
 
 
-def test_read_trace_parses_repeated_and_non_canonical_strings_each_on_its_own():
-    # A row is parsed once per distinct string; each robot must still get
-    # the value its own string denotes.
+def test_init_parses_repeated_and_non_canonical_strings_each_on_its_own(capsys, monkeypatch):
+    # A `--init` map is parsed once per distinct string; each robot must
+    # still get the value its own string denotes.
     strings = {"L0": "2/4", "L1": "1/2", "L2": "-0/3", "R0": "2/4", "R1": "-0/3", "R2": "7"}
-    header = {"robogram": "stay", "demon": "fsync", "n": 3, "p0": strings}
-    row = {"round": 0, "frames": strings, "post": strings}
-    trace = read_trace([json.dumps(header), json.dumps(row)])
-    u = trace.universe
-    expected = {r: parse_scalar(strings[str(r)]) for r in u.robots}
-    assert trace.p0 == Position(u, expected)
-    assert trace.rounds[0].post == Position(u, expected)
-    assert trace.rounds[0].action == DemonicAction(u, expected)
-    assert trace.p0[u.robots[0]] == Fraction(1, 2) and trace.p0[u.robots[2]] == 0
+    u = RobotUniverse(3)
+    parsed = []
+    monkeypatch.setattr(execution, "parse_scalar", lambda text: parsed.append(text) or parse_scalar(text))
+    p0 = execution._parse_init_map(u, strings)
+    assert parsed == ["2/4", "1/2", "-0/3", "7"]
+    assert p0 == Position(u, {r: parse_scalar(strings[str(r)]) for r in u.robots})
+    assert p0[u.robots[0]] == Fraction(1, 2) and p0[u.robots[2]] == 0
     # "2/4" and "1/2" share one point, and "-0/3" is 0
-    assert trace.rounds[0].action.points == (Fraction(1, 2), 0, 7)
-    # written back, every value is in lowest terms, and equal values are one point
-    buffer = io.StringIO()
-    write_trace(trace, buffer)
-    assert json.loads(buffer.getvalue().splitlines()[0])["p0"] == {
+    assert p0.points == (Fraction(1, 2), 0, 7)
+    # written as a trace's p0, every value is in lowest terms, and equal values are one point
+    argv = ["--robogram", "stay", "--demon", "fsync", "--n", "3", "--horizon", "1"]
+    assert main(["simulate", *argv, "--init", json.dumps(strings)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["p0"] == {
         "points": ["1/2", "0/1", "7/1"], "slots": [0, 0, 1, 0, 1, 2],
     }
 
@@ -283,8 +278,8 @@ def _scattered_init_trace(tmp_path) -> Trace:
 def _oracle_traces(tmp_path) -> dict[str, Trace]:
     u = RobotUniverse(3)
     piles = Position.from_piles(u, 0, 1)
-    # 3**9500 has 4533 digits, past CPython's default int <-> str limit, so
-    # format_scalar converts it piecewise; round-robin moves one robot per
+    # 3**9500 has 4533 decimal digits, past CPython's default int <-> str
+    # limit, which hex text does not have; round-robin moves one robot per
     # round, so each row formats new huge points and takes the rest from
     # the row before.
     huge = Position.from_piles(u, 0, Fraction(1, 3**9500))
@@ -314,8 +309,6 @@ def test_write_trace_matches_json_dumps_byte_for_byte(tmp_path):
         write_trace(trace, buffer)
         assert buffer.getvalue() == dumps_trace_v2(trace), name
         assert read_trace(buffer.getvalue().splitlines()) == trace, name
-        # format 1 still reads to the same trace
-        assert read_trace(dumps_trace_v1(trace).splitlines()) == trace, name
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 50])
@@ -363,76 +356,65 @@ def test_read_trace_writes_back_only_a_refused_text(monkeypatch):
     assert converted == []
 
 
-def _expected_tables(lines: list[str]):
-    """Each row's frames and post, built per robot from its own text."""
-    rows = [json.loads(line) for line in lines]
-    u = RobotUniverse(rows[0]["n"])
-    def parsed(raw):
-        return {r: parse_scalar(raw[str(r)]) for r in u.robots}
-    return [(DemonicAction(u, parsed(row["frames"])), Position(u, parsed(row["post"])))
-            for row in rows[1:]]
-
-
-def _row(frames: dict, post: dict, index: int = 0) -> str:
-    return json.dumps({"round": index, "frames": frames, "post": post})
-
-
-_P0 = {"L0": "1/3", "L1": "1/3", "R0": "5/7", "R1": "5/7"}
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        pytest.param(  # the previous row's texts, under other robots
-            [{"L0": "5/7", "L1": "1/3", "R0": "0/1", "R1": "1/3"},
-             {"L0": "5/7", "L1": "1/3", "R0": "1/3", "R1": "5/7"},
-             {"L0": "1/3", "L1": "5/7", "R0": "5/7", "R1": "0/1"},
-             {"L0": "1/3", "L1": "1/3", "R0": "5/7", "R1": "5/7"}],
-            id="texts-under-other-robots",
-        ),
-        pytest.param(  # equal in value, not in text
-            [{"L0": "1/2", "L1": "1/2", "R0": "1/2", "R1": "0/1"},
-             {"L0": "1/2", "L1": "1/2", "R0": "1/2", "R1": "1/2"},
-             {"L0": "2/4", "L1": "0/1", "R0": "2/4", "R1": "0/1"},
-             {"L0": "2/4", "L1": "1/2", "R0": "2/4", "R1": "1/2"}],
-            id="one-half-then-two-quarters",
-        ),
-    ],
+# The tables of two rows from p0's piles 1/3 and 5/7, one value per robot:
+# each row holds the texts of the row before, under other robots.
+_ROWS = (
+    ("5/7", "1/3", "0/1", "1/3"),
+    ("5/7", "1/3", "1/3", "5/7"),
+    ("1/3", "5/7", "5/7", "0/1"),
+    ("1/3", "1/3", "5/7", "5/7"),
 )
+
+
+@pytest.mark.parametrize("rows", [pytest.param(_ROWS, id="texts-under-other-robots")])
 def test_read_trace_memo_gives_each_row_its_own_texts(rows):
-    header = json.dumps({"robogram": "stay", "demon": "scripted", "n": 2, "p0": _P0})
-    lines = [header, _row(rows[0], rows[1], 0), _row(rows[2], rows[3], 1)]
-    trace = read_trace(lines)
-    expected = _expected_tables(lines)
-    for rd, (action, post) in zip(trace.rounds, expected):
-        assert (rd.action, rd.post) == (action, post)
-        assert rd.action.points == action.points and rd.post.points == post.points
+    u = RobotUniverse(2)
+    p0 = Position.from_piles(u, Fraction(1, 3), Fraction(5, 7))
+    tables = [cls._of(u, map(Fraction, row)) for cls, row in zip((DemonicAction, Position) * 2, rows)]
+    trace = Trace("stay", "scripted", p0, (
+        TraceRound(0, tables[0], tables[1]), TraceRound(1, tables[2], tables[3])))
+    read = read_trace(dumps_trace_v2(trace).splitlines())
+    assert read == trace
+    for rd, expected in zip(read.rounds, trace.rounds):
+        assert rd.action.points == expected.action.points and rd.post.points == expected.post.points
+
+
+def _row(frames: object, post: object, index: int = 0) -> str:
+    return json.dumps({"round": index, "frames": frames, "post": post})
 
 
 @pytest.mark.parametrize("field", ["frames", "post"])
 @pytest.mark.parametrize("bad", ["1/2x", "٣/٤", "１/2", "5/0"])
 def test_read_trace_memo_keeps_the_error_of_the_only_new_text(field, bad):
     # Line 3 reuses every text of line 2 but one, and that one is malformed.
-    row0 = {"L0": "5/7", "L1": "1/3", "R0": "0/1", "R1": "1/3"}
-    row1 = {"L0": "0/1", "L1": "5/7", "R0": bad, "R1": "1/3"}
-    header = json.dumps({"robogram": "stay", "demon": "scripted", "n": 2, "p0": _P0})
-    tables = {"frames": row0, "post": row0} | {field: row1}
-    lines = [header, _row(row0, row0, 0), _row(tables["frames"], tables["post"], 1)]
+    p0 = {"points": ["1/3", "5/7"], "slots": [0, 0, 1, 1]}
+    row0 = {"points": ["5/7", "1/3", "0/1"], "slots": [0, 1, 2, 1]}
+    row1 = {"points": ["0/1", "5/7", bad, "1/3"], "slots": [0, 1, 2, 3]}
+    header = {"format": 2, "lcmsim": "0", "robogram": "stay", "demon": "scripted", "n": 2, "p0": p0}
+    tables = {"frames": row0["points"], "post": row0["points"]} | {field: row1}
+    lines = [json.dumps(header), _row(row0, row0, 0), _row(tables["frames"], tables["post"], 1)]
     with pytest.raises(ValueError) as alone:
-        parse_scalar(bad)
+        execution._hex_point(bad)
     with pytest.raises(TraceFormatError) as err:
         read_trace(lines)
-    assert str(err.value) == f"line 3: bad {field}: R0 has {alone.value}"
+    assert str(err.value) == f"line 3: {field}: point 2: {alone.value}"
 
 
-def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch):
+def test_read_trace_rejects_a_short_map_before_building_robot_ids(monkeypatch, capsys):
+    # A trace's slot list and a `--init` map, each short under a huge n.
     def refuse(universe):
         raise AssertionError("robot ids built for a map that cannot cover them")
 
     monkeypatch.setattr(RobotUniverse, "robots", property(refuse))
-    header = {"robogram": "stay", "demon": "fsync", "n": 10**9, "p0": {"L0": "0/1"}}
-    with pytest.raises(TraceFormatError, match="does not cover"):
+    header = {"format": 2, "lcmsim": "0", "robogram": "stay", "demon": "fsync", "n": 10**9,
+              "p0": {"points": ["0/1"], "slots": [0]}}
+    with pytest.raises(TraceFormatError, match="1 slots for 2000000000 robots"):
         read_trace([json.dumps(header)])
+    argv = ["--robogram", "stay", "--demon", "fsync", "--n", str(10**9), "--horizon", "1"]
+    assert main(["simulate", *argv, "--init", '{"L0": "0/1"}']) == 2
+    assert capsys.readouterr().err == (
+        "error: bad initial position: --init does not cover the universe exactly\n"
+    )
 
 
 def test_read_trace_skips_blank_lines():
@@ -446,10 +428,10 @@ def test_read_trace_skips_blank_lines():
 
 
 def _valid_lines():
-    """A short trace in format 1 and in format 2."""
+    """A short trace: p0 and round 0 write their slots, round 1 does not."""
     u = RobotUniverse(1)
     trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 2)
-    return dumps_trace_v1(trace).splitlines(), dumps_trace_v2(trace).splitlines()
+    return dumps_trace_v2(trace).splitlines()
 
 
 @pytest.mark.parametrize(
@@ -462,29 +444,26 @@ def _valid_lines():
         lambda lines: [lines[0].replace('"n": 1', '"n": -1')] + lines[1:],
         lambda lines: [lines[0].replace('"n": 1', '"n": 1.0')] + lines[1:],
         lambda lines: [lines[0].replace("0/1", "0.5")] + lines[1:],
-        lambda lines: [lines[0].replace('"L0"', '"L9"')] + lines[1:],
-        lambda lines: [lines[0].replace('"L0"', '"L00"')] + lines[1:],
-        lambda lines: lines[:1] + [lines[1].replace('"L0"', '" L0 "', 1)],
+        lambda lines: [lines[0].replace('"slots": [0, 1]', '"slots": [0, 2]')] + lines[1:],
+        lambda lines: [lines[0].replace('"slots": [0, 1]', '"slots": [0, 1, 1]')] + lines[1:],
+        lambda lines: lines[:1] + [lines[1].replace('"points": ["1/1"]', '"points": "1/1"')],
         lambda lines: lines[:1] + ["not json"],
         lambda lines: lines[:1] + ['"scalar"'],
         lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": 1')],
         lambda lines: lines[:1] + [lines[1].replace('"frames": ', '"f": ')],
-        lambda lines: lines[:1] + [lines[1].replace('"L0": "1/1"', '"L0": "1/1", "R7": "1/1"')],
+        lambda lines: lines[:1] + [lines[1].replace('"slots": [0, 0]}', '"slots": [0, 0], "R7": [1]}', 1)],
         lambda lines: [lines[0].replace('"n": 1', '"n": true')] + lines[1:],
         lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": false')],
         lambda lines: lines[:1] + [lines[1].replace('"round": 0', '"round": 0.0')],
-        lambda lines: [json.dumps({"robogram": "stay", "demon": "fsync", "n": 0, "p0": {}})],
+        lambda lines: [lines[0].replace('"n": 1', '"n": 0')] + lines[1:],
     ],
 )
 def test_read_trace_rejects_malformed_input(mangle):
-    # Each mangle applies to format 1.  It is tried on format 2 too where it
-    # leaves more than a prefix of the lines, a shorter valid trace (format 2
-    # has no robot ids to mangle, for one).
-    v1, v2 = _valid_lines()
-    mangled = mangle(v2)
-    for lines in (v1, v2) if mangled != v2[:len(mangled)] else (v1,):
-        with pytest.raises(TraceFormatError):
-            read_trace(mangle(lines))
+    lines = _valid_lines()
+    mangled = mangle(lines)
+    assert mangled != lines
+    with pytest.raises(TraceFormatError):
+        read_trace(mangled)
 
 
 def test_replay_certifies_and_detects_tampering():
@@ -492,14 +471,13 @@ def test_replay_certifies_and_detects_tampering():
     trace = execute_prefix(center_of_mass, make_fsync(u), Position.from_piles(u, 0, 1), 3)
     replay(trace, center_of_mass)
 
-    # Round 1 (line 3) stores the gathered point: 1/2 in both formats.
-    v1, v2 = dumps_trace_v1(trace).splitlines(), dumps_trace_v2(trace).splitlines()
-    for lines, stored in ((v1, '"L0": "1/2"'), (v2, '"post": ["1/2"]')):
-        assert stored in lines[2]
-        lines[2] = lines[2].replace(stored, stored.replace("1/2", "1/3"))
-        with pytest.raises(ReplayMismatchError) as err:
-            replay(read_trace(lines), center_of_mass)
-        assert err.value.round_index == 1
+    # Round 1 (line 3) stores the gathered point 1/2.
+    lines = dumps_trace_v2(trace).splitlines()
+    assert '"post": ["1/2"]' in lines[2]
+    lines[2] = lines[2].replace('"post": ["1/2"]', '"post": ["1/3"]')
+    with pytest.raises(ReplayMismatchError) as err:
+        replay(read_trace(lines), center_of_mass)
+    assert err.value.round_index == 1
 
     # replaying under the wrong robogram also fails
     with pytest.raises(ReplayMismatchError):
@@ -533,7 +511,7 @@ def _tampered_post(trace: Trace, r: int, kind: str) -> Position:
 
 @pytest.mark.parametrize("kind", ["moved", "stayed", "slots"])
 @pytest.mark.parametrize("r", [0, _DEEP.horizon - 1])
-@pytest.mark.parametrize("dumps", [dumps_trace_v1, dumps_trace_v2], ids=["format1", "format2"])
+@pytest.mark.parametrize("dumps", [dumps_trace_v2], ids=["format2"])
 def test_replay_refuses_a_tampered_post_at_its_round(dumps, r, kind, tmp_path, capsys):
     # The replay comparison looks at the slot pattern and at every point:
     # each change alone is refused at the round that stores it, by `replay`

@@ -23,8 +23,6 @@ from lcmsim.demons import make_fsync
 from lcmsim.execution import TraceFormatError, execute_prefix, read_trace_file, write_trace
 from lcmsim.robograms import center_of_mass, to_max
 
-from helpers import dumps_trace_v1
-
 
 def _text(trace) -> str:
     out = io.StringIO()
@@ -32,15 +30,14 @@ def _text(trace) -> str:
     return out.getvalue()
 
 
-# Both adversary branches and a gathering run, so every verdict kind occurs,
-# each as written (format 2) and as format 1, which is still read.
+# Both adversary branches and a gathering run, so every verdict kind occurs.
 _ONE = RobotUniverse(1)
 _TRACES = (
     run_impossibility(center_of_mass, 2, 4).trace,
     run_impossibility(to_max, 1, 3).trace,
     execute_prefix(center_of_mass, make_fsync(_ONE), Position.from_piles(_ONE, 0, 1), 3),
 )
-BASES = tuple(_text(t) for t in _TRACES) + tuple(dumps_trace_v1(t) for t in _TRACES)
+BASES = tuple(_text(t) for t in _TRACES)
 PROPERTIES = ("kfair:1", "always-split", "will-gather")
 HOLE = "@@fuzz@@"
 
@@ -60,10 +57,10 @@ raw_json = st.one_of(
 )
 
 
-def _times(k: int, text: str, base: int) -> str:
-    """`text`, a "num/den" in `base` 16 or 10, as k*num/k*den."""
-    n, d = (int(part, base) for part in text.split("/"))
-    return f"{k * n:x}/{k * d:x}" if base == 16 else f"{k * n}/{k * d}"
+def _times(k: int, text: str) -> str:
+    """`text`, a hex "num/den", as k*num/k*den."""
+    n, d = (int(part, 16) for part in text.split("/"))
+    return f"{k * n:x}/{k * d:x}"
 
 
 def _scale_one_post(draw, lines: list[str]) -> None:
@@ -73,13 +70,9 @@ def _scale_one_post(draw, lines: list[str]) -> None:
     i = draw(st.integers(1, len(lines) - 1))
     row = json.loads(lines[i])
     post, k = row["post"], draw(st.integers(2, 2**70))
-    if isinstance(post, list) or "points" in post:  # format 2
-        points = post if isinstance(post, list) else post["points"]
-        j = draw(st.integers(0, len(points) - 1))
-        points[j] = _times(k, points[j], 16)
-    else:
-        robot = draw(st.sampled_from(sorted(post)))
-        post[robot] = _times(k, post[robot], 10)
+    points = post if isinstance(post, list) else post["points"]
+    j = draw(st.integers(0, len(points) - 1))
+    points[j] = _times(k, points[j])
     lines[i] = json.dumps(row) + "\n"
 
 

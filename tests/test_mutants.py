@@ -57,10 +57,16 @@ ROWS = [
     ),
     _row(
         "frames-read-the-deferred-posts", "execution.py",
-        'row["frames"], "frames", like, texts.point)',
-        'row["frames"], "frames", like, posts.point)',
+        'row["frames"], "frames", like, texts.point, patterns',
+        'row["frames"], "frames", like, posts.point, patterns',
         "tests/test_execution.py::test_check_proves_lowest_terms_only_for_p0_and_frames",
         "tests/test_execution.py::test_a_deferred_read_refuses_a_non_lowest_frame_even_when_a_post_had_it",
+    ),
+    # The trace's slot patterns, built anew for every table that writes them.
+    _row(
+        "slots-read-without-the-trace-patterns", "execution.py",
+        "slots = patterns.get(key)", "slots = None",
+        "tests/test_execution.py::test_read_trace_keeps_one_slot_tuple_per_distinct_pattern",
     ),
     _row(
         "mismatch-reported-before-the-proof", "cli.py",
@@ -78,6 +84,12 @@ ROWS = [
             ("numerator-length", "        and len(num) == _hex_digits(n)\n", ""),
             ("denominator-length", "        and len(den) == _hex_digits(d)\n", ""),
         )
+    ),
+    # The spectrum's mean over the product of the denominators, not their lcm.
+    _row(
+        "mean-ratio-over-the-product", "core.py",
+        "den = lcm(den, d)", "den = den * d",
+        "tests/test_differential.py::test_the_mean_ratio_is_the_fraction_sum_over_the_lcm_and_the_count",
     ),
     # The move without the factor's denominator, and with its sign dropped.
     _row("move-without-the-factor-denominator", "execution.py",
