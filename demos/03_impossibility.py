@@ -49,7 +49,7 @@ print("\nto-other-occupied under the wrong (alternating) schedule:")
 universe = RobotUniverse(1)
 wrong = execute_prefix(
     resolve_robogram("to-other-occupied"),
-    make_alternating_demon(universe),
+    make_alternating_demon(),
     Position.from_piles(universe, 0, 1),
     6,
 )
@@ -57,7 +57,7 @@ print(f"  {check_will_gather(wrong)}")
 print("and center-of-mass under the swap schedule meets in the middle:")
 wrong2 = execute_prefix(
     resolve_robogram("center-of-mass"),
-    make_swap_fsync_demon(universe),
+    make_swap_fsync_demon(),
     Position.from_piles(universe, 0, 1),
     6,
 )

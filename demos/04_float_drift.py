@@ -11,14 +11,7 @@ precisely the wrong answer.
 
 from fractions import Fraction
 
-from lcmsim import (
-    Position,
-    RobotUniverse,
-    make_alternating_demon,
-    resolve_robogram,
-    run_impossibility,
-    split,
-)
+from lcmsim import resolve_robogram, run_impossibility, split
 
 # Exact run: distance after round r is exactly 2^-r.
 report = run_impossibility(resolve_robogram("center-of-mass"), 1, 300)

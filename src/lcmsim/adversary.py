@@ -28,10 +28,8 @@ from math import gcd
 from .core import (
     Position,
     RobotUniverse,
-    ScalarLike,
     _Value,
     _grouped,
-    as_scalar,
     format_scalar,
 )
 from .demons import Demon, DemonicAction, Verdict, check_kfair
@@ -43,7 +41,6 @@ from .sampling import random_permutation
 __all__ = [
     "ALTERNATING",
     "SWAP_FSYNC",
-    "DegenerateInitial",
     "FirstMoveProbe",
     "ImpossibilityReport",
     "build_adversary_demon",
@@ -60,11 +57,6 @@ ALTERNATING = "alternating"
 INVARIANCE_PRECHECK_SAMPLES = 32
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-class DegenerateInitial(ValueError):
-    """The requested initial piles coincide; the construction needs two
-    distinct locations."""
 
 
 class FirstMoveProbe(_Value):
@@ -130,53 +122,40 @@ def _canonical_action(position: Position, active: tuple[bool, bool]) -> DemonicA
     return DemonicAction._table(universe, *_grouped(joint, factors, slots))
 
 
-def make_swap_fsync_demon(universe: RobotUniverse) -> Demon:
+def make_swap_fsync_demon() -> Demon:
     """Every round activates every robot with the canonical-view factor."""
-    return Demon("adversary-swap-fsync", lambda i, p: _canonical_action(p, (True, True)))
+    return Demon(f"adversary-{SWAP_FSYNC}", lambda i, p: _canonical_action(p, (True, True)))
 
 
-def make_alternating_demon(universe: RobotUniverse) -> Demon:
+def make_alternating_demon() -> Demon:
     """Even rounds activate exactly the left pile, odd rounds exactly the
     right pile, activated robots getting the canonical-view factor."""
     turns = ((True, False), (False, True))
-    return Demon("adversary-alternating", lambda i, p: _canonical_action(p, turns[i % 2]))
+    return Demon(f"adversary-{ALTERNATING}", lambda i, p: _canonical_action(p, turns[i % 2]))
 
 
-def build_adversary_demon(
-    robogram: Robogram,
-    universe: RobotUniverse,
-    a: ScalarLike,
-    b: ScalarLike,
-    probe: FirstMoveProbe | None = None,
-) -> Demon:
-    """Pick the branch the robogram's first move calls for, for a run whose
-    piles start at the distinct locations a and b.  A caller that already
-    holds the robogram's `probe` passes it in so it is not run again."""
-    if as_scalar(a) == as_scalar(b):
-        raise DegenerateInitial("initial piles must occupy two distinct locations")
-    if probe is None:
-        probe = probe_first_move(robogram, universe)
+def build_adversary_demon(probe: FirstMoveProbe) -> Demon:
+    """The branch that the robogram's first move, `probe`, calls for."""
     if probe.branch == SWAP_FSYNC:
-        return make_swap_fsync_demon(universe)
-    return make_alternating_demon(universe)
+        return make_swap_fsync_demon()
+    return make_alternating_demon()
 
 
 class ImpossibilityReport(_Value):
     """Everything a certification run produces: the probe, the bounded
     verdicts, the bivalence certificate over every position, and the result
     of the invariance pre-check (a robogram that leaks identities voids the
-    certificate, so it is screened up front)."""
+    certificate, so it is screened up front).  The run's robogram, pile size
+    and horizon are read from its `trace`."""
 
-    __slots__ = ("robogram_name", "n", "horizon", "probe", "invariance_ok", "split", "gather",
-                 "fairness", "bivalence_failures", "trace")
+    __slots__ = ("probe", "invariance_ok", "split", "gather", "fairness", "bivalence_failures",
+                 "trace")
 
     def __init__(
-        self, robogram_name: str, n: int, horizon: int, probe: FirstMoveProbe,
-        invariance_ok: bool, split: Verdict, gather: Verdict, fairness: dict[int, Verdict],
-        bivalence_failures: tuple[int, ...], trace: Trace,
+        self, probe: FirstMoveProbe, invariance_ok: bool, split: Verdict, gather: Verdict,
+        fairness: dict[int, Verdict], bivalence_failures: tuple[int, ...], trace: Trace,
     ) -> None:
-        self._fill(robogram_name, n, horizon, probe, invariance_ok, split, gather, fairness,
-                   bivalence_failures, trace)
+        self._fill(probe, invariance_ok, split, gather, fairness, bivalence_failures, trace)
 
     @property
     def bivalence_complete(self) -> bool:
@@ -193,9 +172,9 @@ class ImpossibilityReport(_Value):
 
     def to_json_dict(self) -> dict:
         return {
-            "robogram": self.robogram_name,
-            "n": self.n,
-            "horizon": self.horizon,
+            "robogram": self.trace.robogram_name,
+            "n": self.trace.universe.pile_size,
+            "horizon": self.trace.horizon,
             "probe": self.probe.to_json_dict(),
             "invariance_ok": self.invariance_ok,
             "split": self.split.to_json_dict(),
@@ -225,8 +204,7 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
     universe = RobotUniverse(n)
     p0 = canonical_view(universe)
     probe = probe_first_move(robogram, universe)
-    demon = build_adversary_demon(robogram, universe, 0, 1, probe)
-    trace = execute_prefix(robogram, demon, p0, horizon)
+    trace = execute_prefix(robogram, build_adversary_demon(probe), p0, horizon)
 
     invariance_ok = check_invariance(robogram, p0, range(2 * n - 1, -1, -1), probe.delta)
     if invariance_ok and robogram.kind != SPECTRUM_BASED:
@@ -242,9 +220,6 @@ def run_impossibility(robogram: Robogram, n: int, horizon: int) -> Impossibility
         [i for i, p in enumerate(trace.positions()) if not _balanced_bivalent(p, n)]
     )
     return ImpossibilityReport(
-        robogram_name=robogram.name,
-        n=n,
-        horizon=horizon,
         probe=probe,
         invariance_ok=invariance_ok,
         split=check_always_split(trace),

@@ -4,8 +4,8 @@ Machine-readable output (traces, reports, verdicts) goes to stdout or the
 requested file; diagnostics go to stderr.  Exit codes: 0 success / property
 holds, 1 property fails, 2 usage error or malformed input, 3 runtime error
 (bad robogram arithmetic, corrupt trace, stdout closed early or not
-writable, out of memory).  Rationals cross the CLI as "num/den" strings
-only.
+writable, a trace file that cannot be written after the run, out of
+memory).  Rationals cross the CLI as "num/den" strings only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import random
 import sys
 from typing import IO, Callable
 
-from .adversary import DegenerateInitial, build_adversary_demon, run_impossibility
+from .adversary import build_adversary_demon, probe_first_move, run_impossibility
 from .core import Position, RobotUniverse, Side, format_scalar, parse_scalar
 from .demons import Demon, Verdict, check_kfair, make_fsync, make_random_kfair, make_round_robin
 from .execution import (
@@ -95,10 +95,9 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
         b = p0.pile_location(Side.RIGHT)
         if a is None or b is None:
             raise UsageError("the adversary demon needs an initial position with each pile stacked")
-        try:
-            return build_adversary_demon(robogram, universe, a, b)
-        except DegenerateInitial as exc:
-            raise UsageError(str(exc)) from exc
+        if a == b:
+            raise UsageError("initial piles must occupy two distinct locations")
+        return build_adversary_demon(probe_first_move(robogram, universe))
     raise UsageError(
         f"unknown demon selector {selector!r}; expected fsync, round-robin:<num/den>,"
         " random-kfair:<k>:<seed> or adversary"
@@ -131,11 +130,16 @@ def _check_run_size(n: int, horizon: int) -> None:
         raise UsageError("horizon must be an integer >= 0")
 
 
-def _write_trace_file(trace: Trace, path: str) -> None:
+def _write_trace_file(trace: Trace, path: str) -> bool:
+    """Write the run's trace to `path`.  The path passed `_check_writable`
+    before the run, so a failure here (a full disk) is a runtime error: it
+    is reported on stderr and the caller exits 3."""
     try:
         write_trace_file(trace, path)
     except OSError as exc:
-        raise UsageError(f"cannot write trace: {exc}") from exc
+        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _check_writable(path: str) -> None:
@@ -161,10 +165,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p0 = _parse_init(args.init, universe)
     demon = _resolve_demon(args.demon, universe, robogram, p0)
     trace = execute_prefix(robogram, demon, p0, args.horizon)
-    if args.out:
-        _write_trace_file(trace, args.out)
-    else:
+    if not args.out:
         write_trace(trace, sys.stdout)
+    elif not _write_trace_file(trace, args.out):
+        return 3
     return 0
 
 
@@ -174,8 +178,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if args.out:
         _check_writable(args.out)
     report = run_impossibility(robogram, args.n, args.horizon)
-    if args.out:
-        _write_trace_file(report.trace, args.out)
+    if args.out and not _write_trace_file(report.trace, args.out):
+        return 3
     print(json.dumps(report.to_json_dict()))
     return 0 if report.certified else 1
 

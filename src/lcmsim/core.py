@@ -730,10 +730,11 @@ def permute_position(p: Position, sigma: Sequence[int]) -> Position:
     result maps the robot at place sigma[i] to p's location of robot i.
     `sigma` must be a permutation of range(m); this is where it is checked,
     reading it only by `len` and iteration, except that the reversal
-    `range(m - 1, -1, -1)` (the adversary's screen) is recognized and
-    applied as one slice; on the universe's `sides` pattern it swaps the
+    `range(m - 1, -1, -1)` (the adversary's screen) of a position on the
+    universe's `sides` pattern is recognized and needs no loop: it swaps the
     two piles, so the result is that pattern over the two points swapped.
-    The result is built like p."""
+    Every other renaming takes the checked loop.  The result is built like
+    p."""
     m = p.universe.m
     if len(sigma) != m:
         raise ValueError("permutation and position belong to different universes")
@@ -741,14 +742,12 @@ def permute_position(p: Position, sigma: Sequence[int]) -> Position:
         sides = p.universe.sides
         if p.slots is sides or p.slots == sides:
             return Position._table(p.universe, p.points[::-1], p.slots)
-        keys = p.slots[::-1]
-    else:
-        refused = ValueError(f"renaming must list each of the {m} robot places once")
-        if min(sigma) < 0 or max(sigma) >= m:
-            raise refused
-        keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
-        for slot, place in zip(p.slots, sigma):
-            keys[place] = slot
-        if None in keys:  # m places in range(m) miss one only if one repeats
-            raise refused
+    refused = ValueError(f"renaming must list each of the {m} robot places once")
+    if min(sigma) < 0 or max(sigma) >= m:
+        raise refused
+    keys = [None] * m  # robot sigma[i]'s key: the slot of robot i
+    for slot, place in zip(p.slots, sigma):
+        keys[place] = slot
+    if None in keys:  # m places in range(m) miss one only if one repeats
+        raise refused
     return Position._table(p.universe, *tabulate_keys(keys, p.points.__getitem__, p.slots))

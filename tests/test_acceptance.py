@@ -185,7 +185,7 @@ def test_criterion_4_demon_choice_necessity(emitted):
     universe = RobotUniverse(1)
     robogram = resolve_robogram("to-other-occupied")
     trace = execute_prefix(
-        robogram, make_alternating_demon(universe), Position.from_piles(universe, 0, 1), 10
+        robogram, make_alternating_demon(), Position.from_piles(universe, 0, 1), 10
     )
     emitted.append(("wrong-branch to-other-occupied", robogram, trace))
     verdict = check_will_gather(trace)

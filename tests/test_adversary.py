@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lcmsim.adversary import (
     ALTERNATING,
     SWAP_FSYNC,
-    DegenerateInitial,
+    FirstMoveProbe,
     ImpossibilityReport,
     _balanced_bivalent,
     _canonical_action,
@@ -124,7 +124,7 @@ def test_probe_values_and_branches(robogram, delta, branch):
 def test_swap_branch_trades_the_piles_every_round():
     u = RobotUniverse(1)
     trace = execute_prefix(
-        to_other_occupied, make_swap_fsync_demon(u), Position.from_piles(u, 0, 1), 4
+        to_other_occupied, make_swap_fsync_demon(), Position.from_piles(u, 0, 1), 4
     )
     expected = [(0, 1), (1, 0), (0, 1), (1, 0), (0, 1)]
     for position, (left, right) in zip(trace.positions(), expected):
@@ -134,7 +134,7 @@ def test_swap_branch_trades_the_piles_every_round():
 def test_alternating_branch_halves_the_distance_for_center_of_mass():
     u = RobotUniverse(1)
     trace = execute_prefix(
-        center_of_mass, make_alternating_demon(u), Position.from_piles(u, 0, 1), 2
+        center_of_mass, make_alternating_demon(), Position.from_piles(u, 0, 1), 2
     )
     positions = trace.positions()
     assert positions[1] == Position.from_piles(u, "1/2", 1)
@@ -154,7 +154,7 @@ def test_activated_robots_always_see_the_canonical_view():
         (to_max, make_swap_fsync_demon),
     ):
         u = RobotUniverse(2)
-        trace = execute_prefix(robogram, make_demon(u), Position.from_piles(u, 0, 1), 12)
+        trace = execute_prefix(robogram, make_demon(), Position.from_piles(u, 0, 1), 12)
         pre = trace.p0
         for rd in trace.rounds:
             for robot in rd.action.active_robots():
@@ -169,7 +169,7 @@ def test_alternating_demon_survives_degenerate_positions():
     # falls back to factor 1 and keeps producing total actions
     u = RobotUniverse(1)
     trace = execute_prefix(
-        to_other_occupied, make_alternating_demon(u), Position.from_piles(u, 0, 1), 6
+        to_other_occupied, make_alternating_demon(), Position.from_piles(u, 0, 1), 6
     )
     assert check_will_gather(trace).ok
     assert all(rd.action.active_robots() for rd in trace.rounds)
@@ -177,10 +177,10 @@ def test_alternating_demon_survives_degenerate_positions():
 
 def test_build_adversary_demon_picks_the_probe_branch():
     u = RobotUniverse(2)
-    assert build_adversary_demon(to_max, u, 0, 1).name == "adversary-swap-fsync"
-    assert build_adversary_demon(center_of_mass, u, 0, 1).name == "adversary-alternating"
-    with pytest.raises(DegenerateInitial):
-        build_adversary_demon(center_of_mass, u, "1/2", "2/4")
+    assert build_adversary_demon(probe_first_move(to_max, u)).name == "adversary-swap-fsync"
+    assert build_adversary_demon(probe_first_move(center_of_mass, u)).name == "adversary-alternating"
+    for delta, branch in ((1, SWAP_FSYNC), (0, ALTERNATING), (Fraction(1, 2), ALTERNATING)):
+        assert build_adversary_demon(FirstMoveProbe(Fraction(delta))).name == f"adversary-{branch}"
 
 
 def test_wrong_branch_would_gather():
@@ -188,13 +188,13 @@ def test_wrong_branch_would_gather():
     # delta != 1 robograms gather under the swap demon when delta = 1/2.
     u = RobotUniverse(1)
     alt = execute_prefix(
-        to_other_occupied, make_alternating_demon(u), Position.from_piles(u, 0, 1), 5
+        to_other_occupied, make_alternating_demon(), Position.from_piles(u, 0, 1), 5
     )
     verdict = check_will_gather(alt)
     assert verdict.ok and verdict.round == 1 and verdict.point == Fraction(1)
 
     swap = execute_prefix(
-        center_of_mass, make_swap_fsync_demon(u), Position.from_piles(u, 0, 1), 5
+        center_of_mass, make_swap_fsync_demon(), Position.from_piles(u, 0, 1), 5
     )
     assert check_will_gather(swap).ok
 
@@ -328,7 +328,7 @@ def test_run_impossibility_shares_one_universe():
             assert len(rd.action.frames) == len(rd.post.locations()) == universe.m
     u = RobotUniverse(2)
     assert canonical_view(u).universe is u
-    demon = build_adversary_demon(center_of_mass, u, 0, 1)
+    demon = build_adversary_demon(probe_first_move(center_of_mass, u))
     assert demon.action(0, Position.from_piles(u, 0, 1)).universe is u
 
 
@@ -351,13 +351,13 @@ def test_an_adversary_demon_keeps_no_state(robogram, branch):
     # A demon that has run answers every (round, position) as a fresh one
     # does, in any order, on stacked and on scattered positions.
     u = RobotUniverse(2)
-    used = build_adversary_demon(robogram, u, 0, 1)
+    used = build_adversary_demon(probe_first_move(robogram, u))
     trace = execute_prefix(robogram, used, canonical_view(u), 12)
     assert trace.demon_name == f"adversary-{branch}"
     scattered = Position(u, dict(zip(u.robots, map(Fraction, (0, 2, 1, 5)))))
     asked = list(enumerate(trace.positions()[:-1])) + [(3, scattered), (4, scattered)]
     for i, p in reversed(asked):
-        fresh = build_adversary_demon(robogram, u, 0, 1)
+        fresh = build_adversary_demon(probe_first_move(robogram, u))
         assert used.action(i, p) == fresh.action(i, p)
     assert [used.action(i, p) for i, p in asked[:-2]] == list(trace.actions())
 

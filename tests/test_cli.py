@@ -113,6 +113,8 @@ def test_simulate_usage_errors_exit_2(capsys, argv):
         ("random-kfair:-1:2", None, "random-kfair budget k must be >= 0"),
         ("adversary", '{"L0": "0/1", "L1": "1/1", "R0": "2/1", "R1": "2/1"}',
          "the adversary demon needs an initial position with each pile stacked"),
+        # equal values in different texts are one location
+        ("adversary", "bivalent:1/2:2/4", "initial piles must occupy two distinct locations"),
     ],
 )
 def test_simulate_demon_usage_errors_name_the_fault(capsys, demon, init, message):
@@ -448,6 +450,23 @@ def test_unwritable_stdout_exits_3_without_traceback(tmp_path, argv):
     assert _one_line(proc.stderr) and proc.stderr.startswith("error: cannot write stdout")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--robogram", "stay", "--demon", "fsync", "--n", "1", "--horizon", "3"),
+        ("adversary", "--robogram", "stay", "--n", "1", "--horizon", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_trace_file_unwritable_after_the_run_exits_3(capsys, argv):
+    # /dev/full opens, so the probe before the run passes; the write after
+    # it fails with ENOSPC, as on a disk that filled during the run.
+    code, out, err = _run(capsys, *argv, "--out", "/dev/full")
+    assert (code, out) == (3, "")
+    assert _one_line(err) and err.startswith("error: cannot write trace: ")
+
+
 def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
     # argparse ties a parser into reference cycles; one built per call
     # outlived the call as garbage until the next cyclic collection.
@@ -498,6 +517,9 @@ def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
         (("--init", '{"L0": "0/1", "R0": "%s"}' % ("1" * (MAX_SCALAR_DIGITS + 1))),
          f"bad --init: R0 has invalid scalar: more than {MAX_SCALAR_DIGITS} digits"),
         (("--init", '{"L0": "0/1"}'), "bad initial position: --init does not cover the universe exactly"),
+        # a bivalent init names exactly two locations
+        (("--init", "bivalent:0/1"),
+         "error: bad initial position: bivalent init must be bivalent:<num/den>:<num/den>\n"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):

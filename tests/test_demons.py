@@ -247,7 +247,7 @@ def test_check_kfair_stops_at_the_first_refuting_round(monkeypatch):
     # k = 0 is refuted there and the pass ends after one round; k = 1 holds
     # and the pass reads every round once.
     u = RobotUniverse(2)
-    demon = make_alternating_demon(u)
+    demon = make_alternating_demon()
     actions = execute_prefix(stay, demon, Position.from_piles(u, 0, 1), 1000).actions()
     rounds = []
     rule = demons._kfair_cutoff
@@ -283,7 +283,7 @@ def test_check_kfair_reads_no_action_past_the_refuting_round():
     # alternating prefix after reading that one action; k = 1 reads each
     # action once (and one more index, where iteration ends).
     u = RobotUniverse(2)
-    demon = make_alternating_demon(u)
+    demon = make_alternating_demon()
     actions = execute_prefix(stay, demon, Position.from_piles(u, 0, 1), 40).actions()
     prefix = _CountedReads(actions)
     assert check_kfair(prefix, 0) == Verdict.violated(0)

@@ -54,8 +54,8 @@ DEMONS = {
         u, [{r: i % 2 for i, r in enumerate(u.robots)}, dict.fromkeys(u.robots, "-2/3")]
     ),
     "random-kfair": lambda u, seed: make_random_kfair(u, seed % 3, "3/2", seed),
-    "swap-fsync": lambda u, seed: make_swap_fsync_demon(u),
-    "alternating": lambda u, seed: make_alternating_demon(u),
+    "swap-fsync": lambda u, seed: make_swap_fsync_demon(),
+    "alternating": lambda u, seed: make_alternating_demon(),
 }
 
 

@@ -117,6 +117,23 @@ ROWS = [
          "            and self.invariance_ok\n", "", _CERTIFIED),
     _row("certified-without-bivalence", "adversary.py",
          "            and self.bivalence_complete\n", "", _CERTIFIED),
+    # The adversary's construction: its piles, its branch and its report.
+    _row(
+        "adversary-takes-equal-piles", "cli.py",
+        '        if a == b:\n            raise UsageError("initial piles must occupy two distinct locations")\n',
+        "",
+        "tests/test_cli.py::test_simulate_demon_usage_errors_name_the_fault",
+    ),
+    _row(
+        "adversary-branch-flipped", "adversary.py",
+        "if probe.branch == SWAP_FSYNC:", "if probe.branch != SWAP_FSYNC:",
+        "tests/test_adversary.py::test_build_adversary_demon_picks_the_probe_branch",
+    ),
+    _row(
+        "report-n-counts-every-robot", "adversary.py",
+        '"n": self.trace.universe.pile_size', '"n": self.trace.universe.m',
+        "tests/test_parity.py::test_adversary_trace_and_report_bytes_are_pinned",
+    ),
     # The demon's factor with its sign flipped shows the other pile at -1.
     _row(
         "canonical-factor-sign", "adversary.py",

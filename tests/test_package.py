@@ -101,15 +101,12 @@ def _value_cases() -> list[tuple[type, dict, dict, str]]:
         (FirstMoveProbe, dict(delta=Fraction(1)), dict(delta=Fraction(-1)),
          "FirstMoveProbe(delta=Fraction(1, 1))"),
         (ImpossibilityReport,
-         dict(robogram_name=report.robogram_name, n=report.n, horizon=report.horizon,
-              probe=report.probe, invariance_ok=report.invariance_ok, split=report.split,
+         dict(probe=report.probe, invariance_ok=report.invariance_ok, split=report.split,
               gather=report.gather, fairness=report.fairness,
               bivalence_failures=report.bivalence_failures, trace=report.trace),
-         dict(robogram_name="stay", n=2, horizon=3, probe=FirstMoveProbe(Fraction(0)),
-              invariance_ok=False, split=Verdict.violated(0), gather=Verdict.proven(),
-              fairness={}, bivalence_failures=(0,), trace=trace),
-         "ImpossibilityReport(robogram_name='to-max', n=1, horizon=1, "
-         "probe=FirstMoveProbe(delta=Fraction(1, 1)), invariance_ok=True, "
+         dict(probe=FirstMoveProbe(Fraction(0)), invariance_ok=False, split=Verdict.violated(0),
+              gather=Verdict.proven(), fairness={}, bivalence_failures=(0,), trace=trace),
+         "ImpossibilityReport(probe=FirstMoveProbe(delta=Fraction(1, 1)), invariance_ok=True, "
          f"split={verdict}, gather=Verdict(kind='not-within-horizon', round=None, "
          f"horizon=1, point=None), fairness={{0: {verdict}, 1: {verdict}}}, "
          "bivalence_failures=(), trace=Trace(robogram_name='to-max', "

@@ -28,6 +28,7 @@ from lcmsim.adversary import (
     SWAP_FSYNC,
     _balanced_bivalent,
     build_adversary_demon,
+    probe_first_move,
     run_impossibility,
 )
 from lcmsim.core import Position, RobotUniverse, permute_position
@@ -99,7 +100,7 @@ def _runs():
     small, large, shared = RobotUniverse(2), RobotUniverse(3), RobotUniverse(2)
 
     def adversary(robogram, universe):
-        demon = build_adversary_demon(robogram, universe, 0, 1)
+        demon = build_adversary_demon(probe_first_move(robogram, universe))
         return robogram, demon, Position.from_piles(universe, 0, 1)
 
     return [
@@ -191,7 +192,7 @@ def _calls_in_a_stacked_round(selector, n):
     the pattern's facts."""
     robogram = resolve_robogram(selector)
     u = RobotUniverse(n)
-    demon = build_adversary_demon(robogram, u, 0, 1)
+    demon = build_adversary_demon(probe_first_move(robogram, u))
     rounds = _rounds(robogram, demon.action, Position.from_piles(u, 0, 1), 8)
     for _ in range(6):
         next(rounds)
@@ -238,9 +239,11 @@ def test_the_screens_reversal_renames_stacked_piles_as_the_pile_swap(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_the_reversal_is_one_slice_and_equals_the_generic_renaming(n):
-    # `permute_position` applies range(m - 1, -1, -1) as `slots[::-1]`; the
-    # same places as a tuple take the loop that scatters each robot's slot.
+def test_the_reversal_range_equals_the_same_places_as_a_tuple(n):
+    # `permute_position` applies range(m - 1, -1, -1) to a position on the
+    # `sides` pattern by swapping its two points, and to any other position
+    # by the loop that scatters each robot's slot, which the same places as
+    # a tuple always take.
     rng = random.Random(n)
     u = RobotUniverse(n)
     scattered = Position(u, {r: Fraction(i * 7 % (2 * n + 1), 3) for i, r in enumerate(u.robots)})
