@@ -33,7 +33,7 @@ for robot, where in p0.items():
 # sit this round out (factor 0 means not activated).
 l0, l1, r0, r1 = universe.robots
 action = DemonicAction(universe, {l0: 3, l1: 0, r0: 0, r1: "1/2"})
-print("\nframe factors:", {str(r): format_scalar(action.factor(r)) for r in universe.robots})
+print("\nframe factors:", {r: format_scalar(action.factor(r)) for r in universe.robots})
 
 # What L0 actually sees: its own frame places it at the origin and stretches
 # space by its factor.

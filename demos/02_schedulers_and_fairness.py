@@ -26,7 +26,7 @@ robin = make_round_robin(universe, 1)
 trace = execute_prefix(stay, robin, p0, 8)
 print("round-robin activations:")
 for rd in trace.rounds:
-    print(f"  round {rd.index}: {[str(r) for r in rd.action.active_robots()]}")
+    print(f"  round {rd.index}: {list(rd.action.active_robots())}")
 
 # Per-pair questions: was L0 activated before R0 used up the budget?
 actions = trace.actions()

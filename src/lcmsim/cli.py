@@ -19,7 +19,7 @@ import sys
 from typing import IO, Callable
 
 from .adversary import build_adversary_demon, probe_first_move, run_impossibility
-from .core import Position, RobotUniverse, Side, format_scalar, parse_scalar
+from .core import Position, RobotUniverse, format_scalar, parse_scalar
 from .demons import Demon, Verdict, check_kfair, make_fsync, make_random_kfair, make_round_robin
 from .execution import (
     ExecutionError,
@@ -91,8 +91,7 @@ def _resolve_demon(selector: str, universe: RobotUniverse, robogram: Robogram, p
             raise UsageError("random-kfair budget k must be >= 0")
         return make_random_kfair(universe, k, 1, seed)
     if sel == "adversary":
-        a = p0.pile_location(Side.LEFT)
-        b = p0.pile_location(Side.RIGHT)
+        a, b = p0.pile_locations()
         if a is None or b is None:
             raise UsageError("the adversary demon needs an initial position with each pile stacked")
         if a == b:
@@ -130,22 +129,30 @@ def _check_run_size(n: int, horizon: int) -> None:
         raise UsageError("horizon must be an integer >= 0")
 
 
-def _write_trace_file(trace: Trace, path: str) -> bool:
+def _write_trace_file(trace: Trace, path: str, existed: bool) -> bool:
     """Write the run's trace to `path`.  The path passed `_check_writable`
     before the run, so a failure here (a full disk) is a runtime error: it
-    is reported on stderr and the caller exits 3."""
+    is reported on stderr and the caller exits 3.  A file the run created
+    is removed again, so a failed write leaves no truncated trace; a path
+    that `existed` before the run is left as it is."""
     try:
         write_trace_file(trace, path)
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        if not existed:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
         return False
     return True
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an unwritable trace path before the run rather than after it.
-    Opening for append truncates nothing, and a file the probe created is
-    removed again, so a run that fails later leaves no empty trace behind."""
+def _check_writable(path: str) -> bool:
+    """Refuse an unwritable trace path before the run rather than after it,
+    and say whether the path existed.  Opening for append truncates
+    nothing, and a file the probe created is removed again, so a run that
+    fails later leaves no empty trace behind."""
     existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
@@ -154,12 +161,12 @@ def _check_writable(path: str) -> None:
             os.remove(path)
     except OSError as exc:
         raise UsageError(f"cannot write trace: {exc}") from exc
+    return existed
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_run_size(args.n, args.horizon)
-    if args.out:
-        _check_writable(args.out)
+    existed = bool(args.out) and _check_writable(args.out)
     universe = RobotUniverse(args.n)
     robogram = _resolve_robogram(args.robogram)
     p0 = _parse_init(args.init, universe)
@@ -167,7 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = execute_prefix(robogram, demon, p0, args.horizon)
     if not args.out:
         write_trace(trace, sys.stdout)
-    elif not _write_trace_file(trace, args.out):
+    elif not _write_trace_file(trace, args.out, existed):
         return 3
     return 0
 
@@ -175,10 +182,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_adversary(args: argparse.Namespace) -> int:
     _check_run_size(args.n, args.horizon)
     robogram = _resolve_robogram(args.robogram)
-    if args.out:
-        _check_writable(args.out)
+    existed = bool(args.out) and _check_writable(args.out)
     report = run_impossibility(robogram, args.n, args.horizon)
-    if args.out and not _write_trace_file(report.trace, args.out):
+    if args.out and not _write_trace_file(report.trace, args.out, existed):
         return 3
     print(json.dumps(report.to_json_dict()))
     return 0 if report.certified else 1
@@ -256,10 +262,9 @@ def cmd_invariance(args: argparse.Namespace) -> int:
                 "failed_at": i,
                 "counterexample": {
                     "n": universe.pile_size,
-                    "position": {str(r): format_scalar(x) for r, x in position.items()},
+                    "position": {r: format_scalar(x) for r, x in position.items()},
                     "permutation": {
-                        str(r): str(universe.robots[place])
-                        for r, place in zip(universe.robots, sigma)
+                        r: universe.robots[place] for r, place in zip(universe.robots, sigma)
                     },
                 },
             }

@@ -3,26 +3,28 @@
 Every location, frame factor and destination is a `fractions.Fraction`, so
 equality and ordering are decidable and all arithmetic is exact.  Values are
 immutable after construction and operations are pure functions, safe to share
-between threads.  The named-field values (`RobotId`, `Similarity`, a
-`Verdict`, a `Trace` and its rounds, ...) are plain slotted classes on one
-small base, `_Value`, written out rather than generated, so importing the
-package compiles no code and loads neither `inspect` nor `ast`.  The one
-thing written after construction is a slot pattern's facts (`_Slots`):
+between threads.  The named-field values (`Similarity`, a `Verdict`, a
+`Trace` and its rounds, ...) are plain slotted classes on one small base,
+`_Value`, written out rather than generated, so importing the package
+compiles no code and loads neither `inspect` nor `ast`.  The one thing
+written after construction is a slot pattern's facts (`_Slots`):
 idempotent, lazily filled caches on a shared tuple, each a function of what
 it is keyed on, so two threads that fill one at once store equal values, and
 a reader sees a whole entry or none.
 
-Per-robot state is kept in `RobotUniverse.robots` order: a `Position` as an
-occupancy table, and a renaming of the robots as a sequence of places
-(`sigma[i]` is the place robot i is renamed to; a tuple, or a sequence that
-computes its places), which `permute_position` checks where it applies it.
+A robot is its name, "L<i>" or "R<i>": the i-th robot of the left or the
+right pile.  Every API keyed by robot takes and returns names, and
+`RobotUniverse.places` is the one map from a name to its place.  Per-robot
+state is kept in `RobotUniverse.robots` order: a `Position` as an occupancy
+table, and a renaming of the robots as a sequence of places (`sigma[i]` is
+the place robot i is renamed to; a tuple, or a sequence that computes its
+places), which `permute_position` checks where it applies it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -34,10 +36,8 @@ __all__ = [
     "MAX_SCALAR_DIGITS",
     "EmptyUniverse",
     "Position",
-    "RobotId",
     "RobotUniverse",
     "ScalarLike",
-    "Side",
     "Similarity",
     "Spectrum",
     "as_scalar",
@@ -133,15 +133,6 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-class Side(Enum):
-    LEFT = "L"
-    RIGHT = "R"
-
-    @property
-    def other(self) -> Side:
-        return Side.RIGHT if self is Side.LEFT else Side.LEFT
-
-
 _set = object.__setattr__
 
 
@@ -192,21 +183,6 @@ class _Value:
         return f"{type(self).__qualname__}({inner})"
 
 
-class RobotId(_Value):
-    """A robot name: which pile it belongs to and its index within the pile."""
-
-    __slots__ = ("side", "index")
-
-    def __init__(self, side: Side, index: int) -> None:
-        if index < 0:
-            raise ValueError("robot index must be >= 0")
-        _set(self, "side", side)
-        _set(self, "index", index)
-
-    def __str__(self) -> str:
-        return f"{self.side.value}{self.index}"
-
-
 class RobotUniverse(_Value):
     """2n robots split into a left and a right pile of n each.
 
@@ -229,24 +205,19 @@ class RobotUniverse(_Value):
         return 2 * self.pile_size
 
     @cached_property
-    def robots(self) -> tuple[RobotId, ...]:
-        """All robots, left pile first, each pile in index order."""
-        left = tuple(RobotId(Side.LEFT, i) for i in range(self.pile_size))
-        right = tuple(RobotId(Side.RIGHT, i) for i in range(self.pile_size))
-        return left + right
+    def robots(self) -> tuple[str, ...]:
+        """All robot names: "L0" to "L{n-1}", then "R0" to "R{n-1}"."""
+        n = self.pile_size
+        return tuple(f"L{i}" for i in range(n)) + tuple(f"R{i}" for i in range(n))
 
     @cached_property
-    def places(self) -> dict[RobotId, int]:
-        """Each robot's index in `robots`, its place in per-robot tuples.
-        Looking up a robot of another universe raises KeyError."""
+    def places(self) -> dict[str, int]:
+        """Each robot's name -> its index in `robots`, its place in
+        per-robot tuples.  Any other key (a robot of another universe,
+        "L00", "l0", 0) raises KeyError."""
         return {r: i for i, r in enumerate(self.robots)}
 
-    @cached_property
-    def places_by_name(self) -> dict[str, int]:
-        """The same places keyed by "L<i>"/"R<i>" name, in robot order."""
-        return {str(r): i for i, r in enumerate(self.robots)}
-
-    def is_total(self, mapping: Mapping[RobotId, object]) -> bool:
+    def is_total(self, mapping: Mapping[str, object]) -> bool:
         """True iff `mapping`'s keys are exactly the universe's robots."""
         return mapping.keys() == self.places.keys()
 
@@ -265,9 +236,6 @@ class RobotUniverse(_Value):
             split=True,
             self_pairs=((0, 0), (1, 1)),
         )
-
-    def side_robots(self, side: Side) -> tuple[RobotId, ...]:
-        return tuple(r for r in self.robots if r.side is side)
 
 
 class _Slots(tuple):
@@ -412,16 +380,16 @@ class _Table:
     """One value per robot, stored as an occupancy table: `points`, the
     distinct values in order of their first robot, and `slots`, one index
     into `points` per robot in `universe.robots` order, so equal per-robot
-    values give equal tables.  The constructor takes a total id -> value
+    values give equal tables.  The constructor takes a total name -> value
     map; `_of` groups one value per robot, in robot order; `_table` wraps a
     table already built, without checking it."""
 
     __slots__ = ("universe", "points", "slots")
     _partial = "table must assign exactly the universe's robots"
 
-    def __init__(self, universe: RobotUniverse, values: Mapping[RobotId, ScalarLike]):
+    def __init__(self, universe: RobotUniverse, values: Mapping[str, ScalarLike]):
         if not universe.is_total(values):
-            missing = sorted(str(r) for r in universe.robots if r not in values)
+            missing = sorted(r for r in universe.robots if r not in values)
             extra = sorted(str(r) for r in values if r not in universe.places)
             raise ValueError(f"{self._partial} (missing {missing}, extra {extra})")
         self.universe = universe
@@ -442,7 +410,7 @@ class _Table:
         """A table from one Fraction per robot, in robot order."""
         return cls._table(universe, *tabulate(values))
 
-    def __getitem__(self, robot: RobotId) -> Fraction:
+    def __getitem__(self, robot: str) -> Fraction:
         return self.points[self.slots[self.universe.places[robot]]]
 
     def _per_robot(self) -> tuple[Fraction, ...]:
@@ -470,7 +438,7 @@ class _Table:
 
 
 class Position(_Table):
-    """Total map from robot id to location, stored as an occupancy table of
+    """Total map from robot name to location, stored as an occupancy table of
     locations."""
 
     __slots__ = ()
@@ -488,7 +456,7 @@ class Position(_Table):
             return cls._table(universe, (a,), _Slots(repeat(0, universe.m)))
         return cls._table(universe, (a, b), universe.sides)
 
-    def items(self) -> tuple[tuple[RobotId, Fraction], ...]:
+    def items(self) -> tuple[tuple[str, Fraction], ...]:
         return tuple(zip(self.universe.robots, self.locations()))
 
     def locations(self) -> tuple[Fraction, ...]:
@@ -498,10 +466,10 @@ class Position(_Table):
     def map_locations(self, fn: Callable[[Fraction], ScalarLike]) -> Position:
         return Position._of(self.universe, (as_scalar(fn(x)) for x in self.locations()))
 
-    def pile_location(self, side: Side) -> Fraction | None:
-        """The single location shared by the whole pile, or None if scattered."""
-        slot = self.slots.piles[side is Side.RIGHT]
-        return None if slot is None else self.points[slot]
+    def pile_locations(self) -> tuple[Fraction | None, Fraction | None]:
+        """The left and the right pile's location, each None unless the
+        whole pile shares one."""
+        return tuple(None if slot is None else self.points[slot] for slot in self.slots.piles)
 
 
 class Similarity(_Value):

@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 from .core import (
     Position,
-    RobotId,
     RobotUniverse,
     ScalarLike,
     _Slots,
@@ -72,7 +71,7 @@ class DemonicAction(_Table):
     """One round of scheduling: a frame factor for every robot of the
     universe, stored as the occupancy table a Position is: `points`, the
     distinct factors in order of their first robot, and `slots`, one index
-    into them per robot.  The constructor takes a total id -> factor map."""
+    into them per robot.  The constructor takes a total name -> factor map."""
 
     __slots__ = ()
     _partial = "demonic action must assign a factor to every robot"
@@ -82,13 +81,13 @@ class DemonicAction(_Table):
         """One factor per robot, in robot order."""
         return self._per_robot()
 
-    def factor(self, robot: RobotId) -> Fraction:
+    def factor(self, robot: str) -> Fraction:
         return self[robot]
 
-    def is_active(self, robot: RobotId) -> bool:
+    def is_active(self, robot: str) -> bool:
         return self[robot] != 0
 
-    def active_robots(self) -> tuple[RobotId, ...]:
+    def active_robots(self) -> tuple[str, ...]:
         idle = self._idle_slot()
         return tuple(r for r, s in zip(self.universe.robots, self.slots) if s != idle)
 
@@ -278,9 +277,7 @@ def _kfair_cutoff(active: list[deque[int]], k: int, round_index: int) -> int:
     return cutoff
 
 
-def check_between(
-    actions: Sequence[DemonicAction], g: RobotId, h: RobotId, k: int
-) -> Verdict:
+def check_between(actions: Sequence[DemonicAction], g: str, h: str, k: int) -> Verdict:
     """Was `g` activated within `k` activations of `h`, from the start of the
     prefix?
 

@@ -21,7 +21,7 @@ Every value has exactly one accepted text, and the reader accepts only what
 the writer writes: a header without its format version is refused.  The
 reader keeps the texts of one row with their points, so a text that the
 row before had is not parsed again, and one slot tuple per distinct slot
-pattern of the trace.  `simulate --init` maps, id -> decimal "num/den", are
+pattern of the trace.  `simulate --init` maps, name -> decimal "num/den", are
 read by a map reader of their own.
 For `check`, which replays what it reads, the reader can leave each post's
 lowest-terms proof to `replay` (`_DeferredPosts`).
@@ -391,49 +391,40 @@ class _DeferredPosts:
 
 
 def _parse_init_map(universe: RobotUniverse, raw: dict) -> Position:
-    """A `simulate --init` map, id -> decimal "num/den" (`parse_scalar`),
-    as a Position.  The keys must be exactly the universe's canonical names
-    ("L0", not "L00" or " L0 ").  Texts equal in value ("1/2", "2/4")
-    share a point, and each distinct text is parsed once, in order of its
-    first robot (`tabulate_keys`).  Raises TraceFormatError on any defect:
-    the size is checked first, then every id, then the texts."""
+    """A `simulate --init` map, name -> decimal "num/den" (`parse_scalar`),
+    as a Position.  The keys must be exactly the universe's names ("L0",
+    not "L00" or " L0 ").  The values are read in one pass, in robot order:
+    the first that is not a string, or whose text does not parse, is
+    refused by its robot, and each distinct text is parsed once, in order
+    of its first robot.  Texts equal in value ("1/2", "2/4") share a point
+    (`tabulate_keys`).  Raises TraceFormatError on any defect: the size is
+    checked first, then every name, then the values."""
     # Checked first: a short map under a huge n must not make the universe
-    # build its ids.
+    # build its names.
     if len(raw) != universe.m:
         raise TraceFormatError("--init does not cover the universe exactly")
-    names = universe.places_by_name
+    places = universe.places
     # The reader refuses a repeated key (`_loads`), so m known names cover
     # the universe.
-    if raw.keys() != names.keys():
-        key = next(k for k in raw if k not in names)
+    if raw.keys() != places.keys():
+        key = next(k for k in raw if k not in places)
         raise TraceFormatError(
             f"--init has unknown robot id {key!r}: expected L<i> or R<i>"
             f" with 0 <= i < {universe.pile_size}, no sign, space or leading zero"
         )
-    try:
-        table = tabulate_keys(map(raw.__getitem__, names), parse_scalar)
-    except (ValueError, TypeError) as exc:
-        raise TraceFormatError(f"bad --init: {_refused_value(raw, names, exc)}") from exc
-    return Position._table(universe, *table)
-
-
-def _refused_value(raw: dict, names: Iterable[str], exc: Exception) -> str:
-    """Why a map's values were refused (`exc`), naming the first robot, in
-    robot order, whose value fails.  Only a refused map is searched, each
-    distinct text parsed once more; `reprlib` bounds how much of a list or
-    object is shown."""
-    checked = set()
-    for name in names:
-        value = raw[name]
-        if not isinstance(value, str):
-            return f"{name} has {_shown(value)}: expected a 'num/den' string"
-        if value not in checked:
-            checked.add(value)
+    texts = tuple(map(raw.__getitem__, places))
+    points = {}
+    for name, text in zip(places, texts):
+        if not isinstance(text, str):
+            raise TraceFormatError(
+                f"bad --init: {name} has {_shown(text)}: expected a 'num/den' string"
+            )
+        if text not in points:
             try:
-                parse_scalar(value)
-            except ValueError as bad:
-                return f"{name} has {bad}"
-    return str(exc)
+                points[text] = parse_scalar(text)
+            except ValueError as exc:
+                raise TraceFormatError(f"bad --init: {name} has {exc}") from exc
+    return Position._table(universe, *tabulate_keys(texts, points.__getitem__))
 
 
 def _shown(value: object) -> str:

@@ -21,9 +21,7 @@ from typing import Callable
 
 from .core import (
     Position,
-    RobotId,
     ScalarLike,
-    Side,
     Spectrum,
     _Value,
     as_scalar,
@@ -171,7 +169,7 @@ def convex(coefficient: ScalarLike) -> Robogram:
 
 # Negative-test robogram: leaks a robot identity, so renaming robots changes
 # the answer whenever L0 trades places with a robot elsewhere.
-broken_id_leak = raw_robogram("broken-id-leak", lambda p: p[RobotId(Side.LEFT, 0)])
+broken_id_leak = raw_robogram("broken-id-leak", lambda p: p["L0"])
 
 
 _FIXED = {

@@ -1,7 +1,7 @@
 """A time cap on every test, so that a run whose numbers blow up (a wrong
 frame factor compounds, and its denominators grow without bound) fails
 instead of hanging the suite.  The cap is far above any test's normal time;
-the whole suite runs in a little over a minute (510 tests in 75 s on a
+the whole suite runs in a little over a minute (515 tests in 73 s on a
 shared 2-CPU host).
 
 The alarm's handler runs between bytecodes, so one long C call (a `gcd` on

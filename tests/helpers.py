@@ -13,7 +13,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 import lcmsim
-from lcmsim.core import Position, RobotId, RobotUniverse, ScalarLike, as_scalar, format_scalar
+from lcmsim.core import Position, RobotUniverse, ScalarLike, as_scalar, format_scalar
 from lcmsim.demons import Demon, DemonicAction
 from lcmsim.execution import Trace
 from lcmsim.robograms import Robogram, spectrum_robogram
@@ -22,7 +22,7 @@ from lcmsim.sampling import random_scalar
 
 def make_scripted(
     universe: RobotUniverse,
-    schedule: Sequence[Mapping[RobotId, ScalarLike]],
+    schedule: Sequence[Mapping[str, ScalarLike]],
     name: str = "scripted",
 ) -> Demon:
     """Replay a fixed, position-independent frame schedule, cycling past the
@@ -71,7 +71,7 @@ def dumps_trace_v1(trace: Trace) -> str:
 
     def table(t):
         text = [format_scalar(x) for x in t.points]
-        return dict(zip(t.universe.places_by_name, map(text.__getitem__, t.slots)))
+        return dict(zip(t.universe.robots, map(text.__getitem__, t.slots)))
 
     header = {
         "robogram": trace.robogram_name,

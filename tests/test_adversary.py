@@ -23,9 +23,7 @@ from lcmsim.adversary import (
 from lcmsim.core import (
     EmptyUniverse,
     Position,
-    RobotId,
     RobotUniverse,
-    Side,
     Similarity,
     spectrum,
 )
@@ -51,7 +49,7 @@ from lcmsim.robograms import (
 def _canonical_factor_by_definition(position, robot):
     """Per-robot definition: 1/(v - u) when the opposite pile is stacked at
     v != u, else 1."""
-    opposite = {position[r] for r in position.universe.side_robots(robot.side.other)}
+    opposite = {position[r] for r in position.universe.robots if r[0] != robot[0]}
     u = position[robot]
     if len(opposite) == 1 and next(iter(opposite)) != u:
         return 1 / (next(iter(opposite)) - u)
@@ -71,8 +69,7 @@ def _pile_positions(draw):
         Fraction(7, 6**400), Fraction(5, 2**300 * 3), Fraction(-(2**2000 - 1), 6**7),
     ))
     locations = {}
-    for side in Side:
-        robots = u.side_robots(side)
+    for robots in (u.robots[: u.pile_size], u.robots[u.pile_size :]):
         if draw(st.booleans()):
             locations.update(dict.fromkeys(robots, draw(spots)))
         else:
@@ -81,22 +78,21 @@ def _pile_positions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pile_positions(), st.sampled_from(((), (Side.LEFT,), (Side.RIGHT,), tuple(Side))))
+@given(_pile_positions(), st.sampled_from(("", "L", "R", "LR")))
 def test_canonical_factors_match_the_per_robot_definition(position, sides):
     u = position.universe
     expected = {
-        r: _canonical_factor_by_definition(position, r) if r.side in sides else Fraction(0)
+        r: _canonical_factor_by_definition(position, r) if r[0] in sides else Fraction(0)
         for r in u.robots
     }
-    action = _canonical_action(position, (Side.LEFT in sides, Side.RIGHT in sides))
+    action = _canonical_action(position, ("L" in sides, "R" in sides))
     assert action.frames == tuple(expected.values())
     assert action == DemonicAction(u, expected)
 
 
 def test_canonical_view_shape():
     view = canonical_view(RobotUniverse(3))
-    assert view.pile_location(Side.LEFT) == Fraction(0)
-    assert view.pile_location(Side.RIGHT) == Fraction(1)
+    assert view.pile_locations() == (Fraction(0), Fraction(1))
     with pytest.raises(EmptyUniverse):
         canonical_view(RobotUniverse(0))
 
@@ -140,8 +136,8 @@ def test_alternating_branch_halves_the_distance_for_center_of_mass():
     assert positions[1] == Position.from_piles(u, "1/2", 1)
     assert positions[2] == Position.from_piles(u, "1/2", "3/4")
     # left pile active on even rounds, right on odd
-    assert {str(r) for r in trace.rounds[0].action.active_robots()} == {"L0"}
-    assert {str(r) for r in trace.rounds[1].action.active_robots()} == {"R0"}
+    assert trace.rounds[0].action.active_robots() == ("L0",)
+    assert trace.rounds[1].action.active_robots() == ("R0",)
 
 
 def test_activated_robots_always_see_the_canonical_view():
@@ -234,10 +230,9 @@ def test_run_impossibility_flags_identity_leaks():
 
 FIRST_KEY = spectrum_robogram("first-key", lambda view: next(iter(view)))
 
-_LEFT0, _RIGHT0 = RobotId(Side.LEFT, 0), RobotId(Side.RIGHT, 0)
 # Reads names: L0 and R0 answer differently (1/2 and 1/3).
 L0_BEFORE_R0 = raw_robogram(
-    "l0-before-r0", lambda p: Fraction(1, 2) if p[_LEFT0] <= p[_RIGHT0] else Fraction(1, 3)
+    "l0-before-r0", lambda p: Fraction(1, 2) if p["L0"] <= p["R0"] else Fraction(1, 3)
 )
 
 
@@ -255,9 +250,7 @@ def test_the_invariance_screen_passes_every_builtin_but_the_leak(n):
 def test_a_raw_robogram_that_passes_the_pile_swap_is_still_sampled(n):
     # L0 and L1 share a pile in the canonical view and after the swap, so
     # only a renaming that splits them shows the leak.
-    gap = raw_robogram(
-        "gap", lambda p: p[RobotId(Side.LEFT, 0)] - p[RobotId(Side.LEFT, 1)]
-    )
+    gap = raw_robogram("gap", lambda p: p["L0"] - p["L1"])
     p0 = canonical_view(RobotUniverse(n))
     assert check_invariance(gap, p0, tuple(range(n, 2 * n)) + tuple(range(n)))
     assert not run_impossibility(gap, n, 0).invariance_ok
@@ -459,18 +452,15 @@ def test_balanced_bivalent_predicate():
     u = RobotUniverse(2)
     assert _balanced_bivalent(Position.from_piles(u, 0, 1), 2)
     assert not _balanced_bivalent(Position.from_piles(u, 1, 1), 2)
-    lopsided = Position(
-        u,
-        {r: 0 if str(r) != "R1" else 1 for r in u.robots},
-    )
+    lopsided = Position(u, {"L0": 0, "L1": 0, "R0": 0, "R1": 1})
     assert not _balanced_bivalent(lopsided, 2)
 
 
 def test_balanced_bivalent_counts_robots_per_point_not_per_pile():
     u = RobotUniverse(4)
-    left, right = u.side_robots(Side.LEFT), u.side_robots(Side.RIGHT)
+    left, right = u.robots[:4], u.robots[4:]
     # 3 + 5: two points, unbalanced
-    unbalanced = Position(u, {r: 1 if r in right or r is left[0] else 0 for r in u.robots})
+    unbalanced = Position(u, {r: 1 if r in right or r == left[0] else 0 for r in u.robots})
     assert not _balanced_bivalent(unbalanced, 4)
     # 4 + 4 with robots from both piles on each point, each point's value
     # held by several equal objects
@@ -480,7 +470,7 @@ def test_balanced_bivalent_counts_robots_per_point_not_per_pile():
     )
     assert _balanced_bivalent(mixed, 4)
     assert not _balanced_bivalent(mixed, 3)
-    three_points = Position(u, {r: r.index % 3 for r in u.robots})
+    three_points = Position(u, {r: int(r[1:]) % 3 for r in u.robots})
     assert not _balanced_bivalent(three_points, 4)
 
 

@@ -467,6 +467,38 @@ def test_a_trace_file_unwritable_after_the_run_exits_3(capsys, argv):
     assert _one_line(err) and err.startswith("error: cannot write trace: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--robogram", "center-of-mass", "--demon", "round-robin:1/2", "--n", "2",
+         "--horizon", "200"),
+        ("adversary", "--robogram", "center-of-mass", "--n", "2", "--horizon", "200"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_trace_write_cut_short_leaves_no_file_it_created(tmp_path, argv):
+    # A file size limit cuts the write off part way, as a disk that fills
+    # during the write does.  Python ignores SIGXFSZ, so the write fails
+    # with EFBIG.  The run created the file, so it removes it; a file that
+    # was there before the run is left, whatever the write did to it.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+    fresh, existing = tmp_path / "fresh.jsonl", tmp_path / "existing.jsonl"
+    existing.write_text("kept\n")
+    for path in (fresh, existing):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcmsim", *argv, "--out", str(path)],
+            capture_output=True, text=True, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: cannot write trace: [Errno 27] File too large\n"
+    assert not fresh.exists()
+    assert existing.exists()
+
+
 def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
     # argparse ties a parser into reference cycles; one built per call
     # outlived the call as garbage until the next cyclic collection.
@@ -520,6 +552,9 @@ def test_main_leaves_no_parser_for_the_cycle_collector(capsys):
         # a bivalent init names exactly two locations
         (("--init", "bivalent:0/1"),
          "error: bad initial position: bivalent init must be bivalent:<num/den>:<num/den>\n"),
+        # the first robot whose value is refused is named, whatever the kind of fault
+        (("--init", '{"L0": "x", "R0": [1]}'), "bad --init: L0 has invalid scalar 'x'"),
+        (("--init", '{"L0": [1], "R0": "x"}'), "bad --init: L0 has [1]: expected a 'num/den'"),
     ],
 )
 def test_simulate_rejects_malformed_flags(capsys, flags, message):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pickle
 import random
 import sys
 from collections import Counter
@@ -14,9 +13,7 @@ from lcmsim.core import (
     MAX_SCALAR_DIGITS,
     EmptyUniverse,
     Position,
-    RobotId,
     RobotUniverse,
-    Side,
     Similarity,
     Spectrum,
     as_scalar,
@@ -98,36 +95,12 @@ def test_as_scalar_refuses_inexact_types():
         as_scalar(None)
 
 
-_robot_ids = st.builds(RobotId, st.sampled_from(Side), st.integers(0, 20))
-
-
-@given(_robot_ids, _robot_ids)
-def test_robot_id_hash_agrees_with_equality(a, b):
-    assert (a == b) == (a.side is b.side and a.index == b.index)
-    if a == b:
-        assert hash(a) == hash(b)
-    twin = pickle.loads(pickle.dumps(a))
-    assert twin == a and hash(twin) == hash(a) and str(twin) == str(a)
-    assert repr(a) == f"RobotId(side={a.side!r}, index={a.index})"
-
-
-def test_robot_id_round_trip_and_validation():
-    r = RobotId(Side.LEFT, 0)
-    assert str(r) == "L0"
-    assert str(RobotId(Side.RIGHT, 17)) == "R17"
-    u = RobotUniverse(18)
-    assert u.robots[u.places_by_name["R17"]] == RobotId(Side.RIGHT, 17)
-    assert Side.LEFT.other is Side.RIGHT
-    assert Side.RIGHT.other is Side.LEFT
-    with pytest.raises(ValueError):
-        RobotId(Side.LEFT, -1)
-
-
 def test_universe_enumeration_left_pile_first():
     u = RobotUniverse(2)
     assert u.m == 4
-    assert [str(r) for r in u.robots] == ["L0", "L1", "R0", "R1"]
-    assert [str(r) for r in u.side_robots(Side.RIGHT)] == ["R0", "R1"]
+    assert u.robots == ("L0", "L1", "R0", "R1")
+    assert u.places == {"L0": 0, "L1": 1, "R0": 2, "R1": 3}
+    assert RobotUniverse(18).places["R17"] == 35
 
 
 def test_universe_refuses_an_empty_pile():
@@ -137,22 +110,15 @@ def test_universe_refuses_an_empty_pile():
             RobotUniverse(n)
         with pytest.raises(ValueError):
             RobotUniverse(n)
-    assert [str(r) for r in RobotUniverse(1).robots] == ["L0", "R0"]
+    assert RobotUniverse(1).robots == ("L0", "R0")
 
 
 def test_position_totality():
     u = RobotUniverse(1)
     with pytest.raises(ValueError):
-        Position(u, {RobotId(Side.LEFT, 0): 0})
+        Position(u, {"L0": 0})
     with pytest.raises(ValueError):
-        Position(
-            u,
-            {
-                RobotId(Side.LEFT, 0): 0,
-                RobotId(Side.RIGHT, 0): 1,
-                RobotId(Side.RIGHT, 1): 2,
-            },
-        )
+        Position(u, {"L0": 0, "R0": 1, "R1": 2})
 
 
 def test_position_totality_ignores_key_order_and_id_identity():
@@ -160,12 +126,13 @@ def test_position_totality_ignores_key_order_and_id_identity():
     values = dict(zip(u.robots, (0, "1/2", Fraction(3), -1)))
     expected = Position(u, values)
     reordered = Position(u, dict(reversed(values.items())))
-    fresh_ids = Position(u, {RobotId(r.side, r.index): v for r, v in values.items()})
+    # names built afresh: equal strings, not the universe's objects
+    fresh_ids = Position(u, {r[0] + str(int(r[1:])): v for r, v in values.items()})
     assert reordered == expected == fresh_ids
     assert reordered.items() == expected.items()
     assert all(type(x) is Fraction for x in fresh_ids.locations())
-    foreign = {r: v for r, v in values.items() if str(r) != "R1"}
-    foreign[RobotId(Side.RIGHT, 2)] = 0
+    foreign = {r: v for r, v in values.items() if r != "R1"}
+    foreign["R2"] = 0
     with pytest.raises(ValueError, match=r"missing \['R1'\], extra \['R2'\]"):
         Position(u, foreign)
     assert u.places == {r: i for i, r in enumerate(u.robots)}
@@ -175,35 +142,26 @@ def test_position_totality_ignores_key_order_and_id_identity():
 def test_position_from_piles_and_pile_location():
     u = RobotUniverse(2)
     p = Position.from_piles(u, "1/3", 2)
-    assert p[RobotId(Side.LEFT, 1)] == Fraction(1, 3)
-    assert p[RobotId(Side.RIGHT, 0)] == Fraction(2)
-    assert p.pile_location(Side.LEFT) == Fraction(1, 3)
-    scattered = Position(
-        u,
-        {
-            RobotId(Side.LEFT, 0): 0,
-            RobotId(Side.LEFT, 1): 1,
-            RobotId(Side.RIGHT, 0): 2,
-            RobotId(Side.RIGHT, 1): 2,
-        },
-    )
-    assert scattered.pile_location(Side.LEFT) is None
-    assert scattered.pile_location(Side.RIGHT) == Fraction(2)
+    assert p["L1"] == Fraction(1, 3)
+    assert p["R0"] == Fraction(2)
+    assert p.pile_locations() == (Fraction(1, 3), Fraction(2))
+    scattered = Position(u, {"L0": 0, "L1": 1, "R0": 2, "R1": 2})
+    assert scattered.pile_locations() == (None, Fraction(2))
 
 
 def test_pile_location_recognises_equal_but_distinct_objects():
     u = RobotUniverse(3)
     # each Fraction(...) call makes its own object: equal values, no sharing
-    p = Position(u, {r: Fraction(2, 3) if r.side is Side.LEFT else Fraction(7) for r in u.robots})
+    left, right = u.robots[:3], u.robots[3:]
+    p = Position(u, {**{r: Fraction(2, 3) for r in left}, **{r: Fraction(7) for r in right}})
     assert p.points == (Fraction(2, 3), Fraction(7))
     assert p.slots == (0, 0, 0, 1, 1, 1)
-    assert p.pile_location(Side.LEFT) == Fraction(2, 3)
-    assert p.pile_location(Side.RIGHT) == Fraction(7)
+    assert p.pile_locations() == (Fraction(2, 3), Fraction(7))
     shared = Fraction(5, 4)
-    mixed = Position(u, {r: shared if r.index else Fraction(5, 4) for r in u.robots})
-    assert mixed.pile_location(Side.LEFT) == shared == mixed.pile_location(Side.RIGHT)
-    apart = Position(u, {r: Fraction(r.index) if r.side is Side.LEFT else 0 for r in u.robots})
-    assert apart.pile_location(Side.LEFT) is None
+    mixed = Position(u, {r: shared if r[1:] != "0" else Fraction(5, 4) for r in u.robots})
+    assert mixed.pile_locations() == (shared, shared)
+    apart = Position(u, {**{r: Fraction(i) for i, r in enumerate(left)}, **dict.fromkeys(right, 0)})
+    assert apart.pile_locations() == (None, 0)
 
 
 def test_position_map_and_equality():

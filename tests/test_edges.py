@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 from lcmsim.adversary import make_alternating_demon, make_swap_fsync_demon
 from lcmsim.core import (
     Position,
-    RobotId,
     RobotUniverse,
-    Side,
     Similarity,
     permute_position,
 )
@@ -132,7 +130,8 @@ def test_a_robot_of_another_universe_raises_key_error(n):
     p = random_position(u, random.Random(n))
     trace = execute_prefix(center_of_mass, make_round_robin(u, 1), p, 2)
     again = read_trace(_lines(trace))
-    for foreign in (RobotId(Side.LEFT, n), RobotId(Side.RIGHT, n)):
+    # a robot past the piles, and names that only look like "L0"
+    for foreign in (f"L{n}", f"R{n}", "L00", " L0", "l0", 0):
         for q in (p, trace.rounds[-1].post, again.rounds[-1].post):
             with pytest.raises(KeyError):
                 q[foreign]

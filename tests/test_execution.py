@@ -10,7 +10,7 @@ import pytest
 from lcmsim import core, execution
 from lcmsim.adversary import run_impossibility
 from lcmsim.cli import main
-from lcmsim.core import EmptyUniverse, Position, RobotUniverse, Side, format_scalar, parse_scalar
+from lcmsim.core import EmptyUniverse, Position, RobotUniverse, format_scalar, parse_scalar
 from lcmsim.demons import (
     Demon,
     DemonicAction,
@@ -248,7 +248,7 @@ def test_init_parses_repeated_and_non_canonical_strings_each_on_its_own(capsys, 
     monkeypatch.setattr(execution, "parse_scalar", lambda text: parsed.append(text) or parse_scalar(text))
     p0 = execution._parse_init_map(u, strings)
     assert parsed == ["2/4", "1/2", "-0/3", "7"]
-    assert p0 == Position(u, {r: parse_scalar(strings[str(r)]) for r in u.robots})
+    assert p0 == Position(u, {r: parse_scalar(strings[r]) for r in u.robots})
     assert p0[u.robots[0]] == Fraction(1, 2) and p0[u.robots[2]] == 0
     # "2/4" and "1/2" share one point, and "-0/3" is 0
     assert p0.points == (Fraction(1, 2), 0, 7)
@@ -264,7 +264,7 @@ def _scattered_init_trace(tmp_path) -> Trace:
     """`simulate --init` with every robot on its own point, as written by the CLI."""
     rng = random.Random(17)
     u = RobotUniverse(4)
-    points = {str(r): format_scalar(Fraction(rng.randint(-99, 99), rng.randint(1, 50)) + i)
+    points = {r: format_scalar(Fraction(rng.randint(-99, 99), rng.randint(1, 50)) + i)
               for i, r in enumerate(u.robots)}
     path = tmp_path / "scattered.jsonl"
     code = main(["simulate", "--robogram", "convex:1/2", "--demon", "random-kfair:1:5", "--n", "4",
@@ -495,8 +495,8 @@ def _tampered_post(trace: Trace, r: int, kind: str) -> Position:
     differs."""
     pre, post = trace.positions()[r], trace.rounds[r].post
     u = trace.universe
-    left, right = post.pile_location(Side.LEFT), post.pile_location(Side.RIGHT)
-    moved = [left != pre.pile_location(Side.LEFT), right != pre.pile_location(Side.RIGHT)]
+    left, right = post.pile_locations()
+    moved = [a != b for a, b in zip((left, right), pre.pile_locations())]
     assert moved.count(True) == 1
     if kind == "slots":
         return Position(u, dict(zip(u.robots, (left, right, left, right))))

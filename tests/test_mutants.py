@@ -134,6 +134,26 @@ ROWS = [
         '"n": self.trace.universe.pile_size', '"n": self.trace.universe.m',
         "tests/test_parity.py::test_adversary_trace_and_report_bytes_are_pinned",
     ),
+    # A robot is its name: the names in robot order, and the `--init` map
+    # read by name, each distinct text parsed once.
+    _row(
+        "robots-right-pile-first", "core.py",
+        'tuple(f"L{i}" for i in range(n)) + tuple(f"R{i}" for i in range(n))',
+        'tuple(f"R{i}" for i in range(n)) + tuple(f"L{i}" for i in range(n))',
+        "tests/test_core.py::test_universe_enumeration_left_pile_first",
+    ),
+    _row(
+        "init-parses-a-repeated-text", "execution.py",
+        "if text not in points:", "if True:",
+        "tests/test_execution.py::test_init_parses_repeated_and_non_canonical_strings_each_on_its_own",
+    ),
+    # A trace write cut short keeps the truncated file it created.  No row
+    # removes a path that existed before the run: tests write to /dev/full.
+    _row(
+        "trace-write-keeps-a-truncated-file", "cli.py",
+        "if not existed:\n            try:", "if False:\n            try:",
+        "tests/test_cli.py::test_a_trace_write_cut_short_leaves_no_file_it_created",
+    ),
     # The demon's factor with its sign flipped shows the other pile at -1.
     _row(
         "canonical-factor-sign", "adversary.py",

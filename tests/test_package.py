@@ -18,9 +18,7 @@ from lcmsim import (
     ImpossibilityReport,
     Position,
     Robogram,
-    RobotId,
     RobotUniverse,
-    Side,
     Similarity,
     Spectrum,
     Trace,
@@ -78,8 +76,6 @@ def _value_cases() -> list[tuple[type, dict, dict, str]]:
     report = run_impossibility(to_max, 1, 1)
     verdict = "Verdict(kind='no-violation-up-to', round=None, horizon=1, point=None)"
     return [
-        (RobotId, dict(side=Side.RIGHT, index=4), dict(side=Side.LEFT, index=5),
-         "RobotId(side=<Side.RIGHT: 'R'>, index=4)"),
         (RobotUniverse, dict(pile_size=1), dict(pile_size=2), "RobotUniverse(pile_size=1)"),
         (Similarity, dict(factor=Fraction(-1, 2), center=Fraction(3)),
          dict(factor=Fraction(2), center=Fraction(1, 3)),
@@ -118,7 +114,7 @@ def _value_cases() -> list[tuple[type, dict, dict, str]]:
 
 def test_value_classes_are_immutable_values():
     cases = _value_cases()
-    assert len(cases) == 9
+    assert len(cases) == 8
     for i, (cls, args, other, text) in enumerate(cases):
         value, twin = cls(**args), cls(*args.values())
         assert value == twin and not value != twin and repr(value) == repr(twin) == text, text

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsim.core import EmptyUniverse, Position, RobotId, RobotUniverse, Side
+from lcmsim.core import EmptyUniverse, Position, RobotUniverse
 from lcmsim.demons import DemonicAction, Verdict, make_random_kfair
 from lcmsim.execution import Trace, TraceRound, execute_prefix
 from lcmsim.properties import (
@@ -51,26 +51,10 @@ def test_split_is_about_cross_pile_collisions_only():
     assert split(Position.from_piles(u, 0, 1))
     assert not split(Position.from_piles(u, 1, 1))
     # a collision inside one pile does not break the split
-    p = Position(
-        u,
-        {
-            RobotId(Side.LEFT, 0): 0,
-            RobotId(Side.LEFT, 1): 0,
-            RobotId(Side.RIGHT, 0): 1,
-            RobotId(Side.RIGHT, 1): 2,
-        },
-    )
+    p = Position(u, {"L0": 0, "L1": 0, "R0": 1, "R1": 2})
     assert split(p)
     # one shared location across piles breaks it
-    q = Position(
-        u,
-        {
-            RobotId(Side.LEFT, 0): 0,
-            RobotId(Side.LEFT, 1): 5,
-            RobotId(Side.RIGHT, 0): 1,
-            RobotId(Side.RIGHT, 1): 5,
-        },
-    )
+    q = Position(u, {"L0": 0, "L1": 5, "R0": 1, "R1": 5})
     assert not split(q)
 
 
@@ -159,9 +143,9 @@ def _traces_ending_split(draw):
     positions = [
         Position(u, {r: draw(spots) for r in u.robots}) for _ in range(draw(st.integers(0, 5)))
     ]
-    left = {r: draw(spots) for r in u.side_robots(Side.LEFT)}
+    left = {r: draw(spots) for r in u.robots[: u.pile_size]}
     free = st.sampled_from([x for x in _SPOTS if x not in left.values()])
-    right = {r: draw(free) for r in u.side_robots(Side.RIGHT)}
+    right = {r: draw(free) for r in u.robots[u.pile_size :]}
     positions.append(Position(u, {**left, **right}))
     return _fabricated_trace(u, positions)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lcmsim.adversary import SWAP_FSYNC, run_impossibility
-from lcmsim.core import Position, RobotId, RobotUniverse, Side, Similarity, spectrum
+from lcmsim.core import Position, RobotUniverse, Similarity, spectrum
 from lcmsim.robograms import (
     BUILTIN_SELECTORS,
     SPECTRUM_BASED,
@@ -31,15 +31,7 @@ from lcmsim.sampling import random_permutation, random_position
 def _three_point_view():
     # observer at 0 with a companion, singletons at 2 and 5
     u = RobotUniverse(2)
-    return Position(
-        u,
-        {
-            RobotId(Side.LEFT, 0): 0,
-            RobotId(Side.LEFT, 1): 0,
-            RobotId(Side.RIGHT, 0): 2,
-            RobotId(Side.RIGHT, 1): 5,
-        },
-    )
+    return Position(u, {"L0": 0, "L1": 0, "R0": 2, "R1": 5})
 
 
 def test_stay_always_answers_origin():
@@ -112,7 +104,7 @@ def test_convex_scales_the_mean():
 
 def test_broken_id_leak_reads_one_robot():
     p = _three_point_view()
-    assert evaluate(broken_id_leak, p) == p[RobotId(Side.LEFT, 0)]
+    assert evaluate(broken_id_leak, p) == p["L0"]
 
 
 def test_resolve_robogram_selectors():
